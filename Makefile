@@ -8,7 +8,7 @@ RUFF ?= ruff
 
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-adaptive bench-compare bench-recovery coverage examples smoke lint lint-cq test-recovery obs-demo ci
+.PHONY: test bench bench-smoke bench-adaptive bench-compare bench-recovery coverage examples smoke lint lint-cq test-recovery obs-demo ledger ledger-compare ci
 
 test:
 	$(PY) -m pytest -x -q
@@ -91,6 +91,24 @@ BENCH_BASELINE ?= bench-baseline.json
 BENCH_NEW ?= bench-results.json
 bench-compare:
 	$(PY) benchmarks/compare.py $(BENCH_BASELINE) $(BENCH_NEW)
+
+# The repo benchmark (BENCHMARK.json): STARQL text -> delivered
+# WindowResult on four workloads, absolute numbers plus a per-layer
+# trace; see benchmarks/ledger/README.md.  Reports land in
+# benchmarks/ledger/out/.  The run fails when a traced entry point no
+# longer resolves (a refactor renamed what the trace table wraps):
+#   make ledger ARGS="--scale quick"        # all four workloads, small
+#   make ledger ARGS="--workload pane_hot --trace 1"
+#   make ledger-compare LEDGER_A=old.json LEDGER_B=new.json
+ledger:
+	@$(PY) benchmarks/ledger/run.py $(ARGS) 2> ledger-stderr.log; \
+	status=$$?; cat ledger-stderr.log >&2; \
+	if grep -q "does not resolve" ledger-stderr.log; then \
+		echo "ledger: a traced entry point does not resolve" >&2; exit 1; \
+	fi; exit $$status
+
+ledger-compare:
+	$(PY) benchmarks/ledger/compare.py $(LEDGER_A) $(LEDGER_B)
 
 smoke:
 	$(PY) -m pytest tests/test_examples_smoke.py -q

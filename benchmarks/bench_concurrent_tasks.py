@@ -58,7 +58,7 @@ def _run_concurrent(num_queries: int) -> tuple[float, StreamEngine]:
             name=f"q{index}",
         )
     for query in gateway.queries:
-        query.sink.limit(GatewayServer.UNKEPT_SINK_CAPACITY)
+        query.sink.limit(8)  # keep only the most recent windows
     watch = Stopwatch()
     while gateway.step():
         pass

@@ -46,7 +46,7 @@ def _measure_single_node() -> float:
         name="probe",
     )
     for query in gateway.queries:
-        query.sink.limit(GatewayServer.UNKEPT_SINK_CAPACITY)
+        query.sink.limit(8)  # keep only the most recent windows
     watch = Stopwatch()
     while gateway.step():
         pass

@@ -97,7 +97,7 @@ def test_incremental_vs_batch_overhead(benchmark, mode, smoke):
         polled = 0
         if mode == "batch_run":
             for query in queries:
-                query.sink.limit(GatewayServer.UNKEPT_SINK_CAPACITY)
+                query.sink.limit(8)  # keep only the most recent windows
             while gateway.step():
                 pass
             polled = sum(len(q.results()) for q in queries)

@@ -24,6 +24,8 @@ randomized query corpus under it.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from ..errors import ReproError
 from ..exastream.mqo.signature import plan_signature
 from ..streams.window import pane_plan
@@ -42,82 +44,69 @@ class InvariantViolation(ReproError, AssertionError):
 
 
 def verify_runtime(runtime, name: str = "") -> list[str]:
-    """Invariant violations of one bound runtime (empty list = healthy)."""
-    violations: list[str] = []
-    label = name or getattr(getattr(runtime, "plan", None), "name", "?")
-    plan = getattr(runtime, "plan", None)
-    if plan is None or not hasattr(runtime, "_pane_ring"):
-        return violations  # sharded facades own no pane state directly
+    """Invariant violations of one bound runtime (empty list = healthy).
 
+    Pane state, demand references and MQO bindings live in the leaf
+    runtimes, so a sharded runtime is verified shard by shard.
+    """
+    violations: list[str] = []
+    label = name or runtime.plan.name or "?"
+    leaves = runtime.leaf_runtimes
+    for leaf in leaves:
+        where = label if len(leaves) == 1 else f"{label}[shard {leaf.scope[2]}]"
+        _verify_leaf(leaf, where, violations)
+    return violations
+
+
+def _verify_leaf(leaf, label: str, violations: list[str]) -> None:
     # -- pane-ring bounds ---------------------------------------------------
-    plan0 = pane_plan(plan.windows[0].spec)
-    _check_ring_bounds(
-        violations, f"{label}: aggregation pane ring",
-        runtime._pane_ring.keys(),
-        plan0.panes_per_window if plan0 is not None else None,
-    )
-    side_plans = [pane_plan(w.spec) for w in plan.windows[:2]]
-    for index, ring in enumerate(getattr(runtime, "_side_rings", ())):
-        side = side_plans[index] if index < len(side_plans) else None
-        _check_ring_bounds(
-            violations, f"{label}: join side {index} pane ring",
-            ring.keys(),
-            side.panes_per_window if side is not None else None,
-        )
-    pair_ring = getattr(runtime, "_pair_ring", {})
-    for coord, side in enumerate(side_plans):
-        if side is None:
-            continue
-        keys = {pair[coord] for pair in pair_ring}
-        _check_ring_bounds(
-            violations, f"{label}: pane-pair ring coordinate {coord}",
-            keys, side.panes_per_window,
-        )
+    tier = leaf.tier
+    if tier is not None:
+        for what, keys, spec in tier.ring_bounds():
+            panes = pane_plan(spec)
+            _check_ring_bounds(
+                violations, f"{label}: {what}", keys,
+                panes.panes_per_window if panes is not None else None,
+            )
 
     # -- demand sanity ------------------------------------------------------
-    for reader in getattr(runtime, "_batch_demanded", ()):
+    for reader in map(leaf.readers.get, leaf._batch_demanded):
         if reader.batch_demand <= 0:
             violations.append(
-                f"{label}: holds a batch demand on {reader.key!r} whose "
-                f"refcount is {reader.batch_demand}"
+                f"{label}: holds a batch demand on {reader.stream_name!r} "
+                f"whose refcount is {reader.batch_demand}"
             )
-    for reader in getattr(runtime, "_pane_demanded", ()):
+    for reader in map(leaf.readers.get, leaf._pane_demanded):
         if reader.pane_demand <= 0:
             violations.append(
-                f"{label}: holds a pane demand on {reader.key!r} whose "
-                f"refcount is {reader.pane_demand}"
+                f"{label}: holds a pane demand on {reader.stream_name!r} "
+                f"whose refcount is {reader.pane_demand}"
             )
 
     # -- demotion bookkeeping -----------------------------------------------
-    # A demoted runtime must have flushed every pane structure and swapped
-    # its demand to batches — exactly the permanent-fallback contract.
-    if getattr(runtime, "demoted", False):
-        if (
-            runtime._pane_ring
-            or any(getattr(runtime, "_side_rings", ()))
-            or getattr(runtime, "_pair_ring", {})
-        ):
+    # A demoted runtime must have retired its tier (rings and all) and
+    # swapped its demand to batches — exactly the retirement contract.
+    if leaf.demoted:
+        if tier is not None:
             violations.append(
-                f"{label}: demoted but still holds pane-ring state"
+                f"{label}: demoted but still runs its {tier.path} tier"
             )
-        if getattr(runtime, "_pane_demanded", ()):
+        if leaf._pane_demanded:
             violations.append(
                 f"{label}: demoted but still holds pane demands"
             )
-        if not getattr(runtime, "_batch_demanded", ()):
+        if not leaf._batch_demanded:
             violations.append(
                 f"{label}: demoted but holds no batch demand — the next "
                 "window would have no input"
             )
 
     # -- signature eligibility agreement ------------------------------------
-    binding = getattr(runtime, "mqo", None)
-    if binding is not None and plan_signature(plan) is None:
+    if leaf.mqo is not None and plan_signature(leaf.plan) is None:
         violations.append(
             f"{label}: runtime carries an MQO binding but plan_signature "
             "deems the plan ineligible"
         )
-    return violations
 
 
 def _check_ring_bounds(
@@ -166,45 +155,46 @@ def verify_gateway(gateway) -> None:
             violations.append(
                 f"reader keys recorded for unregistered query {name!r}"
             )
-    expected_refs: dict[str, int] = {}
-    for keys in gateway._reader_keys.values():
-        for key in keys:
-            expected_refs[key] = expected_refs.get(key, 0) + 1
-    if expected_refs != dict(gateway._reader_refs):
+    expected_refs = Counter(
+        key for keys in gateway._reader_keys.values() for key in keys
+    )
+    if expected_refs != gateway._reader_refs:
         violations.append(
             f"reader refcounts {dict(gateway._reader_refs)} do not match "
             f"the registered queries' reader keys {expected_refs}"
         )
 
     # -- demand balance on shared readers -----------------------------------
-    # Exact only when every runtime exposes its demand lists (single-node
-    # runtimes do; sharded facades manage demand inside their layouts).
-    if all(hasattr(r, "_batch_demanded") for r in runtimes.values()):
-        batch_counts: dict[int, int] = {}
-        pane_counts: dict[int, int] = {}
-        for runtime in runtimes.values():
-            for reader in runtime._batch_demanded:
-                batch_counts[id(reader)] = batch_counts.get(id(reader), 0) + 1
-            for reader in runtime._pane_demanded:
-                pane_counts[id(reader)] = pane_counts.get(id(reader), 0) + 1
-        for key, reader in gateway._shared_readers.items():
-            expected = batch_counts.get(id(reader), 0)
-            if reader.batch_demand != expected:
-                violations.append(
-                    f"reader {key!r} batch demand is {reader.batch_demand} "
-                    f"but {expected} runtime(s) hold batch demands on it"
-                )
-            expected = pane_counts.get(id(reader), 0)
-            if reader.pane_demand != expected:
-                violations.append(
-                    f"reader {key!r} pane demand is {reader.pane_demand} "
-                    f"but {expected} runtime(s) hold pane demands on it"
-                )
+    # Every reader this gateway's queries share through the engine's
+    # catalog (all scopes: the one-node scope and every sharded layout
+    # slice) carries exactly the demand references the registered
+    # queries' leaf runtimes hold on it.
+    batch_counts: Counter[int] = Counter()
+    pane_counts: Counter[int] = Counter()
+    for runtime in runtimes.values():
+        for leaf in runtime.leaf_runtimes:
+            readers = leaf.readers
+            batch_counts.update(id(readers[k]) for k in leaf._batch_demanded)
+            pane_counts.update(id(readers[k]) for k in leaf._pane_demanded)
+    for scope, readers in gateway.engine.catalog.items():
+        for key, reader in readers.items():
+            if key not in gateway._reader_refs:
+                continue  # another gateway's session on the same engine
+            for kind, actual, expected in (
+                ("batch", reader.batch_demand, batch_counts[id(reader)]),
+                ("pane", reader.pane_demand, pane_counts[id(reader)]),
+            ):
+                if actual != expected:
+                    violations.append(
+                        f"reader {key!r} in scope {scope!r}: {kind} demand "
+                        f"is {actual} but {expected} runtime(s) hold "
+                        f"{kind} demands on it"
+                    )
 
     # -- MQO subscription agreement -----------------------------------------
     mqo = gateway.mqo
     if mqo is not None:
-        by_query = getattr(mqo, "_by_query", {})
+        by_query = mqo._by_query
         for name in by_query:
             if name not in queries:
                 violations.append(
@@ -224,50 +214,49 @@ def verify_gateway(gateway) -> None:
                         "registered query"
                     )
         for name, runtime in runtimes.items():
-            binding = getattr(runtime, "mqo", None)
-            if binding is not None and name not in by_query:
+            bound = any(leaf.mqo is not None for leaf in runtime.leaf_runtimes)
+            if bound and name not in by_query:
                 violations.append(
                     f"query {name!r} carries an MQO binding but the "
                     "registry has no subscriptions for it"
                 )
 
     # -- event-bus bookkeeping ----------------------------------------------
-    bus = getattr(gateway, "bus", None)
-    if bus is not None:
-        for name, topic in bus.topics.items():
-            live = [s for s in topic.subscriptions if not s.closed]
-            if topic.refcount != len(live):
+    bus = gateway.bus
+    for name, topic in bus.topics.items():
+        live = [s for s in topic.subscriptions if not s.closed]
+        if topic.refcount != len(live):
+            violations.append(
+                f"topic {name!r} refcount {topic.refcount} does not "
+                f"match its {len(live)} live subscriber(s)"
+            )
+        if topic.refcount == 0:
+            violations.append(
+                f"topic {name!r} has zero subscribers but was not "
+                "dropped from the bus"
+            )
+        if name not in queries and not topic.finished:
+            violations.append(
+                f"topic {name!r} has no registered query but was "
+                "never finished: its subscribers would await forever"
+            )
+        for subscription in topic.subscriptions:
+            capacity = subscription.capacity
+            if capacity is not None and len(subscription) > capacity:
                 violations.append(
-                    f"topic {name!r} refcount {topic.refcount} does not "
-                    f"match its {len(live)} live subscriber(s)"
+                    f"a subscription on topic {name!r} holds "
+                    f"{len(subscription)} results over its bound of "
+                    f"{capacity}"
                 )
-            if topic.refcount == 0:
+    for name, registered in queries.items():
+        if registered.state.is_terminal:
+            topic = bus.topic(name)
+            if topic is not None and not topic.finished:
                 violations.append(
-                    f"topic {name!r} has zero subscribers but was not "
-                    "dropped from the bus"
+                    f"query {name!r} is terminal but its topic was "
+                    "not finished (terminal transition fired twice "
+                    "or not at all?)"
                 )
-            if name not in queries and not topic.finished:
-                violations.append(
-                    f"topic {name!r} has no registered query but was "
-                    "never finished: its subscribers would await forever"
-                )
-            for subscription in topic.subscriptions:
-                capacity = subscription.capacity
-                if capacity is not None and len(subscription) > capacity:
-                    violations.append(
-                        f"a subscription on topic {name!r} holds "
-                        f"{len(subscription)} results over its bound of "
-                        f"{capacity}"
-                    )
-        for name, registered in queries.items():
-            if registered.state.is_terminal:
-                topic = bus.topic(name)
-                if topic is not None and not topic.finished:
-                    violations.append(
-                        f"query {name!r} is terminal but its topic was "
-                        "not finished (terminal transition fired twice "
-                        "or not at all?)"
-                    )
 
     # -- scheduler bookkeeping ----------------------------------------------
     scheduler = gateway.scheduler
@@ -309,35 +298,34 @@ def verify_gateway(gateway) -> None:
     # -- sharing-index consistency ------------------------------------------
     # The registration-time sharing analysis relies on these indexes
     # mirroring the live catalog exactly (see repro.analysis.sharing).
-    if hasattr(gateway, "_sig_by_query"):
-        for attr in ("_sig_by_query", "_cq_by_query"):
-            indexed = set(getattr(gateway, attr))
-            if indexed != set(queries):
+    for attr in ("_sig_by_query", "_cq_by_query"):
+        indexed = set(getattr(gateway, attr))
+        if indexed != set(queries):
+            violations.append(
+                f"gateway.{attr} indexes {sorted(indexed)!r}, not the "
+                f"registered queries {sorted(queries)!r}"
+            )
+    for attr in ("_sig_relation", "_sig_aggregate", "_sig_side",
+                 "_cq_windex"):
+        for key, names in getattr(gateway, attr).items():
+            if not names:
                 violations.append(
-                    f"gateway.{attr} indexes {sorted(indexed)!r}, not the "
-                    f"registered queries {sorted(queries)!r}"
+                    f"gateway.{attr} holds an empty entry {key[:80]!r}"
                 )
-        for attr in ("_sig_relation", "_sig_aggregate", "_sig_side",
-                     "_cq_windex"):
-            for key, names in getattr(gateway, attr).items():
-                if not names:
+            for name in names:
+                if name not in queries:
                     violations.append(
-                        f"gateway.{attr} holds an empty entry {key[:80]!r}"
+                        f"gateway.{attr} entry {key[:80]!r} references "
+                        f"unregistered query {name!r}"
                     )
-                for name in names:
-                    if name not in queries:
-                        violations.append(
-                            f"gateway.{attr} entry {key[:80]!r} references "
-                            f"unregistered query {name!r}"
-                        )
 
     # -- costed-plan consistency --------------------------------------------
     # The estimator's explain record and the live runtime must agree: a
     # registration-time demotion really planned RECOMPUTE, and a fired
     # mid-flight guard really demoted its runtime (and recorded where).
     for name, registered in queries.items():
-        choice = getattr(registered.plan, "choice", None)
-        guard = getattr(registered, "guard", None)
+        choice = registered.plan.choice
+        guard = registered.guard
         if choice is not None and choice.demoted_at_registration:
             decision = registered.plan.incremental
             if decision is not None and (
@@ -351,7 +339,7 @@ def verify_gateway(gateway) -> None:
                     f"({decision.reason!r})"
                 )
         if guard is not None and guard.fired:
-            if not getattr(registered.runtime, "demoted", False):
+            if not registered.runtime.demoted:
                 violations.append(
                     f"query {name!r}: re-planning guard fired but the "
                     "runtime was not demoted"
@@ -363,27 +351,30 @@ def verify_gateway(gateway) -> None:
                 )
 
     # -- checkpoint bookkeeping ---------------------------------------------
-    checkpointer = getattr(gateway, "checkpointer", None)
-    if checkpointer is not None:
-        violations.extend(checkpointer.audit_violations())
+    if gateway.checkpointer is not None:
+        violations.extend(gateway.checkpointer.audit_violations())
 
     # -- span-tree invariants -----------------------------------------------
     # Every opened span must close, parent to a live span, and attribute
     # to a registered query (the tracer records violations as it closes).
-    obs = getattr(gateway, "obs", None)
-    if obs is not None and obs.tracer.enabled:
-        violations.extend(obs.tracer.audit_violations())
+    if gateway.obs.tracer.enabled:
+        violations.extend(gateway.obs.tracer.audit_violations())
 
     # -- everything drains at zero ------------------------------------------
     if not queries:
-        for attr in ("_reader_refs", "_reader_keys", "_shared_readers",
-                     "_pipeline_keys"):
+        for attr in ("_reader_refs", "_reader_keys", "_pipeline_keys"):
             leftover = getattr(gateway, attr)
             if leftover:
                 violations.append(
                     f"gateway.{attr} not empty after the last deregister: "
                     f"{sorted(leftover)!r}"
                 )
+        if gateway.shared_reader_count:
+            violations.append(
+                f"the engine's reader catalog still holds "
+                f"{gateway.shared_reader_count} reader(s) after the last "
+                "deregister"
+            )
         if mqo is not None and (mqo._pipelines or mqo._by_query):
             violations.append(
                 "MQO registry not empty after the last deregister: "

@@ -16,14 +16,14 @@ from __future__ import annotations
 import pickle
 
 from ...errors import RecoveryError
-from ...streams import SharedWindowReader
 from ..sharded import ShardedPlanRuntime
 from .snapshot import (
     PLAIN_SCOPE,
+    _query_record,
     _record_readers,
-    _scope_cache,
+    _reinstate,
     _scope_cache_names,
-    _source_factory,
+    _seed_scope,
 )
 
 __all__ = ["migrate_query"]
@@ -37,8 +37,6 @@ def migrate_query(source_gateway, name: str, target_gateway):
     what a cross-node transfer would ship.  Sharded layouts migrate
     through checkpoint recovery, not live handoff.
     """
-    from ..gateway import QueryState
-
     registered = source_gateway.query(name)
     runtime = registered.runtime
     if isinstance(runtime, ShardedPlanRuntime):
@@ -52,25 +50,14 @@ def migrate_query(source_gateway, name: str, target_gateway):
         )
 
     scope = {"readers": {}, "runtimes": {}, "cache": None}
-    _record_readers(
-        scope, source_gateway.engine, runtime, registered.plan, PLAIN_SCOPE
-    )
-    source_cache = _scope_cache(source_gateway.engine, PLAIN_SCOPE)
+    _record_readers(scope, source_gateway.engine, runtime, registered.plan)
+    source_cache = source_gateway.engine.scope_cache(PLAIN_SCOPE)
     scope["cache"] = source_cache.snapshot_entries(_scope_cache_names(scope))
     payload = pickle.loads(
         pickle.dumps(
             {
-                "plan": registered.plan,
-                "state": registered.state.value,
-                "next_window": registered.next_window,
-                "window_limit": registered.window_limit,
-                "sink": {
-                    "capacity": registered.sink.capacity,
-                    "policy": registered.sink.policy,
-                    "results": registered.sink.snapshot(),
-                    "accepted": registered.sink.accepted,
-                    "dropped": registered.sink.dropped,
-                },
+                **_query_record(registered),
+                "shards": 1,  # the PLAIN_SCOPE layout, on either engine shape
                 "runtime": runtime.snapshot_state(),
                 "scope": scope,
             },
@@ -79,53 +66,15 @@ def migrate_query(source_gateway, name: str, target_gateway):
     )
 
     target_engine = target_gateway.engine
-    if hasattr(target_engine, "_groups"):
-        target_readers = target_engine._group(1, None).per_shard[0]
-    else:
-        target_readers = target_gateway._shared_readers
     for key in payload["scope"]["readers"]:
-        if key in target_readers:
+        if key in target_engine.catalog[PLAIN_SCOPE]:
             raise RecoveryError(
                 f"target gateway already materialises reader {key!r}; "
                 "a state handoff would clobber its live position"
             )
-
-    target_cache = _scope_cache(target_engine, PLAIN_SCOPE)
-    for key, reader_record in payload["scope"]["readers"].items():
-        state = reader_record["state"]
-        if state is None:
-            continue  # never advanced; bind recreates it verbatim
-        target_readers[key] = SharedWindowReader.resume(
-            reader_record["cache_name"],
-            _source_factory(target_engine, reader_record["source"]),
-            reader_record["spec"],
-            reader_record["time_index"],
-            target_cache,
-            state,
-            start=reader_record["start"],
-        )
-    target_cache.restore_entries(payload["scope"]["cache"])
-
-    handle = target_gateway.register(
-        payload["plan"],
-        name=name,
-        sink_capacity=payload["sink"]["capacity"],
-        sink_policy=payload["sink"]["policy"],
-        window_limit=payload["window_limit"],
-        shards=1 if hasattr(target_engine, "default_shards") else None,
+    _seed_scope(target_engine, PLAIN_SCOPE, payload["scope"])
+    handle = _reinstate(
+        target_gateway, payload, lambda leaf: payload["runtime"]
     )
-    handle.runtime.restore_state(payload["runtime"])
-    handle.sink.restore(
-        payload["sink"]["results"],
-        accepted=payload["sink"]["accepted"],
-        dropped=payload["sink"]["dropped"],
-    )
-    handle.next_window = payload["next_window"]
-    state = QueryState(payload["state"])
-    if state is not QueryState.REGISTERED:
-        if state.is_terminal:
-            handle._set_state(state)
-        else:
-            handle.state = state
     source_gateway.deregister(name)
     return handle

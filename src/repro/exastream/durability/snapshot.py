@@ -1,11 +1,10 @@
 """Engine-state walker: snapshot and rebuild a gateway's live state.
 
 Checkpoints are organised per **scope** — one ``(layout n, key column,
-shard)`` triple — mirroring how the engines scope reader sharing and
-MQO pipelines.  A plain :class:`~repro.exastream.engine.StreamEngine`
-is the single scope ``(1, None, 0)``; a
-:class:`~repro.exastream.sharded.ShardedEngine` adds one scope per
-layout slice.  Each scope record carries its resumed reader positions,
+shard)`` triple — exactly the engine contract's scopes
+(:mod:`repro.exastream.contracts`): every leaf runtime names the scope
+it was bound in, and the engine hands out each scope's readers, cache
+and stream source.  Each scope record carries its resumed reader positions,
 wCache slices and per-query runtime rings; the gateway record carries
 the query catalog (plans, lifecycle, sinks) and the shared-pipeline
 (MQO) entries, whose scoped signature keys re-derive deterministically
@@ -22,14 +21,10 @@ from __future__ import annotations
 
 from ...errors import RecoveryError
 from ...streams import SharedWindowReader, pane_plan
-from ..engine import StreamEngine
+from ..contracts import PLAIN_SCOPE
 from ..sharded import ShardedPlanRuntime
-from ..sharding import partitioned_tuples
 
 __all__ = ["snapshot_gateway", "restore_gateway", "PLAIN_SCOPE"]
-
-#: the unsharded scope: layout 1, no key column, shard 0
-PLAIN_SCOPE = (1, None, 0)
 
 
 # -- snapshot ----------------------------------------------------------------
@@ -46,52 +41,27 @@ def snapshot_gateway(gateway) -> dict:
     everything below the scope's slowest query is pruned and the
     checkpoint payload stays flat-sized over the run."""
     engine = gateway.engine
-    sharded = hasattr(engine, "_groups")
     scopes: dict[tuple, dict] = {}
-
-    def scope_record(scope: tuple) -> dict:
-        record = scopes.get(scope)
-        if record is None:
-            record = {"readers": {}, "runtimes": {}, "cache": None}
-            scopes[scope] = record
-        return record
 
     queries = []
     for name, q in gateway._queries.items():
         runtime = q.runtime
-        entry = {
-            "name": name,
-            "plan": q.plan,
-            "state": q.state.value,
-            "next_window": q.next_window,
-            "window_limit": q.window_limit,
-            "sink": {
-                "capacity": q.sink.capacity,
-                "policy": q.sink.policy,
-                "results": q.sink.snapshot(),
-                "accepted": q.sink.accepted,
-                "dropped": q.sink.dropped,
-            },
-        }
+        entry = _query_record(q)
+        leaves = runtime.leaf_runtimes
+        entry["shards"] = len(leaves)
         if isinstance(runtime, ShardedPlanRuntime):
-            n = runtime.num_shards
-            key_column = runtime.decision.key_column
-            entry["shards"] = n
-            entry["sharded"] = runtime.snapshot_state()  # refuses fork
-            for shard, shard_runtime in enumerate(runtime.shard_runtimes):
-                scope = (n, key_column, shard)
-                record = scope_record(scope)
-                record["runtimes"][name] = shard_runtime.snapshot_state()
-                _record_readers(record, engine, shard_runtime, q.plan, scope)
-        else:
-            entry["shards"] = 1 if sharded else None
-            record = scope_record(PLAIN_SCOPE)
-            record["runtimes"][name] = runtime.snapshot_state()
-            _record_readers(record, engine, runtime, q.plan, PLAIN_SCOPE)
+            # the coordinator's own state; refuses fork-parallel shards
+            entry["sharded"] = runtime.snapshot_state()
+        for leaf in leaves:
+            record = scopes.setdefault(
+                leaf.scope, {"readers": {}, "runtimes": {}, "cache": None}
+            )
+            record["runtimes"][name] = leaf.snapshot_state()
+            _record_readers(record, engine, leaf, q.plan)
         queries.append(entry)
 
     for scope, record in scopes.items():
-        cache = _scope_cache(engine, scope)
+        cache = engine.scope_cache(scope)
         floor = _scope_window_floor(gateway, record)
         batch_floors, pane_floors = _cache_floors(record, floor)
         record["cache"] = cache.snapshot_entries(
@@ -109,24 +79,43 @@ def snapshot_gateway(gateway) -> dict:
     }
 
 
-def _record_readers(
-    record: dict, engine, runtime, plan, scope: tuple
-) -> None:
-    """Capture each of ``plan``'s readers in this scope (once per key)."""
-    n, _key_column, shard = scope
+def _query_record(q) -> dict:
+    """One registered query's catalog entry: plan, lifecycle and sink."""
+    return {
+        "name": q.name,
+        "plan": q.plan,
+        "state": q.state.value,
+        "next_window": q.next_window,
+        "window_limit": q.window_limit,
+        "sink": {
+            "capacity": q.sink.capacity,
+            "policy": q.sink.policy,
+            "results": q.sink.snapshot(),
+            "accepted": q.sink.accepted,
+            "dropped": q.sink.dropped,
+        },
+    }
+
+
+def _record_readers(record: dict, engine, leaf, plan) -> None:
+    """Capture each of ``plan``'s readers in ``leaf``'s scope (once per
+    key)."""
+    n, _key_column, shard = leaf.scope
     for ref in plan.windows:
-        key = StreamEngine.shared_reader_key(ref, plan)
+        key = engine.shared_reader_key(ref, plan)
         if key in record["readers"]:
             continue
-        reader = runtime.readers[ref.reader_key]
+        reader = leaf.readers[ref.reader_key]
         if n > 1:
             key_index = plan.partitioning.stream_keys.get(ref.stream)
             source = ("sharded", ref.stream, shard, n, key_index)
-            _data, first_ts, _last_ts = engine._materialize(ref.stream)
-            start = plan.start if plan.start is not None else first_ts
         else:
+            key_index = None
             source = ("plain", ref.stream)
-            start = plan.start
+        _factory, anchor = engine.reader_source(
+            ref.stream, leaf.scope, key_index
+        )
+        start = plan.start if plan.start is not None else anchor
         record["readers"][key] = {
             "cache_name": reader.stream_name,
             "stream": ref.stream,
@@ -185,12 +174,6 @@ def _scope_cache_names(record: dict) -> set[str]:
     return names
 
 
-def _scope_cache(engine, scope: tuple):
-    if hasattr(engine, "shard_engines"):
-        return engine.shard_engines[scope[2]].cache
-    return engine.cache
-
-
 def _source_factory(engine, descriptor: tuple):
     """Rebuild a reader's tuple source from its checkpoint descriptor.
 
@@ -198,21 +181,86 @@ def _source_factory(engine, descriptor: tuple):
     must have the same streams registered; the descriptor only records
     how the original reader sliced them (full stream vs partition).
     """
-    kind = descriptor[0]
-    stream = descriptor[1]
-    source = engine._sources.get(stream)
-    if source is None:
+    kind, stream = descriptor[:2]
+    if stream not in engine.stream_names:
         raise RecoveryError(
             f"stream {stream!r} is not registered on the recovery engine"
         )
     if kind == "plain":
-        return lambda: iter(source)
-    _, _, shard, n, key_index = descriptor
-    data, _first_ts, last_ts = engine._materialize(stream)
-    return partitioned_tuples(data, shard, n, key_index, last_ts)
+        scope, key_index = PLAIN_SCOPE, None
+    else:
+        _, _, shard, n, key_index = descriptor
+        scope = (n, None, shard)  # slicing ignores the key column *name*
+    return engine.reader_source(stream, scope, key_index)[0]
 
 
 # -- restore -----------------------------------------------------------------
+
+
+def _seed_scope(engine, scope: tuple, record: dict) -> None:
+    """Put a scope record's resumed readers and cache slices in place
+    before registration: ``bind`` adopts a seeded reader instead of
+    restarting its stream."""
+    target = engine.catalog[scope]
+    cache = engine.scope_cache(scope)
+    for key, reader_record in record["readers"].items():
+        state = reader_record["state"]
+        if state is None:
+            # never advanced: bind recreates it verbatim — it must not
+            # adopt a reader another session on this engine already shares
+            target.pop(key, None)
+            continue
+        target[key] = SharedWindowReader.resume(
+            reader_record["cache_name"],
+            _source_factory(engine, reader_record["source"]),
+            reader_record["spec"],
+            reader_record["time_index"],
+            cache,
+            state,
+            start=reader_record["start"],
+        )
+    if record.get("cache"):
+        cache.restore_entries(record["cache"])
+
+
+def _reinstate(gateway, entry: dict, leaf_state):
+    """Re-register one recorded query, then overlay its checkpointed
+    runtime rings (``leaf_state(leaf)`` per leaf runtime), sink contents
+    and lifecycle state."""
+    from ..gateway import QueryState
+
+    name = entry["name"]
+    registered = gateway.register(
+        entry["plan"],
+        name=name,
+        sink_capacity=entry["sink"]["capacity"],
+        sink_policy=entry["sink"]["policy"],
+        window_limit=entry["window_limit"],
+        shards=entry["shards"],
+    )
+    runtime = registered.runtime
+    if "sharded" in entry:
+        if not isinstance(runtime, ShardedPlanRuntime):
+            raise RecoveryError(
+                f"query {name!r} re-bound unsharded; the recovery "
+                "engine disagrees with the checkpointed layout"
+            )
+        runtime.restore_state(entry["sharded"])
+    for leaf in runtime.leaf_runtimes:
+        leaf.restore_state(leaf_state(leaf))
+    registered.sink.restore(
+        entry["sink"]["results"],
+        accepted=entry["sink"]["accepted"],
+        dropped=entry["sink"]["dropped"],
+    )
+    registered.next_window = entry["next_window"]
+    state = QueryState(entry["state"])
+    if state is not QueryState.REGISTERED:
+        if state.is_terminal:
+            registered._set_state(state)
+        else:
+            registered.state = state
+    return registered
 
 
 def restore_gateway(engine, gateway_state, scope_records, scheduler=None):
@@ -222,90 +270,34 @@ def restore_gateway(engine, gateway_state, scope_records, scheduler=None):
     streams and static databases registered, and (when sharded) a pool
     at least as large as any checkpointed layout.
     """
-    from ..gateway import GatewayServer, QueryState
+    from ..gateway import GatewayServer
 
-    sharded = hasattr(engine, "_groups")
     gateway = GatewayServer(engine, scheduler=scheduler)
 
-    # 1. Seed resumed readers and cache slices before any registration:
-    # bind() adopts a seeded reader instead of restarting its stream.
+    # 1. Seed resumed readers and cache slices before any registration.
     for scope, record in scope_records.items():
-        n, key_column, shard = scope
-        if not sharded and scope != PLAIN_SCOPE:
+        if scope[0] > engine.default_shards:
             raise RecoveryError(
-                f"checkpoint scope {scope!r} needs a ShardedEngine behind "
-                "the recovery gateway"
+                f"checkpoint scope {scope!r} needs a ShardedEngine with a "
+                f"pool of at least {scope[0]} behind the recovery gateway"
             )
-        if sharded:
-            target = engine._group(n, key_column).per_shard[shard]
-        else:
-            target = gateway._shared_readers
-        cache = _scope_cache(engine, scope)
-        for key, reader_record in record["readers"].items():
-            state = reader_record["state"]
-            if state is None:
-                continue  # never advanced; bind recreates it verbatim
-            target[key] = SharedWindowReader.resume(
-                reader_record["cache_name"],
-                _source_factory(engine, reader_record["source"]),
-                reader_record["spec"],
-                reader_record["time_index"],
-                cache,
-                state,
-                start=reader_record["start"],
-            )
-        if record.get("cache"):
-            cache.restore_entries(record["cache"])
+        _seed_scope(engine, scope, record)
 
-    # 2. Re-register every plan in original order, then overlay the
-    # checkpointed runtime rings, sink contents and lifecycle state.
+    # 2. Re-register every plan in original order, overlaying each
+    # query's checkpointed state.
     for entry in gateway_state["queries"]:
         name = entry["name"]
-        registered = gateway.register(
-            entry["plan"],
-            name=name,
-            sink_capacity=entry["sink"]["capacity"],
-            sink_policy=entry["sink"]["policy"],
-            window_limit=entry["window_limit"],
-            shards=entry["shards"],
-        )
-        runtime = registered.runtime
-        if "sharded" in entry:
-            if not isinstance(runtime, ShardedPlanRuntime):
-                raise RecoveryError(
-                    f"query {name!r} re-bound unsharded; the recovery "
-                    "engine disagrees with the checkpointed layout"
-                )
-            runtime.restore_state(entry["sharded"])
-            n = runtime.num_shards
-            key_column = runtime.decision.key_column
-            for shard, shard_runtime in enumerate(runtime.shard_runtimes):
-                record = scope_records.get((n, key_column, shard))
-                if record is None or name not in record["runtimes"]:
-                    raise RecoveryError(
-                        f"checkpoint lacks scope state for query {name!r} "
-                        f"shard {shard} of layout ({n}, {key_column!r})"
-                    )
-                shard_runtime.restore_state(record["runtimes"][name])
-        else:
-            record = scope_records.get(PLAIN_SCOPE)
+
+        def leaf_state(leaf):
+            record = scope_records.get(leaf.scope)
             if record is None or name not in record["runtimes"]:
                 raise RecoveryError(
-                    f"checkpoint lacks runtime state for query {name!r}"
+                    f"checkpoint lacks runtime state for query {name!r} "
+                    f"in scope {leaf.scope!r}"
                 )
-            runtime.restore_state(record["runtimes"][name])
-        registered.sink.restore(
-            entry["sink"]["results"],
-            accepted=entry["sink"]["accepted"],
-            dropped=entry["sink"]["dropped"],
-        )
-        registered.next_window = entry["next_window"]
-        state = QueryState(entry["state"])
-        if state is not QueryState.REGISTERED:
-            if state.is_terminal:
-                registered._set_state(state)
-            else:
-                registered.state = state
+            return record["runtimes"][name]
+
+        _reinstate(gateway, entry, leaf_state)
 
     # 3. Shared-pipeline (MQO) overlay: memoized per-pane results whose
     # scoped signature keys re-derived identically at re-registration.
@@ -314,15 +306,6 @@ def restore_gateway(engine, gateway_state, scope_records, scheduler=None):
 
     _audit_demand(gateway, scope_records)
     return gateway
-
-
-def _scope_readers(gateway, scope: tuple) -> dict:
-    engine = gateway.engine
-    if hasattr(engine, "_groups"):
-        n, key_column, shard = scope
-        group = engine._groups.get((n, key_column))
-        return {} if group is None else group.per_shard[shard]
-    return gateway._shared_readers
 
 
 def _audit_demand(gateway, scope_records) -> None:
@@ -335,7 +318,7 @@ def _audit_demand(gateway, scope_records) -> None:
     """
     mismatches = []
     for scope, record in scope_records.items():
-        live = _scope_readers(gateway, scope)
+        live = gateway.engine.catalog[scope]
         for key, reader_record in record["readers"].items():
             reader = live.get(key)
             if reader is None:

@@ -173,7 +173,7 @@ class StatisticsCatalog:
         matching table wins (the tightest bound).
         """
         bound: int | None = None
-        for database in getattr(self.engine, "_databases", {}).values():
+        for database in self.engine.databases:
             for table in database.schema:
                 if column not in table.column_names():
                     continue

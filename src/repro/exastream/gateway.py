@@ -26,9 +26,12 @@ Each query owns an explicit lifecycle (``REGISTERED → RUNNING →
 PAUSED/CANCELLED/COMPLETED``) whose terminal transition fires exactly
 once (closing the query's topic), and a bounded
 :class:`~repro.exastream.engine.BoundedResultSink` for incremental pull
-delivery.  The batch :meth:`GatewayServer.run` is deprecated in favour
-of ``step()``/``serve()`` and survives as a thin compatibility wrapper
-(``step()`` in a loop).
+delivery.
+
+The gateway owns the *query catalog*; the shared-reader catalog lives in
+the engine (:mod:`repro.exastream.contracts`), for every deployment
+shape.  The gateway only reference-counts reader sharing keys across
+queries and tells the engine when a key's last query has left.
 """
 
 from __future__ import annotations
@@ -36,15 +39,15 @@ from __future__ import annotations
 import asyncio
 import itertools
 import os
-import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from collections.abc import Callable
 
 from ..errors import QueryNotFound
-from ..streams import SharedWindowReader
 from .bus import EventBus, Subscription
-from .engine import BoundedResultSink, PlanRuntime, StreamEngine, WindowResult
+from .contracts import Engine, WindowExecutor
+from .engine import BoundedResultSink, WindowResult
 from .metrics import BusMetrics, Stopwatch
 from .mqo import SharedPipelineRegistry, plan_signature
 from .estimator import ReplanGuard
@@ -85,7 +88,7 @@ class RegisteredQuery:
 
     name: str
     plan: ContinuousPlan
-    runtime: PlanRuntime
+    runtime: WindowExecutor
     sink: BoundedResultSink = field(default_factory=BoundedResultSink)
     state: QueryState = QueryState.REGISTERED
     next_window: int = 0
@@ -212,17 +215,13 @@ class GatewayServer:
 
     The gateway registers queries, lets the :class:`Scheduler` place their
     operators on workers (for placement/ balance accounting), and executes
-    all active queries round-robin, window by window, against shared
-    readers.  Shared readers are reference-counted: when the last query
-    windowing a stream deregisters, the reader is released.
+    all active queries round-robin, window by window, against the
+    engine's shared readers.  Shared readers are reference-counted here
+    by sharing key: when the last query windowing a stream deregisters,
+    the engine releases the reader.
     """
 
-    #: sink bound applied by ``run(keep_results=False)``: instead of
-    #: silently discarding every result, each query retains its most
-    #: recent windows so ``results()``/``alerts()`` degrade predictably.
-    UNKEPT_SINK_CAPACITY = 8
-
-    def __init__(self, engine: StreamEngine, scheduler: Scheduler | None = None):
+    def __init__(self, engine: Engine, scheduler: Scheduler | None = None):
         self.engine = engine
         self.scheduler = scheduler
         #: the engine's observability bundle — bus counters, MQO stats
@@ -234,9 +233,8 @@ class GatewayServer:
         #: ``async for`` consumers)
         self.bus = EventBus(metrics=BusMetrics(registry=self.obs.registry))
         self._queries: dict[str, RegisteredQuery] = {}
-        self._shared_readers: dict[str, SharedWindowReader] = {}
         self._reader_keys: dict[str, set[str]] = {}
-        self._reader_refs: dict[str, int] = {}
+        self._reader_refs: Counter[str] = Counter()
         self._name_counter = itertools.count(1)
         #: per-query ``bus_delivery_seconds`` histograms, bound lazily
         self._h_deliver: dict[str, object] = {}
@@ -245,7 +243,7 @@ class GatewayServer:
         #: prefix matches.  ``mqo=False`` on the engine disables it.
         self.mqo: SharedPipelineRegistry | None = (
             SharedPipelineRegistry(registry=self.obs.registry)
-            if getattr(engine, "mqo", False) else None
+            if engine.mqo else None
         )
         #: query name -> shared-pipeline keys placed with the scheduler
         #: (one for a single-stream prefix; per-side prefixes plus the
@@ -292,8 +290,8 @@ class GatewayServer:
         so the same prepared plan can be submitted repeatedly.
 
         ``shards`` requests data-parallel execution across that many
-        shards; it needs a :class:`~repro.exastream.sharded.ShardedEngine`
-        behind the gateway (``shards=1``/``None`` runs anywhere).
+        shards; the engine refuses layouts wider than its pool (a plain
+        :class:`~repro.exastream.engine.StreamEngine` has a pool of 1).
 
         ``strict`` runs the full static analyzer before binding any
         resources and raises
@@ -321,7 +319,7 @@ class GatewayServer:
         # ("metrics",) pipe inside this snapshot — then cost every
         # eligible tier and apply the (demote-only) tier decision before
         # anything binds.  ``plan.choice`` carries the explain record.
-        if getattr(self.engine, "estimator", None) is not None:
+        if self.engine.estimator is not None:
             self.engine.estimator.refresh(self.metrics_snapshot())
             costed_plan(plan, self.engine, scheduler=self.scheduler)
         # Static analysis runs before any resource is bound.  Lazy import:
@@ -342,25 +340,7 @@ class GatewayServer:
             advisory = AnalysisReport(name)
             check_sharing(plan, self, advisory)
             diagnostics = list(advisory)
-        if shards is None:
-            runtime = self.engine.bind(
-                plan, shared_readers=self._shared_readers, mqo=self.mqo
-            )
-        elif hasattr(self.engine, "default_shards"):
-            runtime = self.engine.bind(
-                plan,
-                shared_readers=self._shared_readers,
-                shards=shards,
-                mqo=self.mqo,
-            )
-        elif shards == 1:
-            runtime = self.engine.bind(
-                plan, shared_readers=self._shared_readers, mqo=self.mqo
-            )
-        else:
-            raise ValueError(
-                f"shards={shards} requires a ShardedEngine behind the gateway"
-            )
+        runtime = self.engine.bind(plan, shards=shards, mqo=self.mqo)
         registered = RegisteredQuery(
             name=name,
             plan=plan,
@@ -374,7 +354,6 @@ class GatewayServer:
         if (
             choice is not None
             and choice.chosen is not IncrementalMode.RECOMPUTE
-            and hasattr(runtime, "demote")
         ):
             # Mid-flight re-planning guard: the registration kept a pane
             # tier on estimates alone, so watch the realized overlap win
@@ -386,11 +365,10 @@ class GatewayServer:
         index_plan(self, name, plan)
         self.bus.wake()  # a parked serve() loop has new work
         keys = {
-            StreamEngine.shared_reader_key(ref, plan) for ref in plan.windows
+            Engine.shared_reader_key(ref, plan) for ref in plan.windows
         }
         self._reader_keys[name] = keys
-        for key in keys:
-            self._reader_refs[key] = self._reader_refs.get(key, 0) + 1
+        self._reader_refs.update(keys)
         if self.scheduler is not None:
             signature = (
                 plan_signature(plan) if self.mqo is not None else None
@@ -408,11 +386,7 @@ class GatewayServer:
                 # — or two layouts partitioned on different key columns
                 # — share no execution, so they must not share a
                 # placement either.
-                resolve = getattr(self.engine, "resolve_shards", None)
-                layout = 1 if resolve is None else resolve(plan, shards)
-                key_column = None
-                if layout > 1 and plan.partitioning is not None:
-                    key_column = plan.partitioning.key_column
+                layout, key_column, _shard = runtime.leaf_runtimes[0].scope
                 scope = f"shards={layout}:{key_column}"
                 pipeline_keys: list[str] = []
                 if signature.sides:
@@ -485,28 +459,19 @@ class GatewayServer:
         registered = self._queries.pop(name)
         unindex_plan(self, name)
         registered.cancel()
-        release_demand = getattr(registered.runtime, "release_demand", None)
-        if release_demand is not None:  # drop batch-demand references
-            release_demand()
-        close = getattr(registered.runtime, "close", None)
-        if close is not None:  # sharded runtimes own worker processes
-            close()
+        registered.runtime.release_demand()
+        registered.runtime.close()  # sharded runtimes own worker processes
         if self.mqo is not None:
             self.mqo.release_query(name)
         if self.scheduler is not None:
             self.scheduler.remove(name)
             for pipeline_key in self._pipeline_keys.pop(name, []):
                 self.scheduler.release_pipeline(pipeline_key)
-        release = getattr(self.engine, "release_reader", None)
         for key in self._reader_keys.pop(name, set()):
-            remaining = self._reader_refs.get(key, 0) - 1
-            if remaining > 0:
-                self._reader_refs[key] = remaining
-            else:
-                self._reader_refs.pop(key, None)
-                self._shared_readers.pop(key, None)
-                if release is not None:  # sharded per-layout readers
-                    release(key)
+            self._reader_refs[key] -= 1
+            if self._reader_refs[key] <= 0:  # the key's last query left
+                del self._reader_refs[key]
+                self.engine.release_reader(key)
         if self.audit:
             self._verify()
 
@@ -525,7 +490,8 @@ class GatewayServer:
 
     @property
     def shared_reader_count(self) -> int:
-        return len(self._shared_readers)
+        """Live shared readers in the engine's catalog, over every scope."""
+        return self.engine.shared_reader_count
 
     # -- execution ------------------------------------------------------------------
 
@@ -598,7 +564,7 @@ class GatewayServer:
                 # (the demoted plan's output stays byte-identical — only
                 # how the next windows are computed changes).
                 reason = registered.guard.observe(
-                    getattr(registered.runtime, "last_pane_stats", None)
+                    registered.runtime.last_pane_stats
                 )
                 if reason is not None:
                     self._demote_query(registered, reason)
@@ -637,16 +603,15 @@ class GatewayServer:
     def _demote_query(self, registered: RegisteredQuery, reason: str) -> bool:
         """Apply a guard-triggered mid-flight demotion to recompute.
 
-        Routes through the runtime's permanent-fallback machinery (ring
-        flush + demand switch), then records the decision on the costed
+        Routes through the runtime's tier retirement (ring flush +
+        demand switch), then records the decision on the costed
         plan's explain record and bumps ``plan_demotions_total`` so the
         ANA050 diagnostic and the monitor can surface it.  Fork-parallel
         sharded runtimes refuse to demote (their pane state lives in
         child processes); the guard simply stays armed and keeps
         observing ``None`` stats, which never strike.
         """
-        demote = getattr(registered.runtime, "demote", None)
-        if demote is None or not demote(reason):
+        if not registered.runtime.demote(reason):
             return False
         choice = registered.plan.choice
         if choice is not None:
@@ -750,44 +715,3 @@ class GatewayServer:
                 break
             await self.bus.wait(drain_poll)
         return executed_total
-
-    def run(
-        self,
-        max_windows: int | None = None,
-        on_result: Callable[[WindowResult], None] | None = None,
-        keep_results: bool = True,
-    ) -> float:
-        """Deprecated batch wrapper: ``step()`` in a loop until no progress.
-
-        .. deprecated::
-            Drive execution with :meth:`step` (cooperative pull) or
-            :meth:`serve` (asyncio push) instead; ``run()`` remains as a
-            compatibility shim for the original batch workflow.
-
-        Drives every runnable query until exhaustion (or ``max_windows``).
-        ``keep_results=False`` no longer discards results silently — it
-        bounds each query's sink to the :attr:`UNKEPT_SINK_CAPACITY` most
-        recent windows, so memory stays O(1) while ``results()`` still
-        answers from the retained tail.
-
-        Batch runs have no consumer, so a query with a full
-        ``BLOCK``-policy sink cannot progress here: the loop ends as soon
-        as nothing is runnable, leaving such queries non-terminal with
-        their unread results buffered.  Drive blocking queries with
-        ``step()`` + ``poll()`` instead.  Returns total wall seconds.
-        """
-        warnings.warn(
-            "GatewayServer.run() is deprecated; drive execution with "
-            "step() or the asyncio serve() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        watch = Stopwatch()
-        if not keep_results:
-            for registered in self._queries.values():
-                registered.sink.limit(self.UNKEPT_SINK_CAPACITY)
-        while self.step(on_result=on_result, window_limit=max_windows):
-            pass
-        elapsed = watch.elapsed()
-        self.engine.metrics.wall_seconds += elapsed
-        return elapsed

@@ -38,12 +38,6 @@ class Stopwatch:
     def elapsed(self) -> float:
         return time.perf_counter() - self._start
 
-    def restart(self) -> float:
-        now = time.perf_counter()
-        elapsed = now - self._start
-        self._start = now
-        return elapsed
-
 
 class _Instrument:
     """Attribute-style access to one bound registry instrument."""
@@ -122,22 +116,6 @@ class QueryMetrics:
             return 0.0
         return self.tuples_in / self.wall_seconds
 
-    def merge(self, other: QueryMetrics) -> None:
-        """Fold another view's counts in (shard merge semantics).
-
-        Work counts sum; ``wall_seconds`` merges as **max** — per-shard
-        wall times overlap in real time, and summing them overstated
-        elapsed time N-fold (deflating :attr:`throughput` accordingly).
-        Window counters also take the max: every shard executes the same
-        window ids, so summing would count each window N times.
-        """
-        for attr, (_, mode) in self._SERIES.items():
-            theirs = getattr(other, attr)
-            if mode == "max":
-                setattr(self, attr, max(getattr(self, attr), theirs))
-            else:
-                setattr(self, attr, getattr(self, attr) + theirs)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         counts = ", ".join(
             f"{attr}={getattr(self, attr)}" for attr in self._SERIES
@@ -208,20 +186,9 @@ class EngineMetrics:
             self.per_query[name] = metrics
         return metrics
 
-    def merge(self, other: EngineMetrics) -> None:
-        """Fold another engine's metrics in (wall clock as max — see
-        :meth:`QueryMetrics.merge` for why sum is wrong)."""
-        self.wall_seconds = max(self.wall_seconds, other.wall_seconds)
-        for name, theirs in other.per_query.items():
-            self.query(name).merge(theirs)
-
     @property
     def total_tuples_in(self) -> int:
         return sum(m.tuples_in for m in self.per_query.values())
-
-    @property
-    def total_tuples_out(self) -> int:
-        return sum(m.tuples_out for m in self.per_query.values())
 
     @property
     def throughput(self) -> float:

@@ -35,6 +35,7 @@ __all__ = [
     "FinalCall",
     "CombinerSpec",
     "decompose_calls",
+    "plan_combiner",
     "combine_partials",
     "finalize_rows",
     "canonical_row_key",
@@ -133,6 +134,24 @@ def decompose_calls(
                 FinalCall(fn, call.output_name, (len(partial_calls) - 1,))
             )
     return partial_calls, finals
+
+
+def plan_combiner(
+    plan: ContinuousPlan,
+) -> tuple[list[AggregateCall], CombinerSpec]:
+    """The partial calls of ``plan``'s aggregation and the operator that
+    recombines them — shared by the shard merge and both pane tiers."""
+    aggregate = plan.aggregate
+    assert aggregate is not None
+    partial_calls, finals = decompose_calls(aggregate.calls)
+    combiner = CombinerSpec(
+        group_arity=len(aggregate.group_names),
+        finals=tuple(finals),
+        out_columns=tuple(plan.output_names()),
+        having=aggregate.having,
+        distinct=plan.distinct,
+    )
+    return partial_calls, combiner
 
 
 # -- recombination ------------------------------------------------------------

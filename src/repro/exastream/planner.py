@@ -211,7 +211,7 @@ def costed_plan(plan: ContinuousPlan, engine, scheduler=None):
     one of the byte-identical tiers the differential harness proves
     equal.  Returns the choice (``None`` on non-adaptive engines).
     """
-    estimator = getattr(engine, "estimator", None)
+    estimator = engine.estimator
     if estimator is None:
         return None
     from .estimator import cost_plan

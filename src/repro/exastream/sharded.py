@@ -1,24 +1,26 @@
 """Sharded data-parallel stream execution: N per-shard engines + merge.
 
 This is the execution half of the sharding subsystem (the planning half
-lives in :mod:`repro.exastream.sharding`).  A :class:`ShardedEngine`
-duck-types :class:`~repro.exastream.engine.StreamEngine` — the gateway,
-translator and planner drive it unchanged — but internally it:
+lives in :mod:`repro.exastream.sharding`).  :class:`ShardedEngine` is the
+many-scope :class:`~repro.exastream.contracts.Engine`: it inherits the
+source/database registry and the shared-reader catalog, and its ``bind``
 
-* hash-partitions every registered stream by the plan's key column
-  across ``shards`` per-shard :class:`StreamEngine` instances (static
-  databases are replicated to every shard);
-* executes window operators shard-locally, window-grid-aligned via
-  :class:`~repro.streams.window.Heartbeat` punctuations;
-* merges per-window shard results through order-preserving merge
-  operators (``merge[concat]`` for shard-local groups, a recombining
-  ``merge[combine]`` for partial aggregates);
-* optionally executes shards in *forked worker processes* — one OS
-  process per shard, driven over pipes in prefetched window batches —
-  which is what the throughput benchmark scales with.
+* hash-partitions every windowed stream by the plan's key column across
+  ``shards`` per-shard :class:`StreamEngine` instances (static databases
+  are replicated), one catalog scope per shard of the layout;
+* binds one leaf :class:`~repro.exastream.engine.PlanRuntime` per shard
+  under a :class:`ShardedPlanRuntime`, the coordinating
+  :class:`~repro.exastream.contracts.WindowExecutor`, which merges shard
+  results per window (``merge[concat]`` for shard-local groups, a
+  recombining ``merge[combine]`` for partial aggregates);
+* optionally runs each shard in a *forked worker process*, driven over
+  a pipe in prefetched window batches.  Fork workers hold their leaf
+  state in the child, so such a runtime refuses ``demote()`` and
+  ``snapshot_state()``.
 
-``shards=1`` (the default everywhere) binds straight to a single
-per-shard engine: byte-for-byte the single-node behaviour.
+A one-shard layout (``shards=1``, or any SINGLETON plan) binds a plain
+``PlanRuntime`` on shard 0 in the scope a one-node engine uses:
+byte-for-byte the single-node behaviour.
 """
 
 from __future__ import annotations
@@ -26,28 +28,26 @@ from __future__ import annotations
 import heapq
 import multiprocessing
 import sys
-from collections.abc import Iterator
 
 from ..errors import RecoveryError
 from ..obs import Observability
 from ..relational import Database
-from ..streams import SharedWindowReader, StreamSource
+from ..streams import StreamSource
+from .contracts import PLAIN_SCOPE, Engine, Scope, WindowExecutor
 from .engine import PlanRuntime, StreamEngine, WindowResult
 from .metrics import EngineMetrics, Stopwatch
 from .plan import ContinuousPlan
 from .sharding import (
     CombinerSpec,
-    PartitionMode,
-    ShardingDecision,
     analyze_partitioning,
     canonical_row_key,
     combine_partials,
     make_shard_plan,
     partitioned_tuples,
 )
-from .udf import UDFRegistry, builtin_registry
+from .udf import UDFRegistry
 
-__all__ = ["ShardedEngine", "ShardedPlanRuntime"]
+__all__ = ["ShardedEngine", "ShardedPlanRuntime", "build_engine"]
 
 #: (window_id, window_end, columns, rows, tuples_in, seconds) — one
 #: shard's output for one window, as shipped over the worker protocol.
@@ -198,20 +198,17 @@ class ForkShardWorker:
         self._conn.close()
 
 
-class ShardedPlanRuntime:
+class ShardedPlanRuntime(WindowExecutor):
     """A plan bound across shards: batched dispatch + merge operators.
 
-    Duck-types :class:`~repro.exastream.engine.PlanRuntime` for the
-    gateway's cooperative executor: ``execute_window(k)`` with
-    monotonically non-decreasing ``k``.  Windows are requested from all
-    shards in ``prefetch``-sized batches — with forked workers every
-    shard computes its batch concurrently — then merged per window.
+    Windows are requested from all shards in ``prefetch``-sized batches
+    — with forked workers every shard computes its batch concurrently —
+    then merged per window.
     """
 
     def __init__(
         self,
         plan: ContinuousPlan,
-        decision: ShardingDecision,
         combiner: CombinerSpec | None,
         shard_runtimes: list[PlanRuntime],
         metrics,
@@ -221,7 +218,8 @@ class ShardedPlanRuntime:
         scheduler=None,
     ) -> None:
         self.plan = plan
-        self.decision = decision
+        #: the recombining merge operator (PARTIAL mode); ``None``
+        #: merges group-disjoint shard outputs by concatenation
         self._combiner = combiner
         self.metrics = metrics
         self._udfs = udfs
@@ -241,10 +239,6 @@ class ShardedPlanRuntime:
         self._closed = False
         if scheduler is not None:
             scheduler.assign_shards(plan.name, len(self.workers))
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.workers)
 
     def _fetch_batch(self) -> None:
         start, count = self._next_fetch, self._prefetch
@@ -294,8 +288,7 @@ class ShardedPlanRuntime:
         self, payloads: list[_Payload | None]
     ) -> tuple[list[str], list[tuple]]:
         present = [p for p in payloads if p is not None]
-        if self.decision.mode is PartitionMode.PARTIAL:
-            assert self._combiner is not None
+        if self._combiner is not None:
             rows = combine_partials(
                 [p[3] for p in present], self._combiner, self._udfs
             )
@@ -309,12 +302,14 @@ class ShardedPlanRuntime:
         rows = list(heapq.merge(*(p[3] for p in present), key=canonical_row_key))
         return columns, rows
 
+    @property
+    def leaf_runtimes(self) -> list[PlanRuntime]:
+        """The per-shard bindings, in shard order."""
+        return list(self._shard_runtimes)
+
     def release_demand(self) -> None:
-        """Release the per-shard runtimes' batch-demand references."""
         for runtime in self._shard_runtimes:
-            release = getattr(runtime, "release_demand", None)
-            if release is not None:
-                release()
+            runtime.release_demand()
 
     # -- adaptive re-planning ------------------------------------------------
 
@@ -329,43 +324,30 @@ class ShardedPlanRuntime:
         """
         if self.parallel == "fork":
             return None
-        reused = fresh = panes = 0
-        seen = False
-        for runtime in self._shard_runtimes:
-            stats = getattr(runtime, "last_pane_stats", None)
-            if stats is None:
-                continue
-            seen = True
-            reused += stats[0]
-            fresh += stats[1]
-            panes += stats[2]
-        return (reused, fresh, panes) if seen else None
+        stats = [
+            stats
+            for stats in (r.last_pane_stats for r in self._shard_runtimes)
+            if stats is not None
+        ]
+        return tuple(map(sum, zip(*stats))) if stats else None
 
     @property
     def demoted(self) -> bool:
-        return any(
-            getattr(runtime, "demoted", False)
-            for runtime in self._shard_runtimes
-        )
+        return any(runtime.demoted for runtime in self._shard_runtimes)
 
     def demote(self, reason: str = "cost-based demotion") -> bool:
         """Forward a cost-based demotion to every in-process shard.
 
         Safe between pulses (request/collect pairs are synchronous, so
-        no shard is mid-window); each shard performs the identical
-        permanent pane-fallback transition, so the merged output is
-        unchanged.  Fork-parallel runtimes refuse (``False``): their
-        pane state lives in child processes, mirroring the checkpoint
-        restriction above.
+        no shard is mid-window); each shard retires its tier the same
+        way, so the merged output is unchanged.  Fork-parallel runtimes
+        refuse (``False``): their pane state lives in child processes,
+        mirroring the checkpoint restriction below.
         """
         if self.parallel == "fork":
             return False
-        applied = False
-        for runtime in self._shard_runtimes:
-            demote = getattr(runtime, "demote", None)
-            if demote is not None and demote(reason):
-                applied = True
-        return applied
+        # a list, not a generator: every shard must be asked
+        return any([runtime.demote(reason) for runtime in self._shard_runtimes])
 
     def metric_snapshots(self) -> list:
         """Registry deltas of this runtime's *fork* workers (in-process
@@ -381,16 +363,10 @@ class ShardedPlanRuntime:
 
     # -- checkpoint / restore -----------------------------------------------
 
-    @property
-    def shard_runtimes(self) -> list[PlanRuntime]:
-        """The per-shard bindings (the durability layer snapshots their
-        incremental state shard-by-shard)."""
-        return list(self._shard_runtimes)
-
     def snapshot_state(self) -> dict:
         """Picklable coordinator state: prefetched-but-unmerged payload
         buffers and the fetch cursor.  Per-shard incremental state is
-        snapshotted separately via :attr:`shard_runtimes` (it belongs to
+        snapshotted separately via :attr:`leaf_runtimes` (it belongs to
         each shard's checkpoint scope).
 
         Fork-parallel runtimes hold their state in child processes and
@@ -429,26 +405,8 @@ class ShardedPlanRuntime:
             pass
 
 
-class ShardedReaderGroup:
-    """Per-shard shared-reader dictionaries for one partition layout.
-
-    Queries with the same window grid and the same partition layout
-    share materialised windows shard-locally (the wCache behaviour,
-    preserved under sharding).
-    """
-
-    def __init__(self, num_shards: int) -> None:
-        self.per_shard: list[dict[str, SharedWindowReader]] = [
-            {} for _ in range(num_shards)
-        ]
-
-    def release(self, key: str) -> None:
-        for readers in self.per_shard:
-            readers.pop(key, None)
-
-
-class ShardedEngine:
-    """N per-shard stream engines behind one StreamEngine-shaped facade.
+class ShardedEngine(Engine):
+    """N per-shard stream engines behind the one engine contract.
 
     ``shards`` fixes the worker pool size; each ``bind`` may use any
     ``1..shards`` of them.  ``parallel="fork"`` executes shards in
@@ -461,7 +419,6 @@ class ShardedEngine:
         shards: int = 2,
         udfs: UDFRegistry | None = None,
         cache_capacity: int = 4096,
-        adaptive_indexing: bool = True,
         parallel: str | None = None,
         prefetch: int = 8,
         scheduler=None,
@@ -472,99 +429,69 @@ class ShardedEngine:
     ) -> None:
         if shards < 1:
             raise ValueError("need at least one shard")
-        self.udfs = udfs or builtin_registry()
+        # The coordinator bundle carries the gateway's bus/MQO/scheduler
+        # series; per-shard engines get their own registries (via
+        # ``shard_view``) that ``metrics_snapshot`` merges in.  The
+        # estimator samples through this engine's own source registry,
+        # so registration-time choices are identical to ``shards=1``.
+        super().__init__(udfs, incremental, mqo, obs, adaptive)
         self.default_shards = shards
         self.parallel = parallel
         self.prefetch = prefetch
         self.scheduler = scheduler
-        #: coordinator bundle: the gateway's bus/MQO/scheduler series
-        #: live here; per-shard engines get their own registries (via
-        #: ``shard_view``) that ``metrics_snapshot`` merges in
-        self.obs = obs if obs is not None else Observability()
         #: coordinator-side per-query counters (merged window/tuple
         #: totals) on a *private* registry: the same work is already
         #: counted shard-side, and snapshots must not double-report it
         self.metrics = EngineMetrics()
-        #: per-shard engines run PANE-INCREMENTAL plans incrementally and
-        #: PANE_JOIN plans as shard-local symmetric-hash pane joins:
-        #: join-key-partitioned layouts route both streams' matching
-        #: tuples to the same shard, shard slices preserve stream order,
-        #: so each shard's output — and therefore the merge — is
-        #: unchanged by the mode.
-        self.incremental = incremental
-        #: shared-subplan execution across registered queries, scoped per
-        #: (partition layout, shard) — shard slices must never
-        #: interchange results across layouts
-        self.mqo = mqo
+        # Per-shard engines run pane tiers shard-locally: join-key-
+        # partitioned layouts route both streams' matching tuples to the
+        # same shard and shard slices preserve stream order, so each
+        # shard's output — and therefore the merge — is unchanged by the
+        # tier.
         self.shard_engines = [
             StreamEngine(
                 udfs=self.udfs,
                 cache_capacity=cache_capacity,
-                adaptive_indexing=adaptive_indexing,
                 incremental=incremental,
                 mqo=mqo,
                 obs=self.obs.shard_view(shard),
             )
             for shard in range(shards)
         ]
-        #: cost-based adaptive planning over the sharded facade: the
-        #: catalog samples through this engine's own source registry, so
-        #: registration-time choices are identical to ``shards=1``
-        self.adaptive = adaptive
-        self.estimator = None
-        if adaptive:
-            from .estimator import StatisticsCatalog
-
-            self.estimator = StatisticsCatalog(self)
-        self._sources: dict[str, StreamSource] = {}
-        self._databases: dict[str, Database] = {}
         #: stream name -> (materialised tuples, first ts, last ts)
         self._materialized: dict[str, tuple[list[tuple], float | None, float | None]] = {}
-        self._groups: dict[tuple[int, str | None], ShardedReaderGroup] = {}
         self._runtimes: list[ShardedPlanRuntime] = []
 
-    # -- StreamEngine facade -----------------------------------------------
+    # -- sources and static databases (replicated to every shard) -----------
 
     def register_stream(self, source: StreamSource) -> None:
-        self._sources[source.stream.name] = source
+        super().register_stream(source)
         self._materialized.pop(source.stream.name, None)
-        if self.estimator is not None:
-            self.estimator.invalidate(source.stream.name)
         for engine in self.shard_engines:
             engine.register_stream(source)
 
     def attach_database(self, name: str, database: Database) -> None:
-        """Attach a static source, replicated to every shard."""
-        self._databases[name] = database
+        super().attach_database(name, database)
         for engine in self.shard_engines:
             engine.attach_database(name, database)
 
-    def stream(self, name: str) -> StreamSource:
-        return self._sources[name]
-
-    def database(self, name: str) -> Database:
-        return self._databases[name]
-
-    def locate_table(self, table: str) -> str | None:
-        for name, database in self._databases.items():
-            if table in database.schema:
-                return name
-        return None
-
-    @property
-    def stream_names(self) -> set[str]:
-        return set(self._sources)
+    # -- per-scope resources -------------------------------------------------
 
     @property
     def cache(self):
-        """Shard 0's window cache (facade parity with StreamEngine)."""
+        """Shard 0's window cache (the one-shard layout's)."""
         return self.shard_engines[0].cache
 
     @property
     def caches(self):
         return [engine.cache for engine in self.shard_engines]
 
-    # -- binding ------------------------------------------------------------
+    def reader_source(self, stream: str, scope: Scope, key_index: int | None):
+        n, _key_column, shard = scope
+        if n == 1:
+            return super().reader_source(stream, scope, None)
+        data, first_ts, last_ts = self._materialize(stream)
+        return partitioned_tuples(data, shard, n, key_index, last_ts), first_ts
 
     def _materialize(self, stream: str) -> tuple[list[tuple], float | None, float | None]:
         cached = self._materialized.get(stream)
@@ -578,65 +505,44 @@ class ShardedEngine:
             self._materialized[stream] = cached
         return cached
 
-    def resolve_shards(self, plan: ContinuousPlan, shards: int | None) -> int:
-        decision = plan.partitioning or analyze_partitioning(plan, self)
-        if decision.mode is PartitionMode.SINGLETON:
-            return 1
-        n = shards if shards is not None else self.default_shards
-        if n < 1:
-            raise ValueError("need at least one shard")
-        if n > self.default_shards:
-            raise ValueError(
-                f"shards={n} exceeds the engine's pool of {self.default_shards}"
-            )
-        return n
+    # -- binding ------------------------------------------------------------
 
-    def bind(
-        self,
-        plan: ContinuousPlan,
-        shared_readers: dict[str, SharedWindowReader] | None = None,
-        shards: int | None = None,
-        parallel: str | None = None,
-        mqo=None,
-    ) -> PlanRuntime | ShardedPlanRuntime:
-        """Bind a plan across shards; ``shards=1`` is the plain path.
-
-        ``shared_readers`` (the gateway's reader catalog) is accepted for
-        interface parity but sharing happens in per-layout
-        :class:`ShardedReaderGroup`\\ s; the gateway's reference-counted
-        release reaches them through :meth:`release_reader`.  ``mqo``
-        (the gateway's shared-pipeline registry) is scoped per
-        (partition layout, shard) before it reaches the per-shard
-        engines, mirroring the reader groups.
-        """
+    def _bind(self, plan, shards, mqo, catalog, parallel=None):
+        """One leaf runtime per shard scope of the chosen layout.  The
+        MQO registry is scoped per (layout, shard) like the readers —
+        shard slices must never interchange results across layouts."""
+        if plan.partitioning is None:
+            plan.partitioning = analyze_partitioning(plan, self)
         decision = plan.partitioning
-        if decision is None:
-            decision = analyze_partitioning(plan, self)
-            plan.partitioning = decision
         n = self.resolve_shards(plan, shards)
         if n == 1:
-            group = self._group(1, None)
-            return self.shard_engines[0].bind(
+            # the one-node layout: the plan verbatim over full streams
+            return self.shard_engines[0].bind_scope(
                 plan,
-                shared_readers=group.per_shard[0],
-                mqo=None if mqo is None else mqo.scoped("1:none:0"),
+                catalog[PLAIN_SCOPE],
+                None if mqo is None else mqo.scoped("1:none:0"),
+                PLAIN_SCOPE,
             )
         shard_plan, combiner = make_shard_plan(plan, decision)
-        group = self._group(n, decision.key_column)
         shard_runtimes = []
         for shard in range(n):
-            self._seed_readers(plan, decision, group, shard, n)
-            scope = f"{n}:{decision.key_column}:{shard}"
+            scope = (n, decision.key_column, shard)
+            for ref in plan.windows:  # this shard's partitioned readers
+                self.shared_reader(
+                    catalog[scope], ref, plan, scope,
+                    decision.stream_keys.get(ref.stream),
+                )
             shard_runtimes.append(
-                self.shard_engines[shard].bind(
+                self.shard_engines[shard].bind_scope(
                     shard_plan,
-                    shared_readers=group.per_shard[shard],
-                    mqo=None if mqo is None else mqo.scoped(scope),
+                    catalog[scope],
+                    None if mqo is None
+                    else mqo.scoped(f"{n}:{decision.key_column}:{shard}"),
+                    scope,
                 )
             )
         runtime = ShardedPlanRuntime(
             plan=plan,
-            decision=decision,
             combiner=combiner,
             shard_runtimes=shard_runtimes,
             metrics=self.metrics.query(plan.name),
@@ -647,52 +553,6 @@ class ShardedEngine:
         )
         self._runtimes.append(runtime)
         return runtime
-
-    def _group(self, n: int, key_column: str | None) -> ShardedReaderGroup:
-        group = self._groups.get((n, key_column))
-        if group is None:
-            group = ShardedReaderGroup(n)
-            self._groups[(n, key_column)] = group
-        return group
-
-    def _seed_readers(
-        self,
-        plan: ContinuousPlan,
-        decision: ShardingDecision,
-        group: ShardedReaderGroup,
-        shard: int,
-        num_shards: int,
-    ) -> None:
-        """Create this shard's partitioned window readers (if absent)."""
-        readers = group.per_shard[shard]
-        for ref in plan.windows:
-            key = StreamEngine.shared_reader_key(ref, plan)
-            if key in readers:
-                continue
-            data, first_ts, last_ts = self._materialize(ref.stream)
-            schema = self._sources[ref.stream].stream.schema
-            key_index = decision.stream_keys.get(ref.stream)
-            factory = partitioned_tuples(
-                data, shard, num_shards, key_index, last_ts
-            )
-            # The cache identity must encode the partition layout: the
-            # shard engine's WindowCache is shared across layouts, and
-            # a full-stream (shards=1) reader and a slice reader would
-            # otherwise serve each other's batches for the same window.
-            cache_key = f"{key}#p{num_shards}k{key_index}s{shard}"
-            readers[key] = SharedWindowReader(
-                cache_key,
-                factory,
-                ref.spec,
-                schema.time_index,
-                self.shard_engines[shard].cache,
-                start=plan.start if plan.start is not None else first_ts,
-            )
-
-    def release_reader(self, key: str) -> None:
-        """Drop a shared reader from every shard layout (gateway hook)."""
-        for group in self._groups.values():
-            group.release(key)
 
     # -- observability -------------------------------------------------------
 
@@ -713,30 +573,6 @@ class ShardedEngine:
                 snapshot = snapshot.merge(shard_snapshot)
         return snapshot
 
-    # -- execution ----------------------------------------------------------
-
-    def run_continuous(
-        self,
-        plan: ContinuousPlan,
-        max_windows: int | None = None,
-        shards: int | None = None,
-        parallel: str | None = None,
-    ) -> Iterator[WindowResult]:
-        """Execute one plan to stream end (or ``max_windows``)."""
-        runtime = self.bind(plan, shards=shards, parallel=parallel)
-        try:
-            window_id = 0
-            while max_windows is None or window_id < max_windows:
-                result = runtime.execute_window(window_id)
-                if result is None:
-                    return
-                yield result
-                window_id += 1
-        finally:
-            close = getattr(runtime, "close", None)
-            if close is not None:
-                close()
-
     def close(self) -> None:
         """Terminate every live shard worker (forked processes)."""
         for runtime in self._runtimes:
@@ -748,3 +584,16 @@ class ShardedEngine:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def build_engine(
+    shards: int = 1, parallel: str | None = None, scheduler=None, **options
+) -> Engine:
+    """The engine of a ``shards``-wide deployment — the one place that
+    picks the shape.  ``options`` are the keywords both engines share
+    (``incremental=``, ``mqo=``, ``adaptive=``, ``obs=`` ...)."""
+    if shards > 1:
+        return ShardedEngine(
+            shards=shards, parallel=parallel, scheduler=scheduler, **options
+        )
+    return StreamEngine(**options)

@@ -43,7 +43,7 @@ from .partial_agg import (
     CombinerSpec,
     canonical_row_key,
     combine_partials,
-    decompose_calls,
+    plan_combiner,
 )
 from .plan import AggregateSpec, ContinuousPlan
 
@@ -115,10 +115,6 @@ class ShardingDecision:
     reason: str = ""
     partitionable_operators: tuple[str, ...] = ()
     merge_operators: tuple[str, ...] = ()
-
-    @property
-    def is_parallel(self) -> bool:
-        return self.mode is not PartitionMode.SINGLETON
 
 
 def _equi_pairs(predicates: Sequence[Expr]) -> list[tuple[str, str, str, str]]:
@@ -291,23 +287,14 @@ def make_shard_plan(
     """
     if decision.mode is not PartitionMode.PARTIAL:
         return plan, None
-    aggregate = plan.aggregate
-    assert aggregate is not None
-    partial_calls, finals = decompose_calls(aggregate.calls)
+    partial_calls, combiner = plan_combiner(plan)
     shard_aggregate = AggregateSpec(
-        group_by=aggregate.group_by,
-        group_names=aggregate.group_names,
+        group_by=plan.aggregate.group_by,
+        group_names=plan.aggregate.group_names,
         calls=tuple(partial_calls),
         having=(),
     )
     shard_plan = replace(plan, aggregate=shard_aggregate, distinct=False)
-    combiner = CombinerSpec(
-        group_arity=len(aggregate.group_names),
-        finals=tuple(finals),
-        out_columns=tuple(plan.output_names()),
-        having=aggregate.having,
-        distinct=plan.distinct,
-    )
     return shard_plan, combiner
 
 

@@ -30,9 +30,8 @@ from ..exastream import (
     BoundedResultSink,
     GatewayServer,
     Scheduler,
-    ShardedEngine,
     Stopwatch,
-    StreamEngine,
+    build_engine,
 )
 from ..mappings import MappingCollection
 from ..ontology import Ontology
@@ -66,10 +65,9 @@ class RegisteredTask:
     def alerts(self) -> list[tuple]:
         """CONSTRUCTed triples of the results retained by the task's sink.
 
-        Results are routed through the query's bounded sink, so after a
-        ``run(keep_results=False)`` this answers from the retained tail of
-        most recent windows (bounded, predictable) instead of silently
-        returning nothing.
+        Results are routed through the query's bounded sink, so with a
+        bounded sink this answers from the retained tail of most recent
+        windows (bounded, predictable).
         """
         triples = []
         for result in self.registered.results():
@@ -95,16 +93,13 @@ class OptiquePlatform:
         self.ontology = ontology or Ontology()
         self.mappings = mappings or MappingCollection()
         self.scheduler = Scheduler(workers)
-        if shards > 1:
-            self.engine = ShardedEngine(
-                shards=shards,
-                parallel=parallel,
-                scheduler=self.scheduler,
-                incremental=incremental,
-                mqo=mqo,
-            )
-        else:
-            self.engine = StreamEngine(incremental=incremental, mqo=mqo)
+        self.engine = build_engine(
+            shards=shards,
+            parallel=parallel,
+            scheduler=self.scheduler,
+            incremental=incremental,
+            mqo=mqo,
+        )
         self.gateway = GatewayServer(self.engine, scheduler=self.scheduler)
         self.macros = MacroRegistry()
         self.dashboard = Dashboard()

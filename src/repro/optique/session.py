@@ -33,7 +33,6 @@ order.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, replace
 from collections.abc import Callable
 from typing import TYPE_CHECKING
@@ -88,16 +87,6 @@ class QueryHandle:
     @property
     def state(self) -> QueryState:
         """The handle's lifecycle state (the one canonical accessor)."""
-        return self.registered.state
-
-    def status(self) -> QueryState:
-        """Deprecated alias of :attr:`state` (the old duplicate surface)."""
-        warnings.warn(
-            "QueryHandle.status() is deprecated; read the "
-            "QueryHandle.state property instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
         return self.registered.state
 
     @property

@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..exastream import (
+    Engine,
     GatewayServer,
     Scheduler,
-    ShardedEngine,
     Stopwatch,
-    StreamEngine,
+    build_engine,
 )
 from ..mappings import (
     ColumnSpec,
@@ -226,7 +226,7 @@ class SiemensDeployment:
     fleet: SiemensFleet
     ontology: Ontology
     mappings: MappingCollection
-    engine: StreamEngine
+    engine: Engine
     gateway: GatewayServer
     translator: STARQLTranslator
     macros: MacroRegistry
@@ -321,19 +321,14 @@ def deploy(
     mappings = build_siemens_mappings()
 
     scheduler = Scheduler(workers)
-    if shards > 1:
-        engine = ShardedEngine(
-            shards=shards,
-            parallel=parallel,
-            scheduler=scheduler,
-            incremental=incremental,
-            mqo=mqo,
-            adaptive=adaptive,
-        )
-    else:
-        engine = StreamEngine(
-            incremental=incremental, mqo=mqo, adaptive=adaptive
-        )
+    engine = build_engine(
+        shards=shards,
+        parallel=parallel,
+        scheduler=scheduler,
+        incremental=incremental,
+        mqo=mqo,
+        adaptive=adaptive,
+    )
     engine.attach_database("plant", fleet.plant_db)
     engine.attach_database("legacy", fleet.legacy_db)
     engine.attach_database("history", fleet.history_db)

@@ -592,17 +592,18 @@ class TestErrorsHierarchy:
 
 
 class TestDeprecationShims:
-    def test_status_is_a_deprecated_alias_of_state(self, deployment):
+    def test_state_is_the_one_lifecycle_accessor(self, deployment):
         session = deployment.session()
         handle = session.submit(diagnostic_catalog()[0].starql, name="dep")
-        with pytest.warns(DeprecationWarning, match="status\\(\\)"):
-            assert handle.status() is handle.state
+        assert handle.state is QueryState.REGISTERED
+        assert not hasattr(handle, "status")  # the deprecated alias is gone
 
-    def test_run_is_deprecated_but_still_works(self):
+    def test_step_loop_replaces_the_removed_batch_run(self):
         gateway = GatewayServer(engine_with_data())
         q = gateway.register(SQL, name="q", sink_capacity=None)
-        with pytest.warns(DeprecationWarning, match="run\\(\\) is deprecated"):
-            gateway.run()
+        assert not hasattr(gateway, "run")
+        while gateway.step():
+            pass
         assert q.state is QueryState.COMPLETED
 
     def test_state_property_does_not_warn(self, deployment):

@@ -119,3 +119,87 @@ def test_audit_mode_over_siemens_session(monkeypatch):
     finally:
         session.close()
     verify_gateway(deployment.gateway)
+
+
+# -- sharded deployments: the catalog and the audit cover them too ----------
+
+
+def sharded_gateway():
+    return GatewayServer(build_engine(list(ROWS), shards=2))
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_sharded_reader_count_tracks_live_readers(shards):
+    gateway = sharded_gateway()
+    gateway.register(QUERIES["agg"], name="a", shards=shards)
+    gateway.register(QUERIES["agg_twin"], name="b", shards=shards)
+    assert gateway.shared_reader_count == shards  # one shared reader per shard
+    gateway.step(2)
+    gateway.deregister("a")
+    assert gateway.shared_reader_count == shards  # b still reads them
+    gateway.deregister("b")
+    assert gateway.shared_reader_count == 0
+    verify_gateway(gateway)
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_sharded_violation_detected_when_refcounts_corrupted(shards):
+    gateway = sharded_gateway()
+    gateway.register(QUERIES["agg"], name="agg", shards=shards)
+    verify_gateway(gateway)
+    key = next(iter(gateway._reader_refs))
+    gateway._reader_refs[key] += 1  # simulate a leaked reference
+    with pytest.raises(InvariantViolation) as info:
+        verify_gateway(gateway)
+    assert any("refcount" in v or "reader" in v for v in info.value.violations)
+
+
+@pytest.mark.parametrize("kind", ["batch", "pane"])
+@pytest.mark.parametrize("shards", [1, 2])
+def test_sharded_violation_detected_on_leaked_reader_demand(shards, kind):
+    gateway = sharded_gateway()
+    registered = gateway.register(QUERIES["agg"], name="agg", shards=shards)
+    gateway.step(2)
+    verify_gateway(gateway)
+    leaf = registered.runtime.leaf_runtimes[-1]
+    reader = next(iter(leaf.readers.values()))
+    if kind == "batch":
+        reader.demand_batches()  # a demand no runtime accounts for
+    else:
+        reader.demand_panes()
+    with pytest.raises(InvariantViolation) as info:
+        verify_gateway(gateway)
+    assert any(f"{kind} demand" in v for v in info.value.violations)
+
+
+SHARDED_SQL = {
+    "agg": QUERIES["agg"],
+    "pane_join": (
+        "SELECT a.sid AS sid, COUNT(*) AS n, SUM(a.val * b.val) AS p "
+        "FROM timeSlidingWindow(S, 6, 2) AS a, "
+        "timeSlidingWindow(S, 6, 2) AS b "
+        "WHERE a.sid = b.sid GROUP BY a.sid"
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SHARDED_SQL))
+def test_verify_runtime_walks_sharded_leaves(key):
+    gateway = sharded_gateway()
+    registered = gateway.register(SHARDED_SQL[key], name="q", shards=2)
+    gateway.step(3)
+    runtime = registered.runtime
+    assert len(runtime.leaf_runtimes) == 2
+    assert verify_runtime(runtime, "q") == []
+    # an eviction bug on one shard: a ring spanning far more than a window
+    tier = runtime.leaf_runtimes[1].tier
+    ring = tier.ring if key == "agg" else tier.side_rings[0]
+    ring[10_000] = {}
+    violations = verify_runtime(runtime, "q")
+    assert violations and all("q[shard 1]" in v for v in violations)
+    # demotion bookkeeping is checked per leaf as well
+    del ring[10_000]
+    runtime.demote("test")
+    assert verify_runtime(runtime, "q") == []
+    runtime.leaf_runtimes[0]._batch_demanded.clear()
+    assert any("demoted" in v for v in verify_runtime(runtime, "q"))

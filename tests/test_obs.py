@@ -20,7 +20,6 @@ import pytest
 
 from cqgen import build_engine, measurement_rows
 from repro.exastream import GatewayServer, Scheduler
-from repro.exastream.metrics import EngineMetrics, QueryMetrics
 from repro.exastream.sharded import fork_available
 from repro.obs import (
     CollectingExporter,
@@ -163,31 +162,6 @@ class TestSnapshotMerge:
             (("query", "a"),), (("query", "b"),)
         ]
         assert snapshot.value("c", query="missing") is None
-
-
-class TestWallSecondsRegression:
-    """Satellite: per-shard wall times must merge as max, never sum."""
-
-    def test_query_metrics_merge(self):
-        a, b = QueryMetrics("q"), QueryMetrics("q")
-        a.wall_seconds, b.wall_seconds = 2.0, 3.0
-        a.tuples_in, b.tuples_in = 100, 50
-        a.windows_processed, b.windows_processed = 10, 10
-        a.merge(b)
-        assert a.wall_seconds == 3.0  # max: the shards overlapped
-        assert a.tuples_in == 150  # work still sums
-        assert a.windows_processed == 10  # same window ids, not 20
-        assert a.throughput == pytest.approx(150 / 3.0)
-
-    def test_engine_metrics_merge(self):
-        a, b = EngineMetrics(), EngineMetrics()
-        a.wall_seconds, b.wall_seconds = 2.0, 3.0
-        a.query("q").tuples_in = 10
-        b.query("q").tuples_in = 20
-        a.merge(b)
-        assert a.wall_seconds == 3.0
-        assert a.query("q").tuples_in == 30
-        assert a.throughput == pytest.approx(30 / 3.0)
 
 
 # ---------------------------------------------------------------------------

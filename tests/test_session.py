@@ -129,8 +129,8 @@ class TestGatewayStep:
             total += n
         ran = GatewayServer(engine_with_data())
         q2 = ran.register(SQL, name="q")
-        with pytest.warns(DeprecationWarning):
-            ran.run()
+        while ran.step():
+            pass
         assert total == q1.next_window == q2.next_window
         assert [r.rows for r in q1.results()] == [r.rows for r in q2.results()]
 
@@ -238,11 +238,13 @@ class TestGatewayStep:
     def test_keep_results_false_retains_bounded_tail(self):
         gateway = GatewayServer(engine_with_data(n_seconds=30))
         q = gateway.register(SQL, name="q")
-        with pytest.warns(DeprecationWarning):
-            gateway.run(keep_results=False)
-        assert q.next_window > GatewayServer.UNKEPT_SINK_CAPACITY
+        tail = 8
+        q.sink.limit(tail)
+        while gateway.step():
+            pass
+        assert q.next_window > tail
         results = q.results()
-        assert 0 < len(results) <= GatewayServer.UNKEPT_SINK_CAPACITY
+        assert 0 < len(results) <= tail
         assert q.sink.dropped > 0  # the degradation is observable
         assert results[-1].window_id == q.next_window - 1
 

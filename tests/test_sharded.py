@@ -473,10 +473,7 @@ class TestReaderSharing:
         gateway.register(PARTITIONED_SQL, name="b")
         gateway.step(2)
         gateway.deregister("a")
-        assert any(group.per_shard[0] for group in engine._groups.values())
+        assert gateway.shared_reader_count == 2  # one per shard, b's
         gateway.deregister("b")
-        assert all(
-            not readers
-            for group in engine._groups.values()
-            for readers in group.per_shard
-        )
+        assert gateway.shared_reader_count == 0
+        assert not any(engine.catalog.values())
