@@ -32,7 +32,7 @@ from .sharing import check_sharing
 from .typecheck import check_types
 from .windows import check_windows
 
-__all__ = ["analyze_plan", "analyze_starql"]
+__all__ = ["analyze_plan", "analyze_starql", "check_translation"]
 
 
 def analyze_plan(plan, engine, gateway=None, name=None) -> AnalysisReport:
@@ -50,9 +50,55 @@ def analyze_plan(plan, engine, gateway=None, name=None) -> AnalysisReport:
         )
     check_windows(plan, report)
     check_sharing(plan, gateway, report)
+    check_statics(plan, engine, gateway, report)
     check_observed(gateway, report)
     check_estimates(plan, gateway, report)
     return report
+
+
+def check_statics(plan, engine, gateway, report: AnalysisReport) -> None:
+    """What registering would cost on the static side (INFO, ANA060).
+
+    One line per static input: whether the engine's static catalog
+    already holds its relation — then registration shares it, rows and
+    indexes included — or registration would run the SQL once.
+    """
+    for ref in plan.statics:
+        try:
+            database = engine.database(ref.source)
+        except KeyError:
+            continue  # not attached: registration would refuse the plan
+        key, table = engine.static_catalog.peek(database, ref.sql)
+        if table is None:
+            status = "not materialised yet: registration runs its SQL once"
+        else:
+            users = sum(
+                any(key in leaf.static_keys
+                    for leaf in registered.runtime.leaf_runtimes)
+                for registered in (gateway.queries if gateway else ())
+            )
+            status = (
+                f"materialised, {len(table.relation.rows)} rows, shared "
+                f"with {users} registered "
+                f"{'query' if users == 1 else 'queries'}"
+            )
+        report.add(
+            "ANA060",
+            Severity.INFO,
+            f"static input {ref.alias!r} on {ref.source!r}: {status}",
+            hint="static relations are shared by (database, SQL text)",
+        )
+
+
+def check_translation(translation, report: AnalysisReport) -> None:
+    """What the translate leg produced (INFO, ANA061): UCQ disjuncts
+    after enrichment and SQL blocks after unfolding."""
+    report.add(
+        "ANA061",
+        Severity.INFO,
+        f"translation: {len(translation.enriched)} UCQ disjunct(s) after "
+        f"enrichment, {translation.fleet_size} SQL block(s) after unfolding",
+    )
 
 
 def check_observed(gateway, report: AnalysisReport) -> None:
@@ -234,6 +280,7 @@ def analyze_starql(
         result.plan, engine, gateway=gateway, name=report.query
     )
     report.diagnostics.extend(plan_report.diagnostics)
+    check_translation(result, report)
     return report
 
 

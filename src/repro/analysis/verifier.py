@@ -10,6 +10,9 @@ the rest of the system) relies on:
 * **pane-ring bounds** — the per-runtime pane rings (aggregation panes,
   join side prefixes, pane-pair partials) never hold more state than one
   window span, i.e. eviction keeps up with the window grid;
+* **static-relation balance** — every entry of the engine's static
+  catalog carries exactly the references the live runtimes hold on it,
+  and the catalog is empty when the last query deregisters;
 * **signature agreement** — the planner's sharing eligibility
   (:func:`~repro.exastream.mqo.plan_signature`) and the MQO runtime's
   actual subscriptions never disagree.
@@ -190,6 +193,26 @@ def verify_gateway(gateway) -> None:
                         f"is {actual} but {expected} runtime(s) hold "
                         f"{kind} demands on it"
                     )
+
+    # -- static-relation balance --------------------------------------------
+    # Same rule for the static catalog, which every gateway on the
+    # engine shares: an entry's refcount is the number of references the
+    # registered queries' leaf runtimes hold on it.
+    held = Counter(
+        key
+        for sharer in gateway.engine.gateways
+        for registered in sharer.queries
+        for leaf in registered.runtime.leaf_runtimes
+        for key in leaf.static_keys
+    )
+    static_refs = gateway.engine.static_catalog.refs
+    for key in held.keys() | static_refs.keys():
+        if held[key] != static_refs.get(key, 0):
+            violations.append(
+                f"static relation {key[1][:80]!r}: refcount is "
+                f"{static_refs.get(key, 0)} but {held[key]} runtime "
+                "reference(s) are held on it"
+            )
 
     # -- MQO subscription agreement -----------------------------------------
     mqo = gateway.mqo

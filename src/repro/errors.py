@@ -14,6 +14,9 @@ Concrete classes keep their historical builtin bases (``KeyError``,
 
 * :class:`QueryNotFound` — a query name is not registered (gateway
   ``deregister``/``query``, session ``handle``); also a ``KeyError``;
+* :class:`BindError` — a plan's static input could not be bound (its
+  database is not attached, or its SQL failed); carries the query name,
+  the static alias and the SQL text; also a ``KeyError``;
 * :class:`SinkOverflow` — a result had to be refused by a bounded
   delivery channel that cannot block (an event-bus subscription whose
   ``block``-policy queue is force-offered); also a ``RuntimeError``;
@@ -40,6 +43,7 @@ from __future__ import annotations
 __all__ = [
     "ReproError",
     "QueryNotFound",
+    "BindError",
     "SinkOverflow",
     "StrictAnalysisError",
     "InvariantViolation",
@@ -63,6 +67,30 @@ class QueryNotFound(ReproError, KeyError):
     def __init__(self, name: str) -> None:
         self.name = name
         super().__init__(f"query {name!r} is not registered")
+
+    def __str__(self) -> str:  # KeyError.__str__ repr()s its arg
+        return self.args[0]
+
+
+class BindError(ReproError, KeyError):
+    """A static input of a plan could not be bound at registration.
+
+    Raised by ``Engine.bind`` (so by ``GatewayServer.register`` and
+    ``Session.submit``) when the input's database is not attached or
+    its SQL fails; the database's own exception is the ``__cause__``.
+    A failed bind leaves nothing behind: no shared reader, no static
+    relation, no reference count.  Subclasses ``KeyError`` because an
+    unattached database used to surface as a bare one.
+    """
+
+    def __init__(self, query: str, alias: str, sql: str, reason: str) -> None:
+        self.query = query
+        self.alias = alias
+        self.sql = sql
+        super().__init__(
+            f"query {query!r}: cannot bind static input {alias!r} "
+            f"({reason}); SQL: {sql}"
+        )
 
     def __str__(self) -> str:  # KeyError.__str__ repr()s its arg
         return self.args[0]

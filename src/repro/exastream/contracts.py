@@ -10,25 +10,30 @@ instead of probing for the shape they were handed:
   a :class:`~repro.exastream.sharded.ShardedPlanRuntime` coordinates one
   ``PlanRuntime`` per shard.  Pane state, demand references and MQO
   bindings always live in the *leaf* runtimes.
-* :class:`Engine` — sources, static databases, ``bind`` and the
-  shared-reader catalog, for :class:`~repro.exastream.engine.StreamEngine`
-  and :class:`~repro.exastream.sharded.ShardedEngine` alike.
+* :class:`Engine` — sources, static databases, ``bind``, the
+  shared-reader catalog and the :class:`StaticCatalog`, for
+  :class:`~repro.exastream.engine.StreamEngine` and
+  :class:`~repro.exastream.sharded.ShardedEngine` alike.
 
 Readers, caches and MQO pipelines are shared per **scope**, a ``(layout
 n, key column, shard)`` triple: a one-node engine is the single scope
 :data:`PLAIN_SCOPE`, a sharded engine adds one scope per layout slice.
+Static relations do not depend on the stream layout, so one
+:class:`StaticCatalog` serves every scope of an engine.
 """
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
 from collections import defaultdict
 from collections.abc import Callable, Iterator
 from typing import TYPE_CHECKING
 
-from ..obs import Observability
+from ..obs import MetricRegistry, Observability
 from ..relational import Database
 from ..streams import SharedWindowReader, StreamSource, WindowCache
+from .operators import Relation, StaticTable
 from .plan import ContinuousPlan
 from .sharding import PartitionMode, analyze_partitioning
 from .udf import UDFRegistry, builtin_registry
@@ -36,7 +41,15 @@ from .udf import UDFRegistry, builtin_registry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import PlanRuntime, WindowResult
 
-__all__ = ["PLAIN_SCOPE", "Scope", "Catalog", "WindowExecutor", "Engine"]
+__all__ = [
+    "PLAIN_SCOPE",
+    "Scope",
+    "Catalog",
+    "StaticKey",
+    "StaticCatalog",
+    "WindowExecutor",
+    "Engine",
+]
 
 Scope = tuple[int, "str | None", int]
 #: scope -> reader sharing key -> reader
@@ -44,6 +57,71 @@ Catalog = defaultdict[Scope, dict[str, SharedWindowReader]]
 
 #: the unsharded scope: layout 1, no key column, shard 0
 PLAIN_SCOPE: Scope = (1, None, 0)
+
+#: (database, static SQL text, the database's write counter at
+#: materialisation time)
+StaticKey = tuple[Database, str, int]
+
+
+class StaticCatalog:
+    """The engine's materialised static relations, one per
+    ``(database, SQL text)``, reference-counted by the runtimes bound
+    over them.
+
+    The static side of a fleet is evaluated once and probed by many
+    continuous queries: every query, alias, session and shard whose
+    plan names the same SQL on the same database shares one row list
+    (through :meth:`StaticTable.view`; the lazily built hash indexes
+    stay per view).  The database's write counter is part of
+    the key, so a ``Database.insert`` makes the *next* registration
+    materialise afresh while live runtimes keep the rows they bound;
+    an entry is dropped when its last runtime closes.
+    """
+
+    def __init__(self, registry: MetricRegistry) -> None:
+        self._tables: dict[StaticKey, StaticTable] = {}
+        self._refs: dict[StaticKey, int] = {}
+        self._materialised = registry.counter(
+            "static_relations_materialised_total"
+        )
+        self._shared = registry.counter("static_relations_shared_total")
+        self._rows = registry.gauge("static_relation_rows")
+
+    def __len__(self) -> int:
+        return len(self._tables)
+
+    @property
+    def refs(self) -> dict[StaticKey, int]:
+        """Live references per entry (the audit compares them to the
+        registered runtimes' own records)."""
+        return dict(self._refs)
+
+    def peek(self, database: Database, sql: str) -> tuple[StaticKey, StaticTable | None]:
+        """The key a bind would use now, and its entry if one is live."""
+        key = (database, sql, database.version)
+        return key, self._tables.get(key)
+
+    def acquire(self, database: Database, sql: str) -> tuple[StaticKey, StaticTable]:
+        """Take a reference on the relation of ``sql``, materialising it
+        on first use.  A failing query records nothing."""
+        key, table = self.peek(database, sql)
+        if table is None:
+            names, rows = database.query_with_names(sql)
+            table = self._tables[key] = StaticTable(Relation(names, rows))
+            self._refs[key] = 0
+            self._materialised.value += 1
+            self._rows.value += len(rows)
+        else:
+            self._shared.value += 1
+        self._refs[key] += 1
+        return key, table
+
+    def release(self, key: StaticKey) -> None:
+        """Drop one reference; the last one drops the entry."""
+        self._refs[key] -= 1
+        if not self._refs[key]:
+            del self._refs[key]
+            self._rows.value -= len(self._tables.pop(key).relation.rows)
 
 
 class WindowExecutor(ABC):
@@ -66,8 +144,10 @@ class WindowExecutor(ABC):
     def release_demand(self) -> None:
         """Drop every reader demand reference (idempotent)."""
 
+    @abstractmethod
     def close(self) -> None:
-        """Release execution resources (worker processes); idempotent."""
+        """Release execution resources — static-relation references,
+        worker processes; idempotent."""
 
     @abstractmethod
     def demote(self, reason: str = "cost-based demotion") -> bool:
@@ -92,7 +172,8 @@ class WindowExecutor(ABC):
 
 
 class Engine(ABC):
-    """Sources, static databases, the shared-reader catalog and ``bind``."""
+    """Sources, static databases, the shared-reader and static-relation
+    catalogs, and ``bind``."""
 
     #: the widest layout ``bind`` accepts
     default_shards = 1
@@ -130,6 +211,13 @@ class Engine(ABC):
         #: in the same scope share materialised windows (the wCache
         #: behaviour).  The gateway reference-counts the sharing keys.
         self.catalog: Catalog = defaultdict(dict)
+        #: the materialised static relations, shared by every runtime —
+        #: in any scope — whose plan reads the same SQL
+        self.static_catalog = StaticCatalog(self.obs.registry)
+        #: the gateways registering queries on this engine (a recovered
+        #: gateway may sit beside a live one); the audit sums their
+        #: runtimes' references against :attr:`static_catalog`
+        self.gateways: weakref.WeakSet = weakref.WeakSet()
 
     # -- sources and static databases ---------------------------------------
 
@@ -256,9 +344,19 @@ class Engine(ABC):
 
         ``mqo`` is the gateway's shared-pipeline registry, which the
         engine scopes per layout slice; ``layout`` takes shape-specific
-        keywords (a sharded engine's ``parallel=``).
+        keywords (a sharded engine's ``parallel=``).  A bind that raises
+        leaves the catalogs as it found them.
         """
-        return self._bind(plan, shards, mqo, self.catalog, **layout)
+        before = {scope: len(readers) for scope, readers in self.catalog.items()}
+        try:
+            return self._bind(plan, shards, mqo, self.catalog, **layout)
+        except Exception:
+            # Readers this bind created have no query to release them;
+            # a bind only ever adds, so they are each scope's newest.
+            for scope, readers in self.catalog.items():
+                while len(readers) > before.get(scope, 0):
+                    readers.popitem()
+            raise
 
     @abstractmethod
     def _bind(self, plan, shards, mqo, catalog: Catalog) -> WindowExecutor:

@@ -21,13 +21,22 @@ it slices, or a cost-based ``demote()`` — is retired through the single
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
+from ..errors import BindError
 from ..obs import Observability
+from ..relational import QUERY_ERRORS
 from ..sql import Expr
 from ..streams import SharedWindowReader, WindowBatch, WindowCache
-from .contracts import PLAIN_SCOPE, Engine, Scope, WindowExecutor
+from .contracts import (
+    PLAIN_SCOPE,
+    Engine,
+    Scope,
+    StaticCatalog,
+    StaticKey,
+    WindowExecutor,
+)
 from .metrics import EngineMetrics, QueryMetrics, Stopwatch
 from .mqo.runtime import MQOBinding
 from .mqo.signature import plan_signature
@@ -201,6 +210,10 @@ class PlanRuntime(WindowExecutor):
     obs: Observability | None = None
     #: the reader/cache/MQO sharing scope this binding lives in
     scope: Scope = PLAIN_SCOPE
+    #: the references this binding holds on shared static relations
+    #: (one per static input), released by :meth:`close`
+    static_catalog: StaticCatalog | None = None
+    static_keys: list[StaticKey] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self._bind_obs()
@@ -229,7 +242,8 @@ class PlanRuntime(WindowExecutor):
                 self._residual.append(predicate)
         # Static relations are invariant: apply their pushdown filters
         # once at bind time (this also covers the indexed join_probe
-        # path, which bypasses the per-window load).
+        # path, which bypasses the per-window load).  The filtered table
+        # is this binding's own; the shared one is never written.
         for alias, static in list(self.statics.items()):
             filtered = self._push_filters(alias, static.relation, record=False)
             if filtered is not static.relation:
@@ -369,6 +383,12 @@ class PlanRuntime(WindowExecutor):
         for key in self._pane_demanded:
             self.readers[key].release_panes()
         self._pane_demanded.clear()
+
+    def close(self) -> None:
+        """Release this binding's static-relation references."""
+        for key in self.static_keys:
+            self.static_catalog.release(key)
+        self.static_keys.clear()
 
     # -- checkpoint / restore -----------------------------------------------
 
@@ -826,41 +846,60 @@ class StreamEngine(Engine):
         computes per-pane results once across every structurally equal
         registered query.
         """
-        bound: dict[str, SharedWindowReader] = {}
-        stream_columns: dict[str, list[str]] = {}
-        for ref in plan.windows:
-            bound[ref.reader_key] = self.shared_reader(
-                readers, ref, plan, scope
+        # Statics first: their SQL is what can fail, and nothing else
+        # has been taken yet when it does.
+        static_keys: list[StaticKey] = []
+        try:
+            statics: dict[str, StaticTable] = {}
+            for ref in plan.statics:
+                key, shared = self._static(plan, ref)
+                static_keys.append(key)
+                statics[ref.alias] = shared.view(ref.alias)
+            bound: dict[str, SharedWindowReader] = {}
+            stream_columns: dict[str, list[str]] = {}
+            for ref in plan.windows:
+                bound[ref.reader_key] = self.shared_reader(
+                    readers, ref, plan, scope
+                )
+                schema = self._sources[ref.stream].stream.schema
+                stream_columns[ref.alias] = [
+                    f"{ref.alias}.{c}" for c in schema.column_names
+                ]
+
+            binding = None
+            if mqo is not None and self.mqo:
+                signature = plan_signature(plan)
+                if signature is not None:
+                    binding = mqo.bind(signature, plan.name)
+
+            return PlanRuntime(
+                plan=plan,
+                readers=bound,
+                statics=statics,
+                stream_columns=stream_columns,
+                udfs=self.udfs,
+                metrics=self.metrics.query(plan.name),
+                incremental_enabled=self.incremental,
+                mqo=binding,
+                obs=self.obs,
+                scope=scope,
+                static_catalog=self.static_catalog,
+                static_keys=static_keys,
             )
-            schema = self._sources[ref.stream].stream.schema
-            stream_columns[ref.alias] = [
-                f"{ref.alias}.{c}" for c in schema.column_names
-            ]
+        except Exception:
+            for key in static_keys:
+                self.static_catalog.release(key)
+            raise
 
-        statics: dict[str, StaticTable] = {}
-        for ref in plan.statics:
-            database = self._databases.get(ref.source)
-            if database is None:
-                raise KeyError(f"database {ref.source!r} is not attached")
-            names, rows = database.query_with_names(ref.sql)
-            relation = Relation([f"{ref.alias}.{n}" for n in names], rows)
-            statics[ref.alias] = StaticTable(relation)
-
-        binding = None
-        if mqo is not None and self.mqo:
-            signature = plan_signature(plan)
-            if signature is not None:
-                binding = mqo.bind(signature, plan.name)
-
-        return PlanRuntime(
-            plan=plan,
-            readers=bound,
-            statics=statics,
-            stream_columns=stream_columns,
-            udfs=self.udfs,
-            metrics=self.metrics.query(plan.name),
-            incremental_enabled=self.incremental,
-            mqo=binding,
-            obs=self.obs,
-            scope=scope,
-        )
+    def _static(self, plan, ref) -> tuple[StaticKey, StaticTable]:
+        """Take a reference on the shared relation of one static input."""
+        database = self._databases.get(ref.source)
+        if database is None:
+            raise BindError(
+                plan.name, ref.alias, ref.sql,
+                f"database {ref.source!r} is not attached",
+            )
+        try:
+            return self.static_catalog.acquire(database, ref.sql)
+        except QUERY_ERRORS as exc:
+            raise BindError(plan.name, ref.alias, ref.sql, str(exc)) from exc

@@ -223,6 +223,7 @@ class GatewayServer:
 
     def __init__(self, engine: Engine, scheduler: Scheduler | None = None):
         self.engine = engine
+        engine.gateways.add(self)
         self.scheduler = scheduler
         #: the engine's observability bundle — bus counters, MQO stats
         #: and the per-query delivery histograms all write through it

@@ -207,12 +207,29 @@ class StaticTable:
     """A static relation materialised once, with lazy per-key hash indexes.
 
     Used as the build side of stream-static joins: "combine streaming
-    attributes ... with metadata that remain invariant in time".
+    attributes ... with metadata that remain invariant in time".  A
+    table is never mutated once built, so one materialisation serves
+    every query that reads it (see :meth:`view`).
     """
 
     def __init__(self, relation: Relation) -> None:
         self.relation = relation
         self._indexes: dict[tuple[int, ...], dict[tuple, list[tuple]]] = {}
+
+    def view(self, alias: str) -> StaticTable:
+        """This table under ``alias``-qualified column names.
+
+        A view, not a copy: the row list is the same object.  The hash
+        indexes are the view's own, built on its first probe, so what a
+        query's first window costs does not depend on which other
+        queries happened to probe the relation before it.
+        """
+        return StaticTable(
+            Relation(
+                [f"{alias}.{name}" for name in self.relation.columns],
+                self.relation.rows,
+            )
+        )
 
     def index_for(self, key_columns: Sequence[str]) -> dict[tuple, list[tuple]]:
         key = tuple(self.relation.index_of(c) for c in key_columns)

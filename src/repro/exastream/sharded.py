@@ -6,8 +6,11 @@ many-scope :class:`~repro.exastream.contracts.Engine`: it inherits the
 source/database registry and the shared-reader catalog, and its ``bind``
 
 * hash-partitions every windowed stream by the plan's key column across
-  ``shards`` per-shard :class:`StreamEngine` instances (static databases
-  are replicated), one catalog scope per shard of the layout;
+  ``shards`` per-shard :class:`StreamEngine` instances, one catalog
+  scope per shard of the layout (static databases are attached to every
+  shard, and every shard binds over the coordinator's one
+  :class:`~repro.exastream.contracts.StaticCatalog`, so a static
+  relation is materialised once per deployment, not once per shard);
 * binds one leaf :class:`~repro.exastream.engine.PlanRuntime` per shard
   under a :class:`ShardedPlanRuntime`, the coordinating
   :class:`~repro.exastream.contracts.WindowExecutor`, which merges shard
@@ -397,6 +400,8 @@ class ShardedPlanRuntime(WindowExecutor):
         self._closed = True
         for worker in self.workers:
             worker.close()
+        for runtime in self._shard_runtimes:
+            runtime.close()
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:
@@ -458,6 +463,8 @@ class ShardedEngine(Engine):
             )
             for shard in range(shards)
         ]
+        for engine in self.shard_engines:
+            engine.static_catalog = self.static_catalog
         #: stream name -> (materialised tuples, first ts, last ts)
         self._materialized: dict[str, tuple[list[tuple], float | None, float | None]] = {}
         self._runtimes: list[ShardedPlanRuntime] = []

@@ -23,9 +23,11 @@ from ..ontology import (
     Attribute,
     Existential,
     Ontology,
+    PropertyExpression,
     Reasoner,
     Role,
     SubClassOf,
+    SubPropertyOf,
     normalize,
 )
 from ..rdf import IRI
@@ -239,16 +241,95 @@ def saturate_mappings(
 def existential_subontology(ontology: Ontology) -> Ontology:
     """The residual TBox for rewriting over saturated mappings.
 
-    Keeps exactly the (normalised) class inclusions whose right-hand side
-    is an existential — the axioms T-mappings cannot absorb — plus the
-    property inclusions (needed so PerfectRef can still relate auxiliary
-    roles introduced by normalisation).
+    Saturation makes the virtual ABox closed under every inclusion with
+    a named right-hand side, so the rewriter must only see what
+    saturation cannot compile: the *anonymous witnesses* of axioms
+    ``X ⊑ ∃R``.  The residual therefore contains no inclusion between
+    named terms at all.  Every generating role ``R`` gets an unmapped
+    witness role ``G`` (the ``__aux`` role :func:`normalize` made for a
+    qualified existential, a fresh ``__gen`` role otherwise) and the
+    residual states, closed under the class/role hierarchy via
+    :class:`Reasoner`:
+
+    * ``Y ⊑ ∃G`` for every basic concept ``Y`` with ``T ⊨ Y ⊑ X`` —
+      who owns a witness (``Y`` ranges over the named signature and
+      over the witnesses ``∃G'⁻`` themselves);
+    * ``G ⊑ S`` for every named ``S`` with ``T ⊨ R ⊑ S`` — which edges
+      reach the witness (for ``A ⊑ ∃p``, ``p ⊑ q``: ``G ⊑ p``,
+      ``G ⊑ q``, so ``q(x, _)`` still rewrites to ``A(x)``);
+    * ``∃G⁻ ⊑ C`` for every named class ``C`` with ``T ⊨ ∃R⁻ ⊑ C`` —
+      what the witness is.
+
+    Only witness roles occur on a left-hand side next to a named
+    right-hand side, so no residual axiom rewrites an atom into
+    something the saturated mappings already answer.  A witness a named
+    edge already provides (``Y = ∃R'`` with ``T ⊨ R' ⊑ R``) is skipped.
     """
     normalised = normalize(ontology)
     residual = Ontology(iri=ontology.iri + "#existential")
-    for axiom in normalised.class_inclusions:
-        if isinstance(axiom.sup, Existential):
-            residual.add(axiom)
-    for axiom in normalised.property_inclusions:
-        residual.add(axiom)
+    generators = [
+        axiom
+        for axiom in normalised.class_inclusions
+        if isinstance(axiom.sup, Existential) and axiom.sub != axiom.sup
+    ]
+    if not generators:
+        return residual
+    reasoner = Reasoner(normalised)
+
+    def by_value(iris):
+        return sorted(iris, key=lambda iri: iri.value)
+
+    classes = [AtomicClass(iri) for iri in by_value(ontology.classes)]
+    named: list[PropertyExpression] = [
+        Role(iri, inverse)
+        for iri in by_value(ontology.object_properties)
+        for inverse in (False, True)
+    ] + [Attribute(iri) for iri in by_value(ontology.data_properties)]
+    named_iris = ontology.object_properties | ontology.data_properties
+
+    # generating role -> its witness role, in first-axiom order
+    witness: dict[PropertyExpression, PropertyExpression] = {}
+    for axiom in generators:
+        role = axiom.sup.property
+        if role in witness:
+            continue
+        if role.iri not in named_iris:
+            witness[role] = role  # normalize's __aux role: already unmapped
+        elif isinstance(role, Attribute):
+            witness[role] = Attribute(IRI(f"{role.iri.value}__gen"))
+        else:
+            suffix = "__gen_inv" if role.inverse else "__gen"
+            witness[role] = Role(IRI(role.iri.value + suffix))
+
+    #: (concept as the reasoner knows it, concept as the residual says it)
+    owners = [(c, c) for c in classes]
+    owners += [(Existential(p), Existential(p)) for p in named]
+    owners += [
+        (Existential(role.inverted()), Existential(g.inverted()))
+        for role, g in witness.items()
+        if isinstance(role, Role)
+    ]
+    emitted: set[SubClassOf] = set()
+    for axiom in generators:
+        role = axiom.sup.property
+        for known, stated in owners:
+            if isinstance(known, Existential) and reasoner.is_subproperty_of(
+                known.property, role
+            ):
+                continue  # that edge is already an R-successor
+            owns = SubClassOf(stated, Existential(witness[role]))
+            if owns not in emitted and reasoner.is_subclass_of(
+                known, axiom.sub
+            ):
+                emitted.add(owns)
+                residual.add(owns)
+    for role, g in witness.items():
+        for sup in named:
+            if reasoner.is_subproperty_of(role, sup):
+                residual.add(SubPropertyOf(g, sup))
+        if isinstance(role, Role):
+            reached = Existential(role.inverted())
+            for cls in classes:
+                if reasoner.is_subclass_of(reached, cls):
+                    residual.add(SubClassOf(Existential(g.inverted()), cls))
     return residual

@@ -12,8 +12,8 @@ unfolder applies:
   never produce equal identifiers are dropped before SQL is emitted;
 * *self-join elimination* — two atoms reading the same table joined on its
   full primary key collapse into one scan;
-* *duplicate-block elimination* — syntactically identical SELECTs are
-  emitted once.
+* *duplicate-block elimination* — SELECTs identical up to the order of
+  their WHERE conjuncts are emitted once.
 
 Unfolding is linear in |mappings| x |query atoms| per produced block
 (benchmark E6).
@@ -22,7 +22,7 @@ Unfolding is linear in |mappings| x |query atoms| per produced block
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from collections.abc import Sequence
 from typing import Union
 
@@ -40,6 +40,7 @@ from ..sql import (
     SubSelect,
     TableExpr,
     UnionQuery,
+    print_expr,
     print_query,
 )
 from .model import (
@@ -214,10 +215,16 @@ class Unfolder:
     def unfold(self, ucq: UnionOfConjunctiveQueries) -> UnfoldingResult:
         """Unfold every disjunct and merge the fleets."""
         disjuncts: list[UnfoldedDisjunct] = []
-        seen: set[str] = set()
+        seen: set[tuple] = set()
         for cq in ucq:
             for disjunct in self.unfold_cq(cq):
-                key = print_query(disjunct.select)
+                # WHERE is a conjunction: blocks differing only in the
+                # order their atoms contributed conjuncts are one query
+                select = disjunct.select
+                key = (
+                    print_query(replace(select, where=())),
+                    tuple(sorted(map(print_expr, select.where))),
+                )
                 if key not in seen:
                     seen.add(key)
                     disjuncts.append(disjunct)
@@ -316,8 +323,6 @@ class Unfolder:
             table, resolver, extra_where, base_name = inlined
             # Projections are irrelevant for self-join elimination: two scans
             # of the same base table with the same residual filters can merge.
-            from ..sql import print_expr
-
             filter_sig = sorted(
                 print_expr(_rename_aliases(p, {alias: "_"})) for p in extra_where
             )

@@ -93,6 +93,12 @@ def render_query_table(snapshot) -> str:
         f"bus: published={int(published)} deliveries={int(deliveries)} "
         f"dropped={int(dropped)} backpressure_deferrals={int(deferrals)}"
     )
+    lines.append(
+        "statics: materialised="
+        f"{int(snapshot.total('static_relations_materialised_total'))} "
+        f"shared={int(snapshot.total('static_relations_shared_total'))} "
+        f"rows_held={int(snapshot.total('static_relation_rows'))}"
+    )
     return "\n".join(lines)
 
 

@@ -239,22 +239,28 @@ class Session:
         Returns an :class:`~repro.analysis.AnalysisReport` of everything
         the analyzer can establish against this session's deployment:
         type errors, unsatisfiable predicates, window-grid behaviour,
-        and the MQO sharing/subsumption predictions relative to the
-        currently registered queries.  Accepts raw STARQL text (also
-        covers syntax/reference errors) or an already-prepared query.
+        the MQO sharing/subsumption predictions relative to the
+        currently registered queries, and what registration would cost:
+        the UCQ/SQL-block counts of the translation and, per static
+        input, whether its relation is already materialised and shared.
+        Accepts raw STARQL text (also covers syntax/reference errors) or
+        an already-prepared query.
         """
         from ..analysis import analyze_plan, analyze_starql
+        from ..analysis.analyzer import check_translation
 
         if isinstance(query, str):
             return analyze_starql(
                 query, self.translator, gateway=self.gateway, name=name
             )
-        return analyze_plan(
+        report = analyze_plan(
             query.translation.plan,
             self.gateway.engine,
             gateway=self.gateway,
             name=name,
         )
+        check_translation(query.translation, report)
+        return report
 
     def lint(self, query: PreparedQuery | str, name=None) -> list:
         """The diagnostics of :meth:`explain`, most severe first."""

@@ -54,6 +54,15 @@ def find_homomorphism(
     by_predicate: dict[tuple[str, int], list[Atom]] = defaultdict(list)
     for atom in target.atoms:
         by_predicate[(atom.predicate.value, len(atom.args))].append(atom)
+    # Every source atom needs a same-predicate image, whatever the
+    # variable bindings: without one there is nothing to backtrack over.
+    # (A set test, not a multiset one — a homomorphism may fold several
+    # source atoms onto one target atom.)
+    if any(
+        (atom.predicate.value, len(atom.args)) not in by_predicate
+        for atom in source.atoms
+    ):
+        return None
 
     def search(
         remaining: tuple[Atom, ...], current: dict[Variable, Term]

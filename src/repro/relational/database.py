@@ -16,9 +16,14 @@ from typing import Any
 
 from .schema import Schema, Table
 
-__all__ = ["Database", "Row"]
+__all__ = ["Database", "Row", "QUERY_ERRORS"]
 
 Row = tuple[Any, ...]
+
+#: what :meth:`Database.query` / :meth:`Database.query_with_names` raise
+#: on SQL the database refuses (callers above the storage layer catch
+#: these instead of importing the backend)
+QUERY_ERRORS = (sqlite3.Error, sqlite3.Warning)
 
 
 class Database:
@@ -37,6 +42,9 @@ class Database:
 
     def __init__(self, schema: Schema, path: str = ":memory:") -> None:
         self.schema = schema
+        #: bumped by every :meth:`insert`: consumers that keep query
+        #: results around compare it to tell stale from current
+        self.version = 0
         self._conn = sqlite3.connect(path)
         self._conn.execute("PRAGMA foreign_keys = OFF")
         for table in schema:
@@ -52,6 +60,7 @@ class Database:
         statement = f"INSERT INTO {table_name} VALUES ({placeholders})"
         cursor = self._conn.executemany(statement, rows)
         self._conn.commit()
+        self.version += 1
         return cursor.rowcount
 
     def insert_dicts(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 from typing import Any
@@ -73,6 +74,10 @@ from .macros import MacroRegistry, collect_attributes, compile_macro
 __all__ = ["TranslationError", "ConstructTemplate", "TranslationResult", "STARQLTranslator"]
 
 _translator_counter = itertools.count(1)
+
+#: prepared translations kept per translator, least recently used out
+#: first (a cached result holds a plan, a UCQ and an unfolding)
+_TEXT_CACHE_SIZE = 128
 
 # mirrors the parser's string-literal token; capturing group keeps the
 # literals in re.split output (at odd indices)
@@ -172,7 +177,7 @@ class STARQLTranslator:
             self.saturated = mappings
             self._rewriter = PerfectRef(ontology)
         self._unfolder = Unfolder(self.saturated, primary_keys)
-        self._text_cache: dict[str, TranslationResult] = {}
+        self._text_cache: OrderedDict[str, TranslationResult] = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -208,8 +213,11 @@ class STARQLTranslator:
             self.cache_misses += 1
             cached = self.translate(parse_starql(text))
             self._text_cache[key] = cached
+            if len(self._text_cache) > _TEXT_CACHE_SIZE:
+                self._text_cache.popitem(last=False)
         else:
             self.cache_hits += 1
+            self._text_cache.move_to_end(key)
         return cached
 
     def translate(

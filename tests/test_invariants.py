@@ -172,6 +172,25 @@ def test_sharded_violation_detected_on_leaked_reader_demand(shards, kind):
     assert any(f"{kind} demand" in v for v in info.value.violations)
 
 
+@pytest.mark.parametrize("shards", [1, 2])
+def test_violation_detected_on_leaked_static_reference(shards):
+    gateway = sharded_gateway()
+    registered = gateway.register(QUERIES["join"], name="join", shards=shards)
+    gateway.step(2)
+    verify_gateway(gateway)
+    catalog = gateway.engine.static_catalog
+    leaf = registered.runtime.leaf_runtimes[-1]
+    database, sql, _version = leaf.static_keys[0]
+    catalog.acquire(database, sql)  # a reference no runtime accounts for
+    with pytest.raises(InvariantViolation) as info:
+        verify_gateway(gateway)
+    assert any("static relation" in v for v in info.value.violations)
+    with pytest.raises(InvariantViolation) as info:
+        gateway.deregister("join")  # (audit mode verifies in here already)
+        verify_gateway(gateway)  # ... and it outlives the last deregister
+    assert any("0 runtime reference" in v for v in info.value.violations)
+
+
 SHARDED_SQL = {
     "agg": QUERIES["agg"],
     "pane_join": (

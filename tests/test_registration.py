@@ -1,0 +1,401 @@
+"""Registration does each piece of work once.
+
+The bind leg: static relations are materialised once per ``(database,
+SQL text)`` and shared across queries, aliases, sessions and shards;
+a failed bind leaves nothing behind.  The translate leg: block
+deduplication, the bounded translation cache, and the count budgets CI
+gates on (counts repeat exactly where timings cannot).
+"""
+
+import sqlite3
+from dataclasses import replace
+
+import pytest
+
+from cqgen import build_engine, measurement_rows, snapshot
+from repro.analysis import verify_gateway
+from repro.errors import BindError, ReproError
+from repro.exastream import GatewayServer, plan_sql
+from repro.exastream.durability import CheckpointManager, recover
+from repro.mappings import (
+    MappingAssertion,
+    MappingCollection,
+    Template,
+    TemplateSpec,
+    Unfolder,
+)
+from repro.queries import (
+    ClassAtom,
+    ConjunctiveQuery,
+    PropertyAtom,
+    UnionOfConjunctiveQueries,
+)
+from repro.queries import containment
+from repro.rdf import Namespace, Variable
+from repro.relational import Column, Database, Schema, SQLType, Table
+from repro.siemens import FleetConfig, deploy, diagnostic_catalog, generate_fleet
+from repro.sql import print_query
+from repro.starql import translator as translator_module
+
+ROWS = measurement_rows(n_seconds=40)
+
+#: two queries reading the same static relation under different aliases
+JOIN_T = (
+    "SELECT s.sid AS sid, t.kind AS kind, COUNT(*) AS n "
+    "FROM timeSlidingWindow(S, 10, 5) AS s, sensors AS t "
+    "WHERE s.sid = t.sid GROUP BY s.sid, t.kind"
+)
+JOIN_U = (
+    "SELECT s.sid AS sid, u.kind AS kind, MAX(s.val) AS top "
+    "FROM timeSlidingWindow(S, 20, 5) AS s, sensors AS u "
+    "WHERE s.sid = u.sid GROUP BY s.sid, u.kind"
+)
+BAD_STATIC = (
+    "SELECT w1.sid AS sid, COUNT(*) AS n "
+    "FROM timeSlidingWindow(S, 7.0, 1.0) AS w1, "
+    "(SELECT nosuch AS sid FROM sensors) AS st "
+    "WHERE w1.sid = st.sid GROUP BY w1.sid"
+)
+
+
+@pytest.fixture
+def static_queries(monkeypatch):
+    """Every SQL text ``Database.query_with_names`` is asked to run."""
+    seen = []
+    real = Database.query_with_names
+
+    def counting(self, sql, params=()):
+        seen.append(sql)
+        return real(self, sql, params)
+
+    monkeypatch.setattr(Database, "query_with_names", counting)
+    return seen
+
+
+def drain(gateway):
+    while gateway.step():
+        pass
+
+
+def solo(sql, shards):
+    """``sql`` registered alone on a fresh deployment, run to the end."""
+    gateway = GatewayServer(build_engine(list(ROWS), shards=2 if shards else 1))
+    registered = gateway.register(sql, name="q", shards=shards or None)
+    drain(gateway)
+    return snapshot(registered)
+
+
+# -- sharing -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shards", [0, 1, 2])
+def test_queries_and_shards_share_one_materialisation(shards, static_queries):
+    # shards=0: a plain StreamEngine; 1/2: layouts of a two-shard pool
+    engine = build_engine(list(ROWS), shards=2 if shards else 1)
+    gateway = GatewayServer(engine)
+    a = gateway.register(JOIN_T, name="a", shards=shards or None)
+    b = gateway.register(JOIN_U, name="b", shards=shards or None)
+    assert len(static_queries) == 1  # one SQL, whatever the alias or shard
+    assert len(engine.static_catalog) == 1
+    leaves = a.runtime.leaf_runtimes + b.runtime.leaf_runtimes
+    assert sum(engine.static_catalog.refs.values()) == len(leaves)
+    tables = [leaf.statics[alias] for leaf, alias in zip(
+        leaves,
+        ["t"] * len(a.runtime.leaf_runtimes)
+        + ["u"] * len(b.runtime.leaf_runtimes),
+    )]
+    assert all(t.relation.rows is tables[0].relation.rows for t in tables)
+    drain(gateway)
+    verify_gateway(gateway)
+    # rows are shared, hash indexes are each view's own: a query's
+    # first probe costs the same whoever probed the relation before it
+    assert len({id(t._indexes) for t in tables}) == len(tables)
+    assert all(len(t._indexes) == 1 for t in tables)
+    del static_queries[:]
+    assert snapshot(a) == solo(JOIN_T, shards)
+    assert snapshot(b) == solo(JOIN_U, shards)
+    gateway.deregister("a")
+    assert len(engine.static_catalog) == 1  # b still reads it
+    gateway.deregister("b")
+    assert len(engine.static_catalog) == 0
+    verify_gateway(gateway)
+
+
+def test_pushdown_filter_stays_private():
+    filtered = JOIN_T.replace("WHERE", "WHERE t.kind = 'temp' AND")
+    gateway = GatewayServer(build_engine(list(ROWS)))
+    plain = gateway.register(JOIN_T, name="plain")
+    narrow = gateway.register(filtered, name="narrow")
+    shared = plain.runtime.statics["t"]
+    private = narrow.runtime.statics["t"]
+    assert len(private.relation.rows) < len(shared.relation.rows)
+    assert private.relation.rows is not shared.relation.rows
+    assert private._indexes is not shared._indexes
+    drain(gateway)
+    assert snapshot(plain) == solo(JOIN_T, 0)
+    assert snapshot(narrow) == solo(filtered, 0)
+
+
+def small_deployment(**kwargs):
+    fleet = generate_fleet(FleetConfig(turbines=2, plants=2, seed=5))
+    return deploy(fleet=fleet, stream_duration=20, **kwargs)
+
+
+def session_results(deployment, tasks, sessions):
+    """Every task submitted by each of ``sessions`` sessions; results
+    per (session, task) after the run drains."""
+    opened = [deployment.session(sink_capacity=None) for _ in range(sessions)]
+    handles = {
+        (i, task.task_id): session.submit(
+            task.starql, name=f"s{i}.t{task.task_id}"
+        )
+        for i, session in enumerate(opened)
+        for task in tasks
+    }
+    while deployment.step():
+        pass
+    out = {key: snapshot(h.registered) for key, h in handles.items()}
+    return out, opened
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_sessions_share_and_match_solo_deployments(shards, static_queries):
+    tasks = [diagnostic_catalog()[i] for i in (0, 1, 6, 7)]
+    deployment = small_deployment(shards=shards)
+    shared, opened = session_results(deployment, tasks, sessions=2)
+    distinct = {
+        deployment.translator.translate_text(t.starql).plan.statics[0].sql
+        for t in tasks
+    }
+    assert sorted(static_queries) == sorted(distinct)
+    for task in tasks:
+        alone, _ = session_results(
+            small_deployment(shards=shards), [task], sessions=1
+        )
+        assert shared[0, task.task_id] == alone[0, task.task_id]
+        assert shared[1, task.task_id] == alone[0, task.task_id]
+    opened[0].close()
+    assert len(deployment.engine.static_catalog) == len(distinct)
+    opened[1].close()
+    assert len(deployment.engine.static_catalog) == 0
+    assert deployment.gateway.shared_reader_count == 0
+    verify_gateway(deployment.gateway)
+
+
+def sensors_db(sids):
+    schema = Schema("meta")
+    schema.add(Table("sensors", [
+        Column("sid", SQLType.INTEGER), Column("kind", SQLType.TEXT),
+    ]))
+    db = Database(schema)
+    db.insert("sensors", [(s, "temp") for s in sids])
+    return db
+
+
+def test_insert_invalidates_for_the_next_registration_only(static_queries):
+    def run(sql, db_sids, then_insert=(), then_sql=None):
+        engine = build_engine(list(ROWS), attach_static=False)
+        db = sensors_db(db_sids)
+        engine.attach_database("meta", db)
+        gateway = GatewayServer(engine)
+        first = gateway.register(sql, name="first")
+        second = None
+        if then_insert:
+            db.insert("sensors", [(s, "temp") for s in then_insert])
+            second = gateway.register(then_sql, name="second")
+            assert len(engine.static_catalog) == 2  # old rows + new rows
+        drain(gateway)
+        return snapshot(first), second and snapshot(second)
+
+    # (a different window grid keeps MQO from sharing the two pipelines)
+    before, after = run(
+        JOIN_T, [0, 1, 2], then_insert=[3, 4, 5], then_sql=JOIN_U
+    )
+    assert len(static_queries) == 2  # the same SQL text, run again
+    assert static_queries[0] == static_queries[1]
+    assert before == run(JOIN_T, [0, 1, 2])[0]  # untouched by the insert
+    assert after == run(JOIN_U, [0, 1, 2, 3, 4, 5])[0]  # sees the new rows
+    assert after != run(JOIN_U, [0, 1, 2])[0]
+
+
+def test_catalog_empty_after_recover_and_close(tmp_path):
+    engine = build_engine(list(ROWS))
+    gateway = GatewayServer(engine)
+    gateway.register(JOIN_T, name="a")
+    gateway.register(JOIN_U, name="b")
+    manager = CheckpointManager(gateway, tmp_path, interval=1)
+    gateway.step(3)
+    manager.close()
+    fresh = build_engine(list(ROWS))
+    recovered = recover(tmp_path, fresh)
+    assert len(fresh.static_catalog) == 1
+    verify_gateway(recovered)
+    drain(recovered)
+    for name in ("a", "b"):
+        recovered.deregister(name)
+    assert len(fresh.static_catalog) == 0
+    verify_gateway(recovered)
+
+
+def test_run_continuous_releases_its_statics():
+    engine = build_engine(list(ROWS))
+    results = engine.run_continuous(plan_sql(JOIN_T, engine, name="q"))
+    next(results)
+    assert len(engine.static_catalog) == 1
+    results.close()
+    assert len(engine.static_catalog) == 0
+
+
+# -- a failed bind leaves nothing behind, and says what failed ---------------
+
+
+@pytest.mark.parametrize("audit", [False, True])
+@pytest.mark.parametrize("shards", [0, 2])
+def test_failed_bind_leaks_nothing(shards, audit, monkeypatch):
+    if audit:
+        monkeypatch.setenv("REPRO_AUDIT", "1")
+    engine = build_engine(list(ROWS), shards=2 if shards else 1)
+    gateway = GatewayServer(engine)
+    with pytest.raises(BindError):
+        gateway.register(BAD_STATIC, name="bad", shards=shards or None)
+    assert "bad" not in gateway
+    assert gateway.shared_reader_count == 0
+    assert len(engine.static_catalog) == 0
+    verify_gateway(gateway)
+    # the deployment is as usable as before
+    good = gateway.register(JOIN_T, name="good", shards=shards or None)
+    with pytest.raises(BindError):
+        gateway.register(BAD_STATIC, name="bad", shards=shards or None)
+    assert gateway.shared_reader_count == max(shards, 1)
+    assert sum(engine.static_catalog.refs.values()) == len(
+        good.runtime.leaf_runtimes
+    )
+    drain(gateway)
+    assert snapshot(good) == solo(JOIN_T, shards)
+    gateway.deregister("good")
+    verify_gateway(gateway)
+
+
+def test_bind_error_carries_query_alias_and_sql():
+    gateway = GatewayServer(build_engine(list(ROWS)))
+    with pytest.raises(BindError) as info:
+        gateway.register(BAD_STATIC, name="bad")
+    error = info.value
+    assert isinstance(error, ReproError)
+    assert (error.query, error.alias) == ("bad", "st")
+    assert "nosuch" in error.sql and "nosuch" in str(error)
+    assert isinstance(error.__cause__, sqlite3.OperationalError)
+
+
+def test_unattached_database_is_a_bind_error():
+    planned_on = build_engine(list(ROWS))
+    plan = plan_sql(JOIN_T, planned_on, name="q")
+    bare = build_engine(list(ROWS), attach_static=False)
+    with pytest.raises(BindError) as info:
+        bare.bind(plan)
+    assert isinstance(info.value, KeyError)  # what it used to be
+    assert "not attached" in str(info.value) and info.value.alias == "t"
+    assert bare.shared_reader_count == 0
+
+
+# -- translate leg: block dedupe and the bounded translation cache -----------
+
+NS = Namespace("urn:reg#")
+
+
+def test_unfold_dedupes_blocks_up_to_conjunct_order():
+    # p and its inverse read one table with the columns swapped: the two
+    # disjuncts unfold to the same block with the equalities in the
+    # other order
+    mappings = MappingCollection()
+    for name in ("A", "B"):
+        mappings.add(MappingAssertion.for_class(
+            NS[name], TemplateSpec(Template("urn:i/{id}")),
+            f"SELECT id FROM c_{name}", source_name="db"))
+    mappings.add(MappingAssertion.for_property(
+        NS.p, TemplateSpec(Template("urn:i/{s}")),
+        TemplateSpec(Template("urn:i/{o}")),
+        "SELECT s, o FROM r", source_name="db"))
+    mappings.add(MappingAssertion.for_property(
+        NS.p_inv, TemplateSpec(Template("urn:i/{o}")),
+        TemplateSpec(Template("urn:i/{s}")),
+        "SELECT s, o FROM r", source_name="db"))
+    x, y = Variable("x"), Variable("y")
+    classes = (ClassAtom(NS.A, x), ClassAtom(NS.B, y))
+    forward = ConjunctiveQuery((x,), classes + (PropertyAtom(NS.p, x, y),))
+    backward = ConjunctiveQuery(
+        (x,), classes + (PropertyAtom(NS.p_inv, y, x),)
+    )
+    unfolder = Unfolder(mappings)
+    first, second = (
+        unfolder.unfold_cq(cq)[0].select for cq in (forward, backward)
+    )
+    # the same block, but for the order of its conjuncts
+    assert print_query(first) != print_query(second)
+    assert first.where != second.where
+    assert set(first.where) == set(second.where)
+    assert replace(first, where=()) == replace(second, where=())
+    result = unfolder.unfold(UnionOfConjunctiveQueries((forward, backward)))
+    assert [d.select for d in result.disjuncts] == [first]  # first seen
+
+
+def test_translation_cache_is_a_bounded_lru():
+    deployment = small_deployment()
+    translator = deployment.translator
+    base = diagnostic_catalog()[1].starql
+    limit = translator_module._TEXT_CACHE_SIZE
+
+    def variant(k):
+        return base.replace("> 95", f"> {95 + k}")
+
+    translator.translate_text(base)
+    for k in range(1, limit):  # fills the cache exactly
+        translator.translate_text(variant(k))
+        translator.translate_text(base)  # keeps the base text recent
+    assert len(translator._text_cache) == limit
+    assert (translator.cache_hits, translator.cache_misses) == (
+        limit - 1, limit,
+    )
+    for k in range(limit, 2 * limit):
+        translator.translate_text(variant(k))
+        translator.translate_text(base)
+    assert len(translator._text_cache) == limit  # bounded
+    assert translator.cache_hits == 2 * limit - 1  # base never evicted
+    translator.translate_text(variant(1))  # evicted long ago: a miss
+    assert translator.cache_misses == 2 * limit + 1
+
+
+# -- the registration budget: counts, not wall clock -------------------------
+
+
+def test_registration_budget(static_queries, monkeypatch):
+    homomorphism_calls = []
+    real = containment.find_homomorphism
+
+    def counting(source, target):
+        homomorphism_calls.append(1)
+        return real(source, target)
+
+    monkeypatch.setattr(containment, "find_homomorphism", counting)
+    deployment = small_deployment(shards=2)
+    tasks = diagnostic_catalog()
+    translations = [
+        deployment.translator.translate_text(t.starql) for t in tasks
+    ]
+    assert len(homomorphism_calls) <= 200
+    assert sum(len(t.enriched) for t in translations) == 20
+    distinct = {t.plan.statics[0].sql for t in translations}
+    assert len(distinct) == 16
+
+    sessions = [deployment.session(sink_capacity=4) for _ in range(3)]
+    for i, session in enumerate(sessions):
+        for task in tasks:
+            session.submit(task.starql, name=f"s{i}.t{task.task_id}", shards=1)
+    assert sorted(static_queries) == sorted(distinct)  # once each
+    wide = deployment.session(sink_capacity=4)
+    for task in tasks:
+        wide.submit(task.starql, name=f"wide.t{task.task_id}", shards=2)
+    assert len(static_queries) == len(distinct)  # shards add none
+    for session in sessions + [wide]:
+        session.close()
+    assert len(deployment.engine.static_catalog) == 0

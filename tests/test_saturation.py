@@ -1,5 +1,9 @@
 """Tests for T-mappings (mapping saturation) and the residual ontology."""
 
+import hashlib
+import sqlite3
+
+from hypothesis import given, settings, strategies as st
 
 from repro.mappings import (
     ColumnSpec,
@@ -7,6 +11,7 @@ from repro.mappings import (
     MappingCollection,
     Template,
     TemplateSpec,
+    Unfolder,
 )
 from repro.mappings.saturation import existential_subontology, saturate_mappings
 from repro.ontology import (
@@ -17,7 +22,9 @@ from repro.ontology import (
     SubClassOf,
     SubPropertyOf,
 )
-from repro.rdf import Namespace, XSD
+from repro.queries import ClassAtom, ConjunctiveQuery, PropertyAtom
+from repro.rdf import Namespace, Variable, XSD
+from repro.rewriting import PerfectRef
 
 NS = Namespace("urn:sat#")
 T = Template("urn:data/{id}")
@@ -106,13 +113,6 @@ class TestSaturation:
 
     def test_saturation_answers_match_rewriting(self):
         """Saturated unfolding == full PerfectRef unfolding (same answers)."""
-        import sqlite3
-
-        from repro.mappings import Unfolder
-        from repro.queries import ClassAtom, ConjunctiveQuery
-        from repro.rdf import Variable
-        from repro.rewriting import PerfectRef
-
         onto = Ontology()
         onto.add(SubClassOf(AtomicClass(NS.GasTurbine), AtomicClass(NS.Turbine)))
         onto.add(SubClassOf(
@@ -129,27 +129,266 @@ class TestSaturation:
 
         x = Variable("x")
         q = ConjunctiveQuery((x,), (ClassAtom(NS.Turbine, x),))
-
-        # path A: full rewriting over raw mappings
-        ucq = PerfectRef(onto).rewrite(q)
-        sql_a = Unfolder(mc).unfold(ucq).sql()
-        # path B: trivial rewriting over saturated mappings
-        residual = existential_subontology(onto)
-        ucq_b = PerfectRef(residual).rewrite(q)
-        sql_b = Unfolder(saturate_mappings(mc, onto)).unfold(ucq_b).sql()
-
-        rows_a = set(conn.execute(sql_a).fetchall())
-        rows_b = set(conn.execute(sql_b).fetchall())
+        rows_a, rows_b = both_paths(conn, onto, mc, q)
         assert rows_a == rows_b == {("urn:data/1",), ("urn:data/2",)}
 
 
-class TestResidualOntology:
-    def test_keeps_only_existential_rhs(self):
+# -- path A / path B: the residual TBox answers what the full TBox answers --
+#
+# Path A is PerfectRef over the full TBox + the raw mappings; path B is
+# PerfectRef over ``existential_subontology`` + the saturated mappings.
+# Both unfold to SQL and run on sqlite; the answer sets must be equal.
+
+CLASSES = ("A", "B", "C", "D")
+ROLES = ("p", "q", "r")
+X, Y, Z = Variable("x"), Variable("y"), Variable("z")
+
+
+def signature_mappings():
+    """One table per class (``c_A(id)``) and per role (``r_p(s, o)``)."""
+    mc = MappingCollection()
+    for name in CLASSES:
+        mc.add(MappingAssertion.for_class(
+            NS[name], TemplateSpec(Template("urn:i/{id}")),
+            f"SELECT id FROM c_{name}", source_name="db"))
+    for name in ROLES:
+        mc.add(MappingAssertion.for_property(
+            NS[name], TemplateSpec(Template("urn:i/{s}")),
+            TemplateSpec(Template("urn:i/{o}")),
+            f"SELECT s, o FROM r_{name}", source_name="db"))
+    return mc
+
+
+def signature_db(members=(), edges=()):
+    """``members``: (class, id) pairs; ``edges``: (role, s, o) triples."""
+    conn = sqlite3.connect(":memory:")
+    for name in CLASSES:
+        conn.execute(f"CREATE TABLE c_{name} (id INTEGER)")
+    for name in ROLES:
+        conn.execute(f"CREATE TABLE r_{name} (s INTEGER, o INTEGER)")
+    for name, member in members:
+        conn.execute(f"INSERT INTO c_{name} VALUES (?)", (member,))
+    for name, s, o in edges:
+        conn.execute(f"INSERT INTO r_{name} VALUES (?, ?)", (s, o))
+    return conn
+
+
+def both_paths(conn, onto, mc, query):
+    def answers(sql):
+        return set(conn.execute(sql).fetchall()) if sql else set()
+
+    full = Unfolder(mc).unfold(PerfectRef(onto).rewrite(query))
+    residual = Unfolder(saturate_mappings(mc, onto)).unfold(
+        PerfectRef(existential_subontology(onto)).rewrite(query)
+    )
+    return answers(full.sql()), answers(residual.sql())
+
+
+def iri(n):
+    return (f"urn:i/{n}",)
+
+
+class TestResidualEquivalence:
+    def test_witness_reached_through_a_super_role(self):
+        # {A ⊑ ∃p, p ⊑ q}: q(x, _) must still find A(x) — dropping the
+        # role inclusion without closing the existential loses it
         onto = Ontology()
+        onto.add(SubClassOf(AtomicClass(NS.A), Existential(Role(NS.p))))
+        onto.add(SubPropertyOf(Role(NS.p), Role(NS.q)))
+        conn = signature_db(members=[("A", 1)], edges=[("q", 2, 3)])
+        q = ConjunctiveQuery((X,), (PropertyAtom(NS.q, X, Y),))
+        rows_a, rows_b = both_paths(conn, onto, signature_mappings(), q)
+        assert rows_a == rows_b == {iri(1), iri(2)}
+
+    def test_one_witness_serves_both_roles(self):
+        # p(x, y) ∧ q(x, y) needs the *same* anonymous y under both roles
+        onto = Ontology()
+        onto.add(SubClassOf(AtomicClass(NS.A), Existential(Role(NS.p))))
+        onto.add(SubPropertyOf(Role(NS.p), Role(NS.q)))
+        conn = signature_db(members=[("A", 1)], edges=[("p", 2, 3)])
+        q = ConjunctiveQuery(
+            (X,), (PropertyAtom(NS.p, X, Y), PropertyAtom(NS.q, X, Y))
+        )
+        rows_a, rows_b = both_paths(conn, onto, signature_mappings(), q)
+        assert rows_a == rows_b == {iri(1), iri(2)}
+
+    def test_inverse_roles(self):
+        # A ⊑ ∃p⁻, p ⊑ q⁻: every A is the object of a p, hence the
+        # subject of a q; ∃q ⊑ B folds into the mappings
+        onto = Ontology()
+        onto.add(SubClassOf(
+            AtomicClass(NS.A), Existential(Role(NS.p, inverse=True))))
+        onto.add(SubPropertyOf(Role(NS.p), Role(NS.q, inverse=True)))
+        onto.add(SubClassOf(Existential(Role(NS.q)), AtomicClass(NS.B)))
+        conn = signature_db(members=[("A", 1)], edges=[("p", 5, 6)])
+        mc = signature_mappings()
+        q = ConjunctiveQuery((X,), (PropertyAtom(NS.q, X, Y),))
+        rows_a, rows_b = both_paths(conn, onto, mc, q)
+        assert rows_a == rows_b == {iri(1), iri(6)}
+        q = ConjunctiveQuery((X,), (ClassAtom(NS.B, X),))
+        rows_a, rows_b = both_paths(conn, onto, mc, q)
+        assert rows_a == rows_b == {iri(1), iri(6)}
+
+    def test_qualified_existential(self):
+        # B ⊑ ∃p.C, C ⊑ D, p ⊑ q: the witness is a C (and a D) reached
+        # by p and by q
+        onto = Ontology()
+        onto.add(SubClassOf(
+            AtomicClass(NS.B), Existential(Role(NS.p), AtomicClass(NS.C))))
+        onto.add(SubClassOf(AtomicClass(NS.C), AtomicClass(NS.D)))
+        onto.add(SubPropertyOf(Role(NS.p), Role(NS.q)))
+        conn = signature_db(
+            members=[("B", 1), ("D", 4)], edges=[("q", 2, 4), ("p", 3, 9)]
+        )
+        q = ConjunctiveQuery(
+            (X,), (PropertyAtom(NS.q, X, Y), ClassAtom(NS.D, Y))
+        )
+        rows_a, rows_b = both_paths(conn, onto, signature_mappings(), q)
+        assert rows_a == rows_b == {iri(1), iri(2)}
+
+    def test_witness_owns_a_witness(self):
+        # A ⊑ ∃p, ∃p⁻ ⊑ ∃r: a chain of two anonymous individuals
+        onto = Ontology()
+        onto.add(SubClassOf(AtomicClass(NS.A), Existential(Role(NS.p))))
+        onto.add(SubClassOf(
+            Existential(Role(NS.p, inverse=True)), Existential(Role(NS.r))))
+        conn = signature_db(members=[("A", 1)])
+        q = ConjunctiveQuery(
+            (X,), (PropertyAtom(NS.p, X, Y), PropertyAtom(NS.r, Y, Z))
+        )
+        rows_a, rows_b = both_paths(conn, onto, signature_mappings(), q)
+        assert rows_a == rows_b == {iri(1)}
+
+
+# A two-class, two-role signature: small enough that random axioms,
+# query atoms and facts keep meeting each other.
+SMALL_CLASSES, SMALL_ROLES = CLASSES[:2], ROLES[:2]
+
+
+@st.composite
+def tboxes(draw):
+    role = st.builds(Role, st.sampled_from(SMALL_ROLES).map(NS.__getitem__),
+                     st.booleans())
+    named = st.sampled_from(SMALL_CLASSES).map(NS.__getitem__).map(AtomicClass)
+    basic = st.one_of(named, role.map(Existential))
+    axiom = st.one_of(
+        st.builds(SubClassOf, basic, named),
+        st.builds(SubClassOf, basic, role.map(Existential)),
+        st.builds(SubClassOf, basic, st.builds(Existential, role, named)),
+        st.builds(SubPropertyOf, role, role),
+    )
+    onto = Ontology()
+    for item in draw(st.lists(axiom, min_size=1, max_size=6)):
+        onto.add(item)
+    return onto
+
+
+@st.composite
+def queries(draw):
+    variable = st.sampled_from((X, Y, Z))
+    atom = st.one_of(
+        st.builds(ClassAtom,
+                  st.sampled_from(SMALL_CLASSES).map(NS.__getitem__),
+                  variable),
+        st.builds(PropertyAtom,
+                  st.sampled_from(SMALL_ROLES).map(NS.__getitem__),
+                  variable, variable),
+    )
+    atoms = tuple(draw(st.lists(atom, min_size=1, max_size=3)))
+    used = [v for v in (X, Y, Z) if any(v in a.args for a in atoms)]
+    arity = draw(st.integers(1, min(2, len(used))))
+    return ConjunctiveQuery(tuple(used[:arity]), atoms)
+
+
+class TestResidualEquivalenceProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tboxes(),
+        queries(),
+        st.sets(st.tuples(st.sampled_from(SMALL_CLASSES), st.integers(0, 2)),
+                max_size=4),
+        st.sets(st.tuples(st.sampled_from(SMALL_ROLES), st.integers(0, 2),
+                          st.integers(0, 2)), max_size=4),
+    )
+    def test_random_dl_lite_tboxes(self, onto, query, members, edges):
+        conn = signature_db(sorted(members), sorted(edges))
+        rows_a, rows_b = both_paths(conn, onto, signature_mappings(), query)
+        assert rows_a == rows_b
+
+
+class TestResidualOntology:
+    def test_existential_axioms_closed_under_the_hierarchy(self):
+        onto = Ontology()
+        onto.add(SubClassOf(AtomicClass(NS.A0), AtomicClass(NS.A)))
         onto.add(SubClassOf(AtomicClass(NS.A), AtomicClass(NS.B)))
         onto.add(SubClassOf(AtomicClass(NS.A), Existential(Role(NS.p))))
         onto.add(SubPropertyOf(Role(NS.p), Role(NS.q)))
+        onto.add(SubClassOf(
+            Existential(Role(NS.q, inverse=True)), AtomicClass(NS.C)))
         residual = existential_subontology(onto)
-        assert len(residual.class_inclusions) == 1
-        assert isinstance(residual.class_inclusions[0].sup, Existential)
-        assert len(residual.property_inclusions) == 1
+        witness = Role(NS["p__gen"])
+        # who owns a witness: A and everything below it
+        assert set(residual.class_inclusions) == {
+            SubClassOf(AtomicClass(NS.A), Existential(witness)),
+            SubClassOf(AtomicClass(NS.A0), Existential(witness)),
+            # ... and what the witness is: ∃p⁻ ⊑ ∃q⁻ ⊑ C
+            SubClassOf(Existential(witness.inverted()), AtomicClass(NS.C)),
+        }
+        # which named roles reach it: p and, through p ⊑ q, q
+        assert set(residual.property_inclusions) == {
+            SubPropertyOf(witness, Role(NS.p)),
+            SubPropertyOf(witness, Role(NS.q)),
+        }
+
+    def test_no_inclusion_between_named_terms(self):
+        onto = Ontology()
+        onto.add(SubClassOf(AtomicClass(NS.A), AtomicClass(NS.B)))
+        onto.add(SubPropertyOf(Role(NS.p), Role(NS.q)))
+        onto.add(SubClassOf(Existential(Role(NS.p)), AtomicClass(NS.A)))
+        assert not existential_subontology(onto).axioms
+
+    def test_witness_a_named_edge_already_provides_is_skipped(self):
+        onto = Ontology()
+        onto.add(SubPropertyOf(Role(NS.p), Role(NS.q)))
+        onto.add(SubClassOf(
+            Existential(Role(NS.p)), Existential(Role(NS.q))))
+        assert not existential_subontology(onto).class_inclusions
+
+    def test_siemens_residual_is_empty(self):
+        from repro.siemens.ontology import build_siemens_ontology
+
+        assert not existential_subontology(build_siemens_ontology()).axioms
+
+
+#: (rows, sha256 of the sorted row set) of every catalog task's static
+#: SQL on ``FleetConfig(turbines=3, plants=2, seed=7)``, captured from
+#: the translation the copy-every-property-inclusion residual produced
+CATALOG_STATIC_ROWS = {
+    1: (336, "61233579fb429ebd"), 2: (72, "3518de1690680c28"),
+    3: (9, "cdb6fab9f618e35a"), 4: (48, "1d5f6e3fad91bf54"),
+    5: (37632, "3511b7aad773c04f"), 6: (224, "319ba6c7cd6a39c0"),
+    7: (72, "3518de1690680c28"), 8: (336, "76ecf34a34aecc49"),
+    9: (24, "7db030829658c735"), 10: (42, "4bad3513b2bd5dd1"),
+    11: (336, "76ecf34a34aecc49"), 12: (24, "aaceb68c2b6175fd"),
+    13: (42, "353748f4e1075171"), 14: (42, "b4c5277294cc5950"),
+    15: (48, "5157fd9af9b0e711"), 16: (72, "3518de1690680c28"),
+    17: (42, "4e5108be8ec8f283"), 18: (4, "585b3fcd625176ea"),
+    19: (336, "76ecf34a34aecc49"), 20: (16, "02ec42b5ca8adf57"),
+}
+
+
+def test_catalog_static_sql_keeps_its_row_sets():
+    from repro.siemens import (
+        FleetConfig, deploy, diagnostic_catalog, generate_fleet,
+    )
+
+    fleet = generate_fleet(FleetConfig(turbines=3, plants=2, seed=7))
+    deployment = deploy(fleet=fleet, stream_duration=5)
+    seen = {}
+    for task in diagnostic_catalog():
+        plan = deployment.translator.translate_text(task.starql).plan
+        (ref,) = plan.statics
+        rows = set(deployment.engine.database(ref.source).query(ref.sql))
+        digest = hashlib.sha256(repr(sorted(rows)).encode()).hexdigest()[:16]
+        seen[task.task_id] = (len(rows), digest)
+    assert seen == CATALOG_STATIC_ROWS
