@@ -8,7 +8,7 @@ RUFF ?= ruff
 
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-adaptive bench-compare bench-recovery coverage examples smoke lint lint-cq test-recovery obs-demo ledger ledger-compare ci
+.PHONY: test bench bench-smoke bench-adaptive bench-recovery coverage examples smoke lint lint-cq test-recovery obs-demo ledger ledger-compare ci
 
 test:
 	$(PY) -m pytest -x -q
@@ -78,19 +78,6 @@ bench-recovery:
 # gateway's plan-invariant verifier on (the CI fault-injection job).
 test-recovery:
 	REPRO_AUDIT=1 $(PY) -m pytest tests/test_recovery.py -q
-
-# Gate a fresh bench run against a baseline: fails on >20% regression of
-# any tracked median.  `make bench-smoke` writes bench-results.json; copy
-# it aside before a change and compare after:
-#   cp bench-results.json bench-baseline.json && <change> && make bench-smoke
-#   make bench-compare BENCH_BASELINE=bench-baseline.json
-# CI compares against the committed benchmarks/ci-baseline.json and
-# uploads the report as an artifact (informational there — runner
-# hardware varies; the gate is meant for like-for-like local runs).
-BENCH_BASELINE ?= bench-baseline.json
-BENCH_NEW ?= bench-results.json
-bench-compare:
-	$(PY) benchmarks/compare.py $(BENCH_BASELINE) $(BENCH_NEW)
 
 # The repo benchmark (BENCHMARK.json): STARQL text -> delivered
 # WindowResult on four workloads, absolute numbers plus a per-layer

@@ -34,6 +34,21 @@ Concrete classes keep their historical builtin bases (``KeyError``,
   not faithfully rebuild engine state (unknown stream, occupied reader
   slot, refcount mismatch, non-serializable fork workers).
 
+Errors about *input text* are defined next to the parser or compiler
+that raises them and derive from :class:`ReproError` there; all but
+the last are also a ``ValueError``:
+
+* ``repro.sql.SQLSyntaxError``, ``repro.starql.STARQLSyntaxError``,
+  ``repro.ontology.OntologySyntaxError``,
+  ``repro.queries.BGPSyntaxError`` — text that does not parse;
+* ``repro.starql.MacroError``, ``repro.starql.TranslationError``,
+  ``repro.exastream.PlanningError`` — text that parses but cannot be
+  expanded, translated or planned;
+* ``repro.streams.SequencingError`` — a window's state sequence
+  violates a declared integrity constraint;
+* ``repro.ontology.InconsistentOntologyError`` — the ABox violates a
+  (derived) negative inclusion.
+
 This module is a dependency leaf: it imports nothing from the rest of
 the package, so any layer may raise from it.
 """

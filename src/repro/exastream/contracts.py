@@ -1,25 +1,27 @@
-"""The two contracts every deployment shape implements.
+"""The two contracts the layers above the engine program against.
 
 One STARQL task runs on one node or on many, and nothing above the
-engine may care which.  The gateway, the durability layer, the
-estimator and the audit verifier program against two base classes
-instead of probing for the shape they were handed:
+engine may care which: the deployment's width is a number.  The
+gateway, the durability layer, the estimator and the audit verifier
+see two base classes:
 
 * :class:`WindowExecutor` — a plan bound to engine resources.  A
   :class:`~repro.exastream.engine.PlanRuntime` executes windows itself;
   a :class:`~repro.exastream.sharded.ShardedPlanRuntime` coordinates one
   ``PlanRuntime`` per shard.  Pane state, demand references and MQO
   bindings always live in the *leaf* runtimes.
-* :class:`Engine` — sources, static databases, ``bind``, the
-  shared-reader catalog and the :class:`StaticCatalog`, for
-  :class:`~repro.exastream.engine.StreamEngine` and
-  :class:`~repro.exastream.sharded.ShardedEngine` alike.
+* :class:`Engine` — an engine of ``shards`` nodes: one source registry,
+  one database registry, the shared-reader catalog, the
+  :class:`StaticCatalog`, one :class:`Node` record per node, and
+  ``bind``.  :class:`~repro.exastream.engine.StreamEngine` is the one
+  concrete engine; it adds what needs the runtime classes.
 
 Readers, caches and MQO pipelines are shared per **scope**, a ``(layout
-n, key column, shard)`` triple: a one-node engine is the single scope
-:data:`PLAIN_SCOPE`, a sharded engine adds one scope per layout slice.
-Static relations do not depend on the stream layout, so one
-:class:`StaticCatalog` serves every scope of an engine.
+n, key column, shard)`` triple: a plan laid out over one node lives in
+:data:`PLAIN_SCOPE`, an ``n``-node layout adds one scope per slice, and
+node *i* serves every scope whose shard index is *i*.  Static relations
+do not depend on the stream layout, so one :class:`StaticCatalog`
+serves every scope of an engine.
 """
 
 from __future__ import annotations
@@ -28,14 +30,16 @@ import weakref
 from abc import ABC, abstractmethod
 from collections import defaultdict
 from collections.abc import Callable, Iterator
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..obs import MetricRegistry, Observability
 from ..relational import Database
 from ..streams import SharedWindowReader, StreamSource, WindowCache
+from .metrics import EngineMetrics
 from .operators import Relation, StaticTable
 from .plan import ContinuousPlan
-from .sharding import PartitionMode, analyze_partitioning
+from .sharding import PartitionMode, analyze_partitioning, partitioned_tuples
 from .udf import UDFRegistry, builtin_registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -48,6 +52,7 @@ __all__ = [
     "StaticKey",
     "StaticCatalog",
     "WindowExecutor",
+    "Node",
     "Engine",
 ]
 
@@ -171,22 +176,51 @@ class WindowExecutor(ABC):
     def restore_state(self, state: dict) -> None: ...
 
 
-class Engine(ABC):
-    """Sources, static databases, the shared-reader and static-relation
-    catalogs, and ``bind``."""
+@dataclass(frozen=True)
+class Node:
+    """What one node of a deployment owns.  Everything else — sources,
+    databases, both catalogs — lives once, on the engine."""
 
-    #: the widest layout ``bind`` accepts
-    default_shards = 1
+    #: the window cache (wCache) the node's readers materialise into
+    cache: WindowCache
+    #: the bundle the node's runtimes count and trace through
+    obs: Observability
+    #: per-query counter views over ``obs.registry``
+    metrics: EngineMetrics
+
+
+class Engine(ABC):
+    """One deployment of ``shards`` nodes: sources, static databases,
+    the shared-reader and static-relation catalogs, the per-node
+    records, and ``bind``.
+
+    ``shards`` is the deployment's width; each ``bind`` may lay a plan
+    out over any ``1..shards`` of the nodes.  ``parallel="fork"`` runs
+    the shards of a multi-node binding in forked worker processes
+    (Linux/macOS); the default runs them in-process, which is
+    deterministic and cheap for small queries.  ``scheduler`` receives
+    the shard assignments and observed per-shard load of such bindings.
+    """
 
     def __init__(
         self,
-        udfs: UDFRegistry | None,
-        incremental: bool,
-        mqo: bool,
-        obs: Observability | None,
-        adaptive: bool,
+        shards: int = 1,
+        udfs: UDFRegistry | None = None,
+        cache_capacity: int = 4096,
+        parallel: str | None = None,
+        scheduler=None,
+        incremental: bool = True,
+        mqo: bool = True,
+        obs: Observability | None = None,
+        adaptive: bool = False,
     ) -> None:
+        if shards < 1:
+            raise ValueError("need at least one shard")
+        #: the widest layout ``bind`` accepts
+        self.default_shards = shards
         self.udfs = udfs or builtin_registry()
+        self.parallel = parallel
+        self.scheduler = scheduler
         #: the metric registry every counter view writes through, plus
         #: the (off-by-default) tracer
         self.obs = obs if obs is not None else Observability()
@@ -198,7 +232,9 @@ class Engine(ABC):
         self.mqo = mqo
         #: cost-based adaptive planning: the gateway costs each
         #: registration against :attr:`estimator` and attaches mid-flight
-        #: re-planning guards; every choice is demote-only
+        #: re-planning guards; every choice is demote-only.  The
+        #: estimator samples through this engine's one source registry,
+        #: so registration-time choices do not depend on the width.
         self.adaptive = adaptive
         self.estimator = None
         if adaptive:
@@ -207,6 +243,11 @@ class Engine(ABC):
             self.estimator = StatisticsCatalog(self)
         self._sources: dict[str, StreamSource] = {}
         self._databases: dict[str, Database] = {}
+        #: stream name -> (materialised tuples, first ts, last ts), for
+        #: the partitioned slices multi-node layouts read
+        self._materialized: dict[
+            str, tuple[list[tuple], float | None, float | None]
+        ] = {}
         #: the shared-reader catalog: queries with the same window grid
         #: in the same scope share materialised windows (the wCache
         #: behaviour).  The gateway reference-counts the sharing keys.
@@ -218,12 +259,38 @@ class Engine(ABC):
         #: gateway may sit beside a live one); the audit sums their
         #: runtimes' references against :attr:`static_catalog`
         self.gateways: weakref.WeakSet = weakref.WeakSet()
+        # One node keeps its books in the engine's own bundle, so a
+        # plain deployment's registry, exports and span attributes carry
+        # no shard.  N nodes count into per-shard views that
+        # ``metrics_snapshot`` merges, and the engine's own
+        # :attr:`metrics` holds the merged per-query window/tuple totals
+        # on a *private* registry: the same work is already counted
+        # node-side, and snapshots must not double-report it.
+        views = (
+            [self.obs] if shards == 1
+            else [self.obs.shard_view(shard) for shard in range(shards)]
+        )
+        #: node *i* serves every scope whose shard index is *i*
+        self.nodes = [
+            Node(
+                WindowCache(cache_capacity), view,
+                EngineMetrics(registry=view.registry),
+            )
+            for view in views
+        ]
+        #: node 0's window cache (the one-node layout's)
+        self.cache = self.nodes[0].cache
+        self.metrics = self.nodes[0].metrics if shards == 1 else EngineMetrics()
+        #: the live multi-node runtimes: their fork workers ship metric
+        #: deltas into :meth:`metrics_snapshot` and end with :meth:`close`
+        self._runtimes: weakref.WeakSet = weakref.WeakSet()
 
     # -- sources and static databases ---------------------------------------
 
     def register_stream(self, source: StreamSource) -> None:
         """Register a stream source under its stream name."""
         self._sources[source.stream.name] = source
+        self._materialized.pop(source.stream.name, None)
         if self.estimator is not None:
             self.estimator.invalidate(source.stream.name)
 
@@ -277,7 +344,7 @@ class Engine(ABC):
             source, anchor = self.reader_source(ref.stream, scope, key_index)
             reader = readers[key] = SharedWindowReader(
                 # The cache identity encodes the partition layout: a
-                # shard's WindowCache is shared across layouts, and a
+                # node's WindowCache is shared across layouts, and a
                 # full-stream reader and a slice reader would otherwise
                 # serve each other's batches for the same window.
                 key if n == 1 else f"{key}#p{n}k{key_index}s{shard}",
@@ -300,13 +367,13 @@ class Engine(ABC):
         return f"{ref.reader_key}@{plan.start}"
 
     @property
-    @abstractmethod
     def caches(self) -> list[WindowCache]:
-        """The window caches, by shard."""
+        """The window caches, by node."""
+        return [node.cache for node in self.nodes]
 
     def scope_cache(self, scope: Scope) -> WindowCache:
         """The window cache the scope's readers materialise into."""
-        return self.caches[scope[2]]
+        return self.nodes[scope[2]].cache
 
     def reader_source(
         self, stream: str, scope: Scope, key_index: int | None
@@ -317,7 +384,18 @@ class Engine(ABC):
         source = self._sources.get(stream)
         if source is None:
             raise KeyError(f"stream {stream!r} is not registered")
-        return (lambda: iter(source)), None
+        n, _key_column, shard = scope
+        if n == 1:
+            return (lambda: iter(source)), None
+        cached = self._materialized.get(stream)
+        if cached is None:
+            data = list(iter(source))
+            time_index = source.stream.schema.time_index
+            first = data[0][time_index] if data else None
+            last = data[-1][time_index] if data else None
+            cached = self._materialized[stream] = (data, first, last)
+        data, first_ts, last_ts = cached
+        return partitioned_tuples(data, shard, n, key_index, last_ts), first_ts
 
     # -- binding and execution ----------------------------------------------
 
@@ -332,24 +410,23 @@ class Engine(ABC):
         if n > self.default_shards:
             raise ValueError(
                 f"shards={n} exceeds the engine's pool of "
-                f"{self.default_shards} (a ShardedEngine provides more)"
+                f"{self.default_shards} (build the engine with a larger "
+                "shards=)"
             )
         return n
 
     def bind(
-        self, plan: ContinuousPlan, shards: int | None = None, mqo=None,
-        **layout,
+        self, plan: ContinuousPlan, shards: int | None = None, mqo=None
     ) -> WindowExecutor:
         """Bind a plan to sources/databases over the shared catalog.
 
         ``mqo`` is the gateway's shared-pipeline registry, which the
-        engine scopes per layout slice; ``layout`` takes shape-specific
-        keywords (a sharded engine's ``parallel=``).  A bind that raises
-        leaves the catalogs as it found them.
+        engine scopes per layout slice.  A bind that raises leaves the
+        catalogs as it found them.
         """
         before = {scope: len(readers) for scope, readers in self.catalog.items()}
         try:
-            return self._bind(plan, shards, mqo, self.catalog, **layout)
+            return self._bind(plan, shards, mqo, self.catalog)
         except Exception:
             # Readers this bind created have no query to release them;
             # a bind only ever adds, so they are each scope's newest.
@@ -360,22 +437,50 @@ class Engine(ABC):
 
     @abstractmethod
     def _bind(self, plan, shards, mqo, catalog: Catalog) -> WindowExecutor:
-        """``bind`` over ``catalog[scope]`` reader dictionaries."""
+        """``bind`` over ``catalog[scope]`` reader dictionaries — the one
+        part of the contract this module cannot state, because it builds
+        the runtimes (:class:`~repro.exastream.engine.StreamEngine`).  A
+        multi-node runtime is added to :attr:`_runtimes`."""
 
     def metrics_snapshot(self):
-        """A picklable point-in-time copy of the engine's registries."""
-        return self.obs.registry.snapshot()
+        """A picklable point-in-time copy of the engine's registries,
+        merged into one snapshot.
+
+        Per-mode merge folds the nodes: work counters (tuples, panes,
+        MQO hits) sum across shards, window counters and wall clocks
+        take the max — every shard executes the same window ids over
+        overlapping wall time.  Fork workers additionally ship their
+        post-fork registry deltas back over the worker pipe.
+        """
+        snapshot = self.obs.registry.snapshot()
+        if len(self.nodes) > 1:
+            for node in self.nodes:
+                snapshot = snapshot.merge(node.obs.registry.snapshot())
+        for runtime in self._runtimes:
+            for shard_snapshot in runtime.metric_snapshots():
+                snapshot = snapshot.merge(shard_snapshot)
+        return snapshot
+
+    def close(self) -> None:
+        """Terminate every live shard worker (forked processes)."""
+        for runtime in list(self._runtimes):
+            runtime.close()
+
+    def __enter__(self) -> Engine:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def run_continuous(
         self,
         plan: ContinuousPlan,
         max_windows: int | None = None,
         shards: int | None = None,
-        **layout,
     ) -> Iterator[WindowResult]:
         """Execute one plan until stream end (or ``max_windows``) over
         private readers — nothing enters the shared catalog."""
-        runtime = self._bind(plan, shards, None, defaultdict(dict), **layout)
+        runtime = self._bind(plan, shards, None, defaultdict(dict))
         try:
             window_id = 0
             while max_windows is None or window_id < max_windows:

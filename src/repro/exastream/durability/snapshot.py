@@ -278,8 +278,8 @@ def restore_gateway(engine, gateway_state, scope_records, scheduler=None):
     for scope, record in scope_records.items():
         if scope[0] > engine.default_shards:
             raise RecoveryError(
-                f"checkpoint scope {scope!r} needs a ShardedEngine with a "
-                f"pool of at least {scope[0]} behind the recovery gateway"
+                f"checkpoint scope {scope!r} needs an engine with "
+                f"shards >= {scope[0]} behind the recovery gateway"
             )
         _seed_scope(engine, scope, record)
 

@@ -1,11 +1,16 @@
-"""The per-node Stream Engine: window-at-a-time plan execution.
+"""The Stream Engine: window-at-a-time plan execution on N nodes.
 
-Each worker node runs one :class:`StreamEngine` (Figure 2), the
-one-scope :class:`~repro.exastream.contracts.Engine`: sources, static
-databases, the window cache (wCache) and its scope of the shared-reader
-catalog.  ``bind`` turns a :class:`~repro.exastream.plan.ContinuousPlan`
+:class:`StreamEngine` is the one concrete
+:class:`~repro.exastream.contracts.Engine` — the gateway's view of the
+worker nodes of Figure 2, whose number is the constructor's
+``shards=``.  The base class holds what exists once per deployment
+(sources, static databases, both catalogs) and the per-node records
+(window cache, observability view, counters); this module adds the
+binding.  ``bind`` turns a :class:`~repro.exastream.plan.ContinuousPlan`
 into a :class:`PlanRuntime`, the leaf
-:class:`~repro.exastream.contracts.WindowExecutor`.
+:class:`~repro.exastream.contracts.WindowExecutor`, on node 0 for a
+one-node layout, or into one leaf per node under a
+:class:`~repro.exastream.sharded.ShardedPlanRuntime`.
 
 A ``PlanRuntime`` is the **recompute pipeline** (load, computed columns,
 pushed filters, joins, residual filters, aggregation) plus at most one
@@ -28,7 +33,7 @@ from ..errors import BindError
 from ..obs import Observability
 from ..relational import QUERY_ERRORS
 from ..sql import Expr
-from ..streams import SharedWindowReader, WindowBatch, WindowCache
+from ..streams import SharedWindowReader, WindowBatch
 from .contracts import (
     PLAIN_SCOPE,
     Engine,
@@ -37,7 +42,7 @@ from .contracts import (
     StaticKey,
     WindowExecutor,
 )
-from .metrics import EngineMetrics, QueryMetrics, Stopwatch
+from .metrics import QueryMetrics, Stopwatch
 from .mqo.runtime import MQOBinding
 from .mqo.signature import plan_signature
 from .operators import (
@@ -62,7 +67,7 @@ from .plan import (
     as_equi_join,
     expr_aliases,
 )
-from .sharding import canonical_row_key
+from .sharding import analyze_partitioning, canonical_row_key, make_shard_plan
 from .udf import UDFRegistry
 
 __all__ = ["WindowResult", "BoundedResultSink", "StreamEngine", "PlanRuntime"]
@@ -805,31 +810,50 @@ class PlanRuntime(WindowExecutor):
 
 
 class StreamEngine(Engine):
-    """One node's engine: sources, databases, caches and plan execution —
-    the single-scope (:data:`PLAIN_SCOPE`) engine."""
+    """The engine: the :class:`~repro.exastream.contracts.Engine`
+    registries and catalogs plus the binding of plans to them."""
 
-    def __init__(
-        self,
-        udfs: UDFRegistry | None = None,
-        cache_capacity: int = 4096,
-        incremental: bool = True,
-        mqo: bool = True,
-        obs: Observability | None = None,
-        adaptive: bool = False,
-    ) -> None:
-        super().__init__(udfs, incremental, mqo, obs, adaptive)
-        self.cache = WindowCache(cache_capacity)
-        self.metrics = EngineMetrics(registry=self.obs.registry)
+    def _bind(self, plan, shards, mqo, catalog) -> WindowExecutor:
+        """A :class:`PlanRuntime` in :data:`PLAIN_SCOPE` for a one-node
+        layout (the plan verbatim over full streams); else one leaf
+        runtime per shard scope of the layout, each over its partitioned
+        readers, under a coordinating ``ShardedPlanRuntime``."""
+        if plan.partitioning is None:
+            plan.partitioning = analyze_partitioning(plan, self)
+        decision = plan.partitioning
+        n = self.resolve_shards(plan, shards)
+        if n == 1:
+            return self.bind_scope(plan, catalog[PLAIN_SCOPE], mqo, PLAIN_SCOPE)
+        # sharded.py builds on this module's PlanRuntime and WindowResult
+        from .sharded import ShardedPlanRuntime
 
-    @property
-    def caches(self) -> list[WindowCache]:
-        return [self.cache]
-
-    # -- plan binding ------------------------------------------------------------
-
-    def _bind(self, plan, shards, mqo, catalog) -> PlanRuntime:
-        self.resolve_shards(plan, shards)  # refuses layouts wider than 1
-        return self.bind_scope(plan, catalog[PLAIN_SCOPE], mqo, PLAIN_SCOPE)
+        # Leaves run pane tiers shard-locally: join-key-partitioned
+        # layouts route both streams' matching tuples to the same shard
+        # and shard slices preserve stream order, so each shard's output
+        # — and therefore the merge — is unchanged by the tier.
+        shard_plan, combiner = make_shard_plan(plan, decision)
+        leaves = []
+        for shard in range(n):
+            scope = (n, decision.key_column, shard)
+            for ref in plan.windows:  # this shard's partitioned readers
+                self.shared_reader(
+                    catalog[scope], ref, plan, scope,
+                    decision.stream_keys.get(ref.stream),
+                )
+            leaves.append(
+                self.bind_scope(shard_plan, catalog[scope], mqo, scope)
+            )
+        runtime = ShardedPlanRuntime(
+            plan=plan,
+            combiner=combiner,
+            shard_runtimes=leaves,
+            metrics=self.metrics.query(plan.name),
+            udfs=self.udfs,
+            parallel=self.parallel,
+            scheduler=self.scheduler,
+        )
+        self._runtimes.add(runtime)
+        return runtime
 
     def bind_scope(
         self,
@@ -838,14 +862,16 @@ class StreamEngine(Engine):
         mqo,
         scope: Scope,
     ) -> PlanRuntime:
-        """Bind a plan to this node's sources/databases within ``scope``.
+        """Bind a plan to the sources/databases within ``scope``, on the
+        node serving it.
 
         ``readers`` is the scope's shared-reader dictionary (see
-        :meth:`shared_reader`).  ``mqo`` is the (scoped) shared pipeline
+        :meth:`shared_reader`).  ``mqo`` is the shared pipeline
         registry; when the plan's prefix is shareable, the runtime
         computes per-pane results once across every structurally equal
-        registered query.
+        query registered in the same scope.
         """
+        node = self.nodes[scope[2]]
         # Statics first: their SQL is what can fail, and nothing else
         # has been taken yet when it does.
         static_keys: list[StaticKey] = []
@@ -870,6 +896,13 @@ class StreamEngine(Engine):
             if mqo is not None and self.mqo:
                 signature = plan_signature(plan)
                 if signature is not None:
+                    if len(self.nodes) > 1:
+                        # Slices of different layouts hold different
+                        # tuples and must never interchange results.  (A
+                        # one-node engine has one scope and shares at
+                        # the registry's root.)
+                        n, key_column, shard = scope
+                        mqo = mqo.scoped(f"{n}:{key_column or 'none'}:{shard}")
                     binding = mqo.bind(signature, plan.name)
 
             return PlanRuntime(
@@ -878,10 +911,10 @@ class StreamEngine(Engine):
                 statics=statics,
                 stream_columns=stream_columns,
                 udfs=self.udfs,
-                metrics=self.metrics.query(plan.name),
+                metrics=node.metrics.query(plan.name),
                 incremental_enabled=self.incremental,
                 mqo=binding,
-                obs=self.obs,
+                obs=node.obs,
                 scope=scope,
                 static_catalog=self.static_catalog,
                 static_keys=static_keys,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 
-from ..obs.registry import MetricRegistry
+from ..obs.registry import CounterField, MetricRegistry, bind_counters
 
 __all__ = ["QueryMetrics", "EngineMetrics", "BusMetrics", "Stopwatch"]
 
@@ -37,23 +37,6 @@ class Stopwatch:
 
     def elapsed(self) -> float:
         return time.perf_counter() - self._start
-
-
-class _Instrument:
-    """Attribute-style access to one bound registry instrument."""
-
-    __slots__ = ("key",)
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.key = name
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        return obj._bound[self.key].value
-
-    def __set__(self, obj, value) -> None:
-        obj._bound[self.key].value = value
 
 
 class QueryMetrics:
@@ -81,33 +64,29 @@ class QueryMetrics:
         "mqo_relation_hits": ("query_mqo_relation_hits_total", "sum"),
     }
 
-    windows_processed = _Instrument()
-    tuples_in = _Instrument()
-    tuples_out = _Instrument()
+    windows_processed = CounterField()
+    tuples_in = CounterField()
+    tuples_out = CounterField()
     #: total wall-clock spent executing this query's windows (merge: max)
-    wall_seconds = _Instrument()
+    wall_seconds = CounterField()
     #: windows answered by combining cached pane partials (no recompute)
-    windows_incremental = _Instrument()
+    windows_incremental = CounterField()
     #: subset of ``windows_incremental`` assembled from symmetric-hash
     #: pane-pair join partials (two-stream PANE_JOIN plans)
-    windows_pane_join = _Instrument()
+    windows_pane_join = CounterField()
     #: pane pipelines executed (each pane is evaluated at most once)
-    panes_built = _Instrument()
+    panes_built = CounterField()
     #: pane-pair join partials computed (each live pane pair at most once)
-    pane_pairs_built = _Instrument()
+    pane_pairs_built = CounterField()
     #: pane/edge partial states served by another query's shared pipeline
-    mqo_partial_hits = _Instrument()
+    mqo_partial_hits = CounterField()
     #: joined pane/window relations served by another query's pipeline
-    mqo_relation_hits = _Instrument()
+    mqo_relation_hits = CounterField()
 
     def __init__(self, query_name: str = "",
                  registry: MetricRegistry | None = None) -> None:
         self.query_name = query_name
-        self.registry = registry if registry is not None else MetricRegistry()
-        self._bound = {
-            attr: self.registry.counter(series, mode=mode, query=query_name)
-            for attr, (series, mode) in self._SERIES.items()
-        }
+        bind_counters(self, registry, query=query_name)
 
     @property
     def throughput(self) -> float:
@@ -137,23 +116,19 @@ class BusMetrics:
 
     #: window results published to a live topic (once per result, not
     #: per subscriber — queries with no subscribers publish nothing)
-    results_published = _Instrument()
+    results_published = CounterField()
     #: result deliveries into subscriber queues (published × fan-out)
-    fanout_deliveries = _Instrument()
+    fanout_deliveries = CounterField()
     #: results evicted from ``drop_oldest`` subscriber queues
-    results_dropped = _Instrument()
+    results_dropped = CounterField()
     #: high-water mark of concurrent subscriptions across all topics
-    peak_subscribers = _Instrument()
+    peak_subscribers = CounterField()
     #: window executions deferred because a ``block``-policy
     #: subscriber's queue was full (the push-side back-pressure signal)
-    backpressure_deferrals = _Instrument()
+    backpressure_deferrals = CounterField()
 
     def __init__(self, registry: MetricRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricRegistry()
-        self._bound = {
-            attr: self.registry.counter(series, mode=mode)
-            for attr, (series, mode) in self._SERIES.items()
-        }
+        bind_counters(self, registry)
 
     @property
     def fanout(self) -> float:

@@ -37,26 +37,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ...obs.registry import MetricRegistry
+from ...obs.registry import CounterField, MetricRegistry, bind_counters
 from ..operators import Relation
 from .signature import PlanSignature, SideSignature
-
-
-class _StatsField:
-    """Attribute-style access to one bound registry counter."""
-
-    __slots__ = ("key",)
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.key = name
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        return obj._bound[self.key].value
-
-    def __set__(self, obj, value) -> None:
-        obj._bound[self.key].value = value
 
 __all__ = [
     "MQOStats",
@@ -134,31 +117,25 @@ class MQOStats:
     """
 
     _SERIES = {
-        "relation_hits": "mqo_relation_hits_total",
-        "relation_misses": "mqo_relation_misses_total",
-        "partial_hits": "mqo_partial_hits_total",
-        "partial_misses": "mqo_partial_misses_total",
-        "pipelines_created": "mqo_pipelines_created_total",
-        "pipelines_released": "mqo_pipelines_released_total",
-        "entries_evicted": "mqo_entries_evicted_total",
+        "relation_hits": ("mqo_relation_hits_total", "sum"),
+        "relation_misses": ("mqo_relation_misses_total", "sum"),
+        "partial_hits": ("mqo_partial_hits_total", "sum"),
+        "partial_misses": ("mqo_partial_misses_total", "sum"),
+        "pipelines_created": ("mqo_pipelines_created_total", "sum"),
+        "pipelines_released": ("mqo_pipelines_released_total", "sum"),
+        "entries_evicted": ("mqo_entries_evicted_total", "sum"),
     }
 
-    relation_hits = _StatsField()
-    relation_misses = _StatsField()
-    partial_hits = _StatsField()
-    partial_misses = _StatsField()
-    pipelines_created = _StatsField()
-    pipelines_released = _StatsField()
-    entries_evicted = _StatsField()
+    relation_hits = CounterField()
+    relation_misses = CounterField()
+    partial_hits = CounterField()
+    partial_misses = CounterField()
+    pipelines_created = CounterField()
+    pipelines_released = CounterField()
+    entries_evicted = CounterField()
 
     def __init__(self, registry=None) -> None:
-        if registry is None:
-            registry = MetricRegistry()
-        self.registry = registry
-        self._bound = {
-            attr: registry.counter(series)
-            for attr, series in self._SERIES.items()
-        }
+        bind_counters(self, registry)
 
     @property
     def hit_rate(self) -> float:
@@ -319,9 +296,9 @@ class SharedPipelineRegistry:
     def scoped(self, tag: str) -> ScopedPipelineRegistry:
         """A view whose signature keys are prefixed with ``tag``.
 
-        The sharded engine scopes sharing per (partition layout, shard):
-        shard slices of the same stream hold different tuples, so their
-        results must never interchange.  Subscriptions still register at
+        An engine of several nodes scopes sharing per (partition layout,
+        shard): shard slices of the same stream hold different tuples,
+        so their results must never interchange.  Subscriptions still register at
         the root, so one ``release_query`` call tears down every scope.
         """
         return ScopedPipelineRegistry(self, tag)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..errors import ReproError
 from ..sql import (
     BaseTable,
     BinOp,
@@ -71,7 +72,7 @@ _SQL_AGGREGATES = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
 _STREAM_FUNCTIONS = {"timeslidingwindow", "wcache"}
 
 
-class PlanningError(ValueError):
+class PlanningError(ReproError, ValueError):
     """Raised when SQL(+) text cannot be planned as a continuous query."""
 
 
@@ -191,7 +192,7 @@ def plan_select(
         distinct=query.distinct,
     )
     # Mark operators partitionable vs merge-requiring at plan time, so
-    # the scheduler and sharded engine see the classification up front;
+    # the scheduler and the engine see the classification up front;
     # likewise classify PANE-INCREMENTAL vs RECOMPUTE for the runtimes.
     plan.partitioning = analyze_partitioning(plan, engine)
     plan.incremental = analyze_incremental(plan)

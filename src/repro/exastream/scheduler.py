@@ -9,7 +9,7 @@ Two layers share one load account:
 * **operator placement** — online least-loaded assignment of a plan's
   operators, keeping stream scans of the same window grid co-located
   (so the wCache stays node-local);
-* **shard assignment** — the sharded engine registers each of a query's
+* **shard assignment** — a multi-node binding registers each of its
   shards here, reports *observed* per-shard execution cost back after
   every batch, and :meth:`Scheduler.rebalance` migrates shard
   assignments off overloaded workers when the balance ratio degrades

@@ -1,29 +1,25 @@
-"""Sharded data-parallel stream execution: N per-shard engines + merge.
+"""Sharded data-parallel stream execution: N leaf runtimes + merge.
 
 This is the execution half of the sharding subsystem (the planning half
-lives in :mod:`repro.exastream.sharding`).  :class:`ShardedEngine` is the
-many-scope :class:`~repro.exastream.contracts.Engine`: it inherits the
-source/database registry and the shared-reader catalog, and its ``bind``
+lives in :mod:`repro.exastream.sharding`).  When
+:class:`~repro.exastream.engine.StreamEngine` lays a plan out over
+``n > 1`` of its nodes it hash-partitions every windowed stream by the
+plan's key column, one catalog scope per shard of the layout, and binds
+one leaf :class:`~repro.exastream.engine.PlanRuntime` per shard under
+what this module provides:
 
-* hash-partitions every windowed stream by the plan's key column across
-  ``shards`` per-shard :class:`StreamEngine` instances, one catalog
-  scope per shard of the layout (static databases are attached to every
-  shard, and every shard binds over the coordinator's one
-  :class:`~repro.exastream.contracts.StaticCatalog`, so a static
-  relation is materialised once per deployment, not once per shard);
-* binds one leaf :class:`~repro.exastream.engine.PlanRuntime` per shard
-  under a :class:`ShardedPlanRuntime`, the coordinating
-  :class:`~repro.exastream.contracts.WindowExecutor`, which merges shard
-  results per window (``merge[concat]`` for shard-local groups, a
-  recombining ``merge[combine]`` for partial aggregates);
-* optionally runs each shard in a *forked worker process*, driven over
-  a pipe in prefetched window batches.  Fork workers hold their leaf
-  state in the child, so such a runtime refuses ``demote()`` and
-  ``snapshot_state()``.
+* :class:`ShardedPlanRuntime`, the coordinating
+  :class:`~repro.exastream.contracts.WindowExecutor`, which drives the
+  leaves in window batches and merges their results per window
+  (``merge[concat]`` for shard-local groups, a recombining
+  ``merge[combine]`` for partial aggregates);
+* the two shard workers behind it: in-process (the default), or one
+  *forked worker process* per shard, driven over a pipe.  Fork workers
+  hold their leaf state in the child, so such a runtime refuses
+  ``demote()`` and ``snapshot_state()`` and reports no pane statistics.
 
-A one-shard layout (``shards=1``, or any SINGLETON plan) binds a plain
-``PlanRuntime`` on shard 0 in the scope a one-node engine uses:
-byte-for-byte the single-node behaviour.
+A one-shard layout (``shards=1``, or any SINGLETON plan) never comes
+here: the engine binds a plain ``PlanRuntime`` on node 0.
 """
 
 from __future__ import annotations
@@ -33,31 +29,29 @@ import multiprocessing
 import sys
 
 from ..errors import RecoveryError
-from ..obs import Observability
-from ..relational import Database
-from ..streams import StreamSource
-from .contracts import PLAIN_SCOPE, Engine, Scope, WindowExecutor
+from .contracts import WindowExecutor
 from .engine import PlanRuntime, StreamEngine, WindowResult
-from .metrics import EngineMetrics, Stopwatch
+from .metrics import Stopwatch
 from .plan import ContinuousPlan
-from .sharding import (
-    CombinerSpec,
-    analyze_partitioning,
-    canonical_row_key,
-    combine_partials,
-    make_shard_plan,
-    partitioned_tuples,
-)
+from .sharding import CombinerSpec, canonical_row_key, combine_partials
 from .udf import UDFRegistry
 
-__all__ = ["ShardedEngine", "ShardedPlanRuntime", "build_engine"]
+__all__ = ["ShardedEngine", "ShardedPlanRuntime"]
 
-#: (window_id, window_end, columns, rows, tuples_in, seconds) — one
-#: shard's output for one window, as shipped over the worker protocol.
-#: ``seconds`` is the shard's own execution time, so observed load stays
-#: correct under fork parallelism (coordinator-side timing would only
-#: measure pipe wait).
-_Payload = tuple[int, float, list[str], list[tuple], int, float]
+#: windows requested from every shard per dispatch round
+PREFETCH = 8
+
+#: (window_id, window_end, columns, rows, tuples_in, seconds, pane
+#: stats) — one shard's output for one window, as shipped over the
+#: worker protocol.  ``seconds`` is the shard's own execution time, so
+#: observed load stays correct under fork parallelism (coordinator-side
+#: timing would only measure pipe wait).  ``pane stats`` is the leaf's
+#: ``last_pane_stats`` for *this* window: shards run ahead in batches,
+#: so the leaves' current value describes a later window.
+_Payload = tuple[
+    int, float, list[str], list[tuple], int, float,
+    tuple[int, int, int] | None,
+]
 
 
 def fork_available() -> bool:
@@ -87,6 +81,7 @@ def _execute_batch(
                 result.rows,
                 runtime.metrics.tuples_in - before,
                 watch.elapsed(),
+                runtime.last_pane_stats,
             )
         )
     return out
@@ -109,8 +104,8 @@ class LocalShardWorker:
         return _execute_batch(self._runtime, start, count)
 
     def metrics_snapshot(self):
-        """``None``: an in-process shard writes straight into its shard
-        engine's registry, which the coordinator snapshots directly."""
+        """``None``: an in-process shard writes straight into its node's
+        registry, which the engine snapshots directly."""
         return None
 
     def close(self) -> None:
@@ -204,9 +199,9 @@ class ForkShardWorker:
 class ShardedPlanRuntime(WindowExecutor):
     """A plan bound across shards: batched dispatch + merge operators.
 
-    Windows are requested from all shards in ``prefetch``-sized batches
-    — with forked workers every shard computes its batch concurrently —
-    then merged per window.
+    Windows are requested from all shards in :data:`PREFETCH`-sized
+    batches — with forked workers every shard computes its batch
+    concurrently — then merged per window.
     """
 
     def __init__(
@@ -217,7 +212,6 @@ class ShardedPlanRuntime(WindowExecutor):
         metrics,
         udfs: UDFRegistry,
         parallel: str | None = None,
-        prefetch: int = 8,
         scheduler=None,
     ) -> None:
         self.plan = plan
@@ -226,7 +220,6 @@ class ShardedPlanRuntime(WindowExecutor):
         self._combiner = combiner
         self.metrics = metrics
         self._udfs = udfs
-        self._prefetch = max(1, prefetch)
         self._scheduler = scheduler
         use_fork = parallel in ("fork", "process") and fork_available()
         worker_cls = ForkShardWorker if use_fork else LocalShardWorker
@@ -240,11 +233,12 @@ class ShardedPlanRuntime(WindowExecutor):
         self._next_fetch = 0
         self._done = False
         self._closed = False
+        self._last_pane_stats: tuple[int, int, int] | None = None
         if scheduler is not None:
             scheduler.assign_shards(plan.name, len(self.workers))
 
     def _fetch_batch(self) -> None:
-        start, count = self._next_fetch, self._prefetch
+        start, count = self._next_fetch, PREFETCH
         active = [
             i for i, done in enumerate(self._exhausted)
             if not done
@@ -281,6 +275,15 @@ class ShardedPlanRuntime(WindowExecutor):
             return None
         window_end = next(p[1] for p in payloads if p is not None)
         columns, rows = self._merge(payloads)
+        # a payload buffered by a checkpoint older than the stats field
+        # has six items: no signal
+        stats = [
+            p[6] for p in payloads
+            if p is not None and len(p) > 6 and p[6] is not None
+        ]
+        self._last_pane_stats = (
+            tuple(map(sum, zip(*stats))) if stats else None
+        )
         self.metrics.windows_processed += 1
         self.metrics.tuples_in += sum(p[4] for p in payloads if p is not None)
         self.metrics.tuples_out += len(rows)
@@ -318,21 +321,17 @@ class ShardedPlanRuntime(WindowExecutor):
 
     @property
     def last_pane_stats(self) -> tuple[int, int, int] | None:
-        """Summed ``(reused, fresh, panes)`` across in-process shards.
+        """Summed ``(reused, fresh, panes)`` across the shards, for the
+        window just merged.
 
-        ``None`` under fork parallelism (the runtimes live in child
-        processes; their stats flow back only through the ``("metrics",)``
-        snapshot pipe) or when no shard ran a pane-path window — the
-        re-planning guard treats that as "no signal".
+        ``None`` under fork parallelism (a refusal: such a runtime
+        cannot act on the signal, see :meth:`demote`) or when no shard
+        served the window from its pane tier — the re-planning guard
+        treats that as "no signal".
         """
         if self.parallel == "fork":
             return None
-        stats = [
-            stats
-            for stats in (r.last_pane_stats for r in self._shard_runtimes)
-            if stats is not None
-        ]
-        return tuple(map(sum, zip(*stats))) if stats else None
+        return self._last_pane_stats
 
     @property
     def demoted(self) -> bool:
@@ -354,8 +353,8 @@ class ShardedPlanRuntime(WindowExecutor):
 
     def metric_snapshots(self) -> list:
         """Registry deltas of this runtime's *fork* workers (in-process
-        shards report ``None`` — their counts already live in the shard
-        engine registries the coordinator snapshots)."""
+        shards report ``None`` — their counts already live in the node
+        registries the engine snapshots)."""
         if self._closed:
             return []
         return [
@@ -410,197 +409,6 @@ class ShardedPlanRuntime(WindowExecutor):
             pass
 
 
-class ShardedEngine(Engine):
-    """N per-shard stream engines behind the one engine contract.
-
-    ``shards`` fixes the worker pool size; each ``bind`` may use any
-    ``1..shards`` of them.  ``parallel="fork"`` executes shards in
-    forked worker processes (Linux/macOS); the default executes them
-    in-process, which is deterministic and cheap for small queries.
-    """
-
-    def __init__(
-        self,
-        shards: int = 2,
-        udfs: UDFRegistry | None = None,
-        cache_capacity: int = 4096,
-        parallel: str | None = None,
-        prefetch: int = 8,
-        scheduler=None,
-        incremental: bool = True,
-        mqo: bool = True,
-        obs: Observability | None = None,
-        adaptive: bool = False,
-    ) -> None:
-        if shards < 1:
-            raise ValueError("need at least one shard")
-        # The coordinator bundle carries the gateway's bus/MQO/scheduler
-        # series; per-shard engines get their own registries (via
-        # ``shard_view``) that ``metrics_snapshot`` merges in.  The
-        # estimator samples through this engine's own source registry,
-        # so registration-time choices are identical to ``shards=1``.
-        super().__init__(udfs, incremental, mqo, obs, adaptive)
-        self.default_shards = shards
-        self.parallel = parallel
-        self.prefetch = prefetch
-        self.scheduler = scheduler
-        #: coordinator-side per-query counters (merged window/tuple
-        #: totals) on a *private* registry: the same work is already
-        #: counted shard-side, and snapshots must not double-report it
-        self.metrics = EngineMetrics()
-        # Per-shard engines run pane tiers shard-locally: join-key-
-        # partitioned layouts route both streams' matching tuples to the
-        # same shard and shard slices preserve stream order, so each
-        # shard's output — and therefore the merge — is unchanged by the
-        # tier.
-        self.shard_engines = [
-            StreamEngine(
-                udfs=self.udfs,
-                cache_capacity=cache_capacity,
-                incremental=incremental,
-                mqo=mqo,
-                obs=self.obs.shard_view(shard),
-            )
-            for shard in range(shards)
-        ]
-        for engine in self.shard_engines:
-            engine.static_catalog = self.static_catalog
-        #: stream name -> (materialised tuples, first ts, last ts)
-        self._materialized: dict[str, tuple[list[tuple], float | None, float | None]] = {}
-        self._runtimes: list[ShardedPlanRuntime] = []
-
-    # -- sources and static databases (replicated to every shard) -----------
-
-    def register_stream(self, source: StreamSource) -> None:
-        super().register_stream(source)
-        self._materialized.pop(source.stream.name, None)
-        for engine in self.shard_engines:
-            engine.register_stream(source)
-
-    def attach_database(self, name: str, database: Database) -> None:
-        super().attach_database(name, database)
-        for engine in self.shard_engines:
-            engine.attach_database(name, database)
-
-    # -- per-scope resources -------------------------------------------------
-
-    @property
-    def cache(self):
-        """Shard 0's window cache (the one-shard layout's)."""
-        return self.shard_engines[0].cache
-
-    @property
-    def caches(self):
-        return [engine.cache for engine in self.shard_engines]
-
-    def reader_source(self, stream: str, scope: Scope, key_index: int | None):
-        n, _key_column, shard = scope
-        if n == 1:
-            return super().reader_source(stream, scope, None)
-        data, first_ts, last_ts = self._materialize(stream)
-        return partitioned_tuples(data, shard, n, key_index, last_ts), first_ts
-
-    def _materialize(self, stream: str) -> tuple[list[tuple], float | None, float | None]:
-        cached = self._materialized.get(stream)
-        if cached is None:
-            source = self._sources[stream]
-            data = list(iter(source))
-            time_index = source.stream.schema.time_index
-            first = data[0][time_index] if data else None
-            last = data[-1][time_index] if data else None
-            cached = (data, first, last)
-            self._materialized[stream] = cached
-        return cached
-
-    # -- binding ------------------------------------------------------------
-
-    def _bind(self, plan, shards, mqo, catalog, parallel=None):
-        """One leaf runtime per shard scope of the chosen layout.  The
-        MQO registry is scoped per (layout, shard) like the readers —
-        shard slices must never interchange results across layouts."""
-        if plan.partitioning is None:
-            plan.partitioning = analyze_partitioning(plan, self)
-        decision = plan.partitioning
-        n = self.resolve_shards(plan, shards)
-        if n == 1:
-            # the one-node layout: the plan verbatim over full streams
-            return self.shard_engines[0].bind_scope(
-                plan,
-                catalog[PLAIN_SCOPE],
-                None if mqo is None else mqo.scoped("1:none:0"),
-                PLAIN_SCOPE,
-            )
-        shard_plan, combiner = make_shard_plan(plan, decision)
-        shard_runtimes = []
-        for shard in range(n):
-            scope = (n, decision.key_column, shard)
-            for ref in plan.windows:  # this shard's partitioned readers
-                self.shared_reader(
-                    catalog[scope], ref, plan, scope,
-                    decision.stream_keys.get(ref.stream),
-                )
-            shard_runtimes.append(
-                self.shard_engines[shard].bind_scope(
-                    shard_plan,
-                    catalog[scope],
-                    None if mqo is None
-                    else mqo.scoped(f"{n}:{decision.key_column}:{shard}"),
-                    scope,
-                )
-            )
-        runtime = ShardedPlanRuntime(
-            plan=plan,
-            combiner=combiner,
-            shard_runtimes=shard_runtimes,
-            metrics=self.metrics.query(plan.name),
-            udfs=self.udfs,
-            parallel=parallel if parallel is not None else self.parallel,
-            prefetch=self.prefetch,
-            scheduler=self.scheduler,
-        )
-        self._runtimes.append(runtime)
-        return runtime
-
-    # -- observability -------------------------------------------------------
-
-    def metrics_snapshot(self):
-        """Coordinator + per-shard registries, merged into one snapshot.
-
-        Per-mode merge folds the shards: work counters (tuples, panes,
-        MQO hits) sum across shards, window counters and wall clocks
-        take the max — every shard executes the same window ids over
-        overlapping wall time.  Fork workers additionally ship their
-        post-fork registry deltas back over the worker pipe.
-        """
-        snapshot = self.obs.registry.snapshot()
-        for engine in self.shard_engines:
-            snapshot = snapshot.merge(engine.metrics_snapshot())
-        for runtime in self._runtimes:
-            for shard_snapshot in runtime.metric_snapshots():
-                snapshot = snapshot.merge(shard_snapshot)
-        return snapshot
-
-    def close(self) -> None:
-        """Terminate every live shard worker (forked processes)."""
-        for runtime in self._runtimes:
-            runtime.close()
-        self._runtimes.clear()
-
-    def __enter__(self) -> ShardedEngine:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def build_engine(
-    shards: int = 1, parallel: str | None = None, scheduler=None, **options
-) -> Engine:
-    """The engine of a ``shards``-wide deployment — the one place that
-    picks the shape.  ``options`` are the keywords both engines share
-    (``incremental=``, ``mqo=``, ``adaptive=``, ``obs=`` ...)."""
-    if shards > 1:
-        return ShardedEngine(
-            shards=shards, parallel=parallel, scheduler=scheduler, **options
-        )
-    return StreamEngine(**options)
+#: The engine of a multi-node deployment is the engine: width is the
+#: constructor's ``shards=``.  The name stays for existing imports.
+ShardedEngine = StreamEngine

@@ -173,8 +173,8 @@ def analyze_partitioning(plan: ContinuousPlan, engine) -> ShardingDecision:
     """Classify ``plan`` as PARTITIONED, PARTIAL or SINGLETON.
 
     ``engine`` is anything exposing ``stream(name)`` (a
-    :class:`~repro.exastream.engine.StreamEngine` or a sharded engine);
-    only the raw stream schemas are consulted.
+    :class:`~repro.exastream.engine.StreamEngine`); only the raw stream
+    schemas are consulted.
     """
     operators = _operator_names(plan)
     if plan.aggregate is None:

@@ -83,7 +83,7 @@ class Observability:
     """One registry + one tracer, carried by an engine.
 
     ``attrs`` are merged into every span opened through :meth:`span`
-    (sharded execution tags each shard engine's spans with its shard
+    (an engine of several nodes tags each node's spans with its shard
     id).  ``enabled=False`` keeps the registry (core counters are views
     over it) but skips the detailed recording — histograms and
     per-operator stats — and forces the tracer off; it exists for

@@ -28,6 +28,8 @@ __all__ = [
     "Histogram",
     "MetricRegistry",
     "RegistrySnapshot",
+    "CounterField",
+    "bind_counters",
     "DEFAULT_LATENCY_BUCKETS",
 ]
 
@@ -245,7 +247,7 @@ def _histogram_from_sample(name: str, labels: tuple,
 class MetricRegistry:
     """Get-or-create instrument store with snapshot/merge semantics.
 
-    One registry per engine; sharded execution gives each shard engine
+    One registry per engine; an engine of several nodes gives each node
     its own registry and merges their snapshots (fork workers ship a
     pickled snapshot back over the worker pipe).
     """
@@ -291,3 +293,34 @@ class MetricRegistry:
             key: instrument.sample()
             for key, instrument in sorted(self._instruments.items())
         })
+
+
+class CounterField:
+    """Attribute-style access to one counter of a view class bound with
+    :func:`bind_counters`: ``view.tuples_in += n`` reads and writes the
+    registry instrument."""
+
+    __slots__ = ("key",)
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.key = name
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        return obj._bound[self.key].value
+
+    def __set__(self, obj, value) -> None:
+        obj._bound[self.key].value = value
+
+
+def bind_counters(view, registry: MetricRegistry | None, **labels) -> None:
+    """Bind ``view``'s ``_SERIES`` table — attribute name -> ``(series
+    name, merge mode)`` — to counters of ``registry`` carrying
+    ``labels``.  Without a registry the view gets a private one, so a
+    standalone view behaves like a plain record of numbers."""
+    view.registry = registry if registry is not None else MetricRegistry()
+    view._bound = {
+        attr: view.registry.counter(series, mode=mode, **labels)
+        for attr, (series, mode) in view._SERIES.items()
+    }

@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 
+from ..errors import ReproError
 from ..rdf import IRI, Literal, PrefixMap, XSD
 from .model import (
     AtomicClass,
@@ -48,7 +49,7 @@ from .model import (
 __all__ = ["parse_ontology", "serialize_ontology", "OntologySyntaxError"]
 
 
-class OntologySyntaxError(ValueError):
+class OntologySyntaxError(ReproError, ValueError):
     """Raised when the ontology document cannot be parsed."""
 
 

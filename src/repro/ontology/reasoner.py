@@ -12,6 +12,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from collections.abc import Hashable
 
+from ..errors import ReproError
 from ..rdf import IRI
 from .model import (
     AtomicClass,
@@ -34,7 +35,7 @@ from .model import (
 __all__ = ["Reasoner", "InconsistentOntologyError"]
 
 
-class InconsistentOntologyError(Exception):
+class InconsistentOntologyError(ReproError):
     """Raised when the ABox violates a (derived) negative inclusion."""
 
 

@@ -31,7 +31,7 @@ from ..exastream import (
     GatewayServer,
     Scheduler,
     Stopwatch,
-    build_engine,
+    StreamEngine,
 )
 from ..mappings import MappingCollection
 from ..ontology import Ontology
@@ -77,7 +77,12 @@ class RegisteredTask:
 
 
 class OptiquePlatform:
-    """End-to-end OBSSDI system instance."""
+    """End-to-end OBSSDI system instance.
+
+    ``engine_options`` go to the one engine constructor,
+    :class:`~repro.exastream.contracts.Engine` (``shards=``,
+    ``parallel=``, ``incremental=``, ``mqo=``, ``adaptive=`` ...).
+    """
 
     def __init__(
         self,
@@ -85,21 +90,12 @@ class OptiquePlatform:
         mappings: MappingCollection | None = None,
         workers: int = 4,
         primary_keys: dict[str, tuple[str, ...]] | None = None,
-        shards: int = 1,
-        parallel: str | None = None,
-        incremental: bool = True,
-        mqo: bool = True,
+        **engine_options,
     ) -> None:
         self.ontology = ontology or Ontology()
         self.mappings = mappings or MappingCollection()
         self.scheduler = Scheduler(workers)
-        self.engine = build_engine(
-            shards=shards,
-            parallel=parallel,
-            scheduler=self.scheduler,
-            incremental=incremental,
-            mqo=mqo,
-        )
+        self.engine = StreamEngine(scheduler=self.scheduler, **engine_options)
         self.gateway = GatewayServer(self.engine, scheduler=self.scheduler)
         self.macros = MacroRegistry()
         self.dashboard = Dashboard()

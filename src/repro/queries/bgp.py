@@ -11,13 +11,14 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 
+from ..errors import ReproError
 from ..rdf import IRI, Literal, PrefixMap, Term, Variable, XSD
 from .cq import Atom, ClassAtom, Filter, PropertyAtom
 
 __all__ = ["parse_bgp", "BGPSyntaxError", "format_bgp"]
 
 
-class BGPSyntaxError(ValueError):
+class BGPSyntaxError(ReproError, ValueError):
     """Raised when a basic graph pattern cannot be parsed."""
 
 

@@ -16,7 +16,7 @@ from ..exastream import (
     GatewayServer,
     Scheduler,
     Stopwatch,
-    build_engine,
+    StreamEngine,
 )
 from ..mappings import (
     ColumnSpec,
@@ -296,24 +296,22 @@ def deploy(
     stream_sensors: list[str] | None = None,
     stream_duration: int = 30,
     workers: int = 4,
-    shards: int = 1,
-    parallel: str | None = None,
-    incremental: bool = True,
-    mqo: bool = True,
-    adaptive: bool = False,
+    **engine_options,
 ) -> SiemensDeployment:
     """Stand up a complete deployment (generate the fleet if needed).
 
-    ``shards=N`` partitions the turbine streams by sensor across N
-    per-shard engines (``parallel="fork"`` adds worker processes); the
-    default ``shards=1`` is the unchanged single-node deployment.
-    ``incremental=False`` forces full window recompute (pane-incremental
-    execution is on by default and falls back automatically per plan).
-    ``mqo=False`` disables shared-subplan execution across registered
-    tasks (the multi-query optimizer is on by default; results are
-    byte-identical either way).  ``adaptive=True`` turns on cost-based
-    tier selection with mid-flight re-planning guards (also
-    byte-identical: the estimator only picks among the exact tiers).
+    ``engine_options`` go to the one engine constructor,
+    :class:`~repro.exastream.contracts.Engine`.  ``shards=N`` partitions
+    the turbine streams by sensor across N nodes (``parallel="fork"``
+    adds worker processes); the default ``shards=1`` is the single-node
+    deployment.  ``incremental=False`` forces full window recompute
+    (pane-incremental execution is on by default and falls back
+    automatically per plan).  ``mqo=False`` disables shared-subplan
+    execution across registered tasks (the multi-query optimizer is on
+    by default; results are byte-identical either way).
+    ``adaptive=True`` turns on cost-based tier selection with
+    mid-flight re-planning guards (also byte-identical: the estimator
+    only picks among the exact tiers).
     """
     if fleet is None:
         fleet = generate_fleet(config or FleetConfig(turbines=10, plants=4))
@@ -321,14 +319,7 @@ def deploy(
     mappings = build_siemens_mappings()
 
     scheduler = Scheduler(workers)
-    engine = build_engine(
-        shards=shards,
-        parallel=parallel,
-        scheduler=scheduler,
-        incremental=incremental,
-        mqo=mqo,
-        adaptive=adaptive,
-    )
+    engine = StreamEngine(scheduler=scheduler, **engine_options)
     engine.attach_database("plant", fleet.plant_db)
     engine.attach_database("legacy", fleet.legacy_db)
     engine.attach_database("history", fleet.history_db)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 
+from ..errors import ReproError
 from .ast import (
     BaseTable,
     BinOp,
@@ -40,7 +41,7 @@ from .ast import (
 __all__ = ["parse_sql", "SQLSyntaxError"]
 
 
-class SQLSyntaxError(ValueError):
+class SQLSyntaxError(ReproError, ValueError):
     """Raised when SQL(+) text cannot be parsed."""
 
 

@@ -27,6 +27,7 @@ from itertools import product
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from typing import Any
 
+from ..errors import ReproError
 from ..queries import Atom
 from ..rdf import IRI, Graph, Literal, RDF, Term, Variable
 from .ast import (
@@ -56,7 +57,7 @@ __all__ = [
 _PARAM_PREFIX = "urn:starql:param:"
 
 
-class MacroError(ValueError):
+class MacroError(ReproError, ValueError):
     """Raised on macro registration/expansion problems."""
 
 

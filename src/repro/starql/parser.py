@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 
+from ..errors import ReproError
 from ..queries import Atom, parse_bgp
 from ..rdf import IRI, Literal, PrefixMap, Term, Variable, XSD
 from .ast import (
@@ -41,7 +42,7 @@ __all__ = [
 ]
 
 
-class STARQLSyntaxError(ValueError):
+class STARQLSyntaxError(ReproError, ValueError):
     """Raised when STARQL text cannot be parsed."""
 
 

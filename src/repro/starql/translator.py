@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from collections.abc import Sequence
 from typing import Any
 
+from ..errors import ReproError
 from ..exastream.engine import StreamEngine
 from ..exastream.plan import (
     AggregateCall,
@@ -84,7 +85,7 @@ _TEXT_CACHE_SIZE = 128
 _STRING_LITERAL = re.compile(r'("(?:[^"\\]|\\.)*")')
 
 
-class TranslationError(ValueError):
+class TranslationError(ReproError, ValueError):
     """Raised when a STARQL query cannot be translated."""
 
 

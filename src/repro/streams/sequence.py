@@ -18,13 +18,14 @@ from itertools import groupby
 from collections.abc import Callable, Iterable
 from typing import Any
 
+from ..errors import ReproError
 from ..rdf import Graph, Triple
 from .window import WindowBatch
 
 __all__ = ["State", "StateSequence", "build_sequence", "SequencingError"]
 
 
-class SequencingError(ValueError):
+class SequencingError(ReproError, ValueError):
     """Raised when sequencing violates a declared integrity constraint."""
 
 

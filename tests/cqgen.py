@@ -22,7 +22,6 @@ from repro.exastream import (
     GatewayServer,
     IncrementalDecision,
     IncrementalMode,
-    ShardedEngine,
     StreamEngine,
     analyze_incremental,
     plan_sql,
@@ -197,25 +196,17 @@ def build_engine(
 
     ``rows`` registers a single stream ``S``; ``streams`` (a
     ``name -> rows`` mapping) registers several join-compatible streams
-    instead.  ``shards > 1`` builds a :class:`ShardedEngine`; extra
-    keyword arguments (``parallel``, ``scheduler``, ...) pass through to
-    the engine constructor.
+    instead.  ``shards`` is the engine's width; extra keyword arguments
+    (``parallel``, ``scheduler``, ...) pass through to the engine
+    constructor.
     """
-    if shards > 1:
-        engine = ShardedEngine(
-            shards=shards,
-            incremental=incremental,
-            mqo=mqo,
-            cache_capacity=cache_capacity,
-            **engine_kwargs,
-        )
-    else:
-        engine = StreamEngine(
-            incremental=incremental,
-            mqo=mqo,
-            cache_capacity=cache_capacity,
-            **engine_kwargs,
-        )
+    engine = StreamEngine(
+        shards=shards,
+        incremental=incremental,
+        mqo=mqo,
+        cache_capacity=cache_capacity,
+        **engine_kwargs,
+    )
     if streams is None:
         streams = {"S": rows if rows is not None else measurement_rows()}
     for name, stream_rows in streams.items():
@@ -273,10 +264,7 @@ def run_engine(engine, sql, shards=1, forced_tier=None):
     plan = plan_sql(sql, engine, name="q")
     if forced_tier is not None:
         force_tier(plan, forced_tier)
-    if isinstance(engine, ShardedEngine):
-        results = engine.run_continuous(plan, shards=shards)
-    else:
-        results = engine.run_continuous(plan)
+    results = engine.run_continuous(plan, shards=shards)
     return [
         (r.window_id, r.window_end, tuple(r.columns), tuple(r.rows))
         for r in results

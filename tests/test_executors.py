@@ -1,4 +1,4 @@
-"""The tier-executor split and the two deployment contracts.
+"""The tier-executor split and the two contracts above the engine.
 
 * One retirement transition: whatever ends a pane tier — a late tuple on
   a pane reader, a late tuple on either pane-join side, or a cost-based
@@ -6,7 +6,8 @@
   post-state, on a plain engine and on every shard of a ``shards=2``
   layout, and the output stays byte-identical to a recompute-only run.
 * One contract per role: every runtime is a ``WindowExecutor``, every
-  engine an ``Engine``; fork-parallel runtimes keep their refusals.
+  engine the one ``Engine`` class whatever its width; fork-parallel
+  runtimes keep their refusals.
 """
 
 import pytest
@@ -157,11 +158,14 @@ class TestContracts:
             (2, "sid", 0), (2, "sid", 1),
         ]
 
-    def test_every_engine_is_an_engine(self):
-        for engine in (StreamEngine(), ShardedEngine(shards=2)):
+    def test_every_engine_is_the_one_engine_class(self):
+        assert ShardedEngine is StreamEngine
+        for engine in (StreamEngine(), StreamEngine(shards=2)):
+            assert type(engine) is StreamEngine
             assert isinstance(engine, Engine)
         assert StreamEngine().default_shards == 1
-        assert ShardedEngine(shards=3).default_shards == 3
+        assert StreamEngine(shards=3).default_shards == 3
+        assert Engine.__subclasses__() == [StreamEngine]
 
     def test_checkpointed_classes_keep_their_import_paths(self):
         # old checkpoints pickled pane-join side states under engine.py

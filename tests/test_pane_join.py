@@ -186,8 +186,8 @@ class TestDifferentialGrids:
             shards=2,
         )
         per_shard = [
-            e.metrics.query("q0").windows_pane_join
-            for e in engine.shard_engines
+            node.metrics.query("q0").windows_pane_join
+            for node in engine.nodes
         ]
         assert all(n > 0 for n in per_shard)
 

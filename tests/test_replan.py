@@ -19,7 +19,12 @@ import pytest
 
 from cqgen import build_engine, run_engine, snapshot
 from repro.analysis.verifier import verify_gateway
-from repro.exastream import GatewayServer, IncrementalMode, plan_sql
+from repro.exastream import (
+    GatewayServer,
+    IncrementalMode,
+    ReplanGuard,
+    plan_sql,
+)
 
 #: overlap factor 2: the smallest grid where panes are reused at all,
 #: and the one PR 3 measured at ~0.84x on sparse streams
@@ -194,6 +199,95 @@ class TestGuardDemotion:
         verify_gateway(gateway)  # explicit final check on the demoted state
         recompute = run_engine(build_engine(rows, incremental=False), SQL)
         assert snapshot(registered) == recompute
+
+
+def rate_drop_rows():
+    """400 s of six sensors whose rate drops sixfold at t=200."""
+    dense = [
+        (t + i / 4.0, (t + i) % 6, 50.0) for t in range(200) for i in range(3)
+    ]
+    return dense + [(float(t), t % 6, 50.0) for t in range(200, 400, 2)]
+
+
+def per_window_shard_sums(rows, n_windows):
+    """What the guard should be fed at ``shards=2``: for each window,
+    the leaves' own ``last_pane_stats`` summed — taken by driving the
+    leaves of an identical layout one window at a time, the way a
+    ``shards=1`` runtime is driven."""
+    engine = build_engine(rows, shards=2)
+    runtime = engine.bind(plan_sql(SQL, engine, name="q"), shards=2)
+    sums = []
+    for window_id in range(n_windows):
+        stats = []
+        for leaf in runtime.leaf_runtimes:
+            leaf.execute_window(window_id)
+            if leaf.last_pane_stats is not None:
+                stats.append(leaf.last_pane_stats)
+        sums.append(tuple(map(sum, zip(*stats))) if stats else None)
+    runtime.release_demand()
+    runtime.close()
+    return sums
+
+
+class TestShardedGuardFeed:
+    """Shards execute in batches of 8 windows; the guard must still see
+    the window just merged, not the last one a leaf happened to run."""
+
+    def test_each_pulse_reports_its_own_window(self):
+        rows = rate_drop_rows()
+        gateway = GatewayServer(build_engine(rows, shards=2))
+        registered = gateway.register(SQL, name="q", shards=2)
+        observed = []
+        while gateway.step(1):
+            observed.append(registered.runtime.last_pane_stats)
+        assert observed == per_window_shard_sums(rows, len(observed))
+        # the warm-up window and the rate change are both visible
+        assert observed[0][0] == 0 == observed[1][0]
+        assert len(set(observed)) >= 4
+
+    def test_guard_needs_patience_distinct_windows(self):
+        rows = bait_and_starve_rows()
+        engine = build_engine(rows, shards=2, adaptive=True)
+        gateway = GatewayServer(engine)
+        registered = gateway.register(SQL, name="q", shards=2)
+        assert registered.guard is not None
+        pulses = 0
+        while gateway.step(1):
+            pulses += 1
+        assert registered.guard.fired
+        # a fresh guard fed one observation per window fires at the
+        # same window: no window was scored twice
+        replay = ReplanGuard()
+        fired_at = next(
+            window_id
+            for window_id, stats in enumerate(
+                per_window_shard_sums(rows, pulses)
+            )
+            if replay.observe(stats)
+        )
+        assert registered.plan.choice.demoted_at_window == fired_at + 1
+        assert fired_at + 1 >= replay.policy.warmup + replay.policy.patience
+        oracle = run_engine(build_engine(rows, incremental=False), SQL)
+        assert snapshot(registered) == oracle
+
+    def test_payload_from_an_older_checkpoint_carries_no_signal(self):
+        rows = rate_drop_rows()
+        gateway = GatewayServer(build_engine(rows, shards=2))
+        registered = gateway.register(SQL, name="q", shards=2)
+        gateway.step(2)
+        state = registered.runtime.snapshot_state()
+        # the payload shape before the per-window stats were shipped
+        state["buffers"] = [
+            {window_id: payload[:6] for window_id, payload in buffer.items()}
+            for buffer in state["buffers"]
+        ]
+        registered.runtime.restore_state(state)
+        gateway.step(1)
+        assert registered.runtime.last_pane_stats is None
+        while gateway.step(1):
+            pass
+        oracle = run_engine(build_engine(rows, incremental=False), SQL)
+        assert snapshot(registered) == oracle
 
 
 class TestDemotionDurability:
