@@ -3,8 +3,8 @@
 Two independent lenses:
 
 * **Signature sharing** — the MQO runtime shares pipeline prefixes
-  between plans with equal canonical signatures
-  (:func:`repro.exastream.mqo.plan_signature`).  Comparing a new plan's
+  between plans with equal canonical signatures (``plan.signature``,
+  see :func:`repro.exastream.mqo.plan_signature`).  Comparing a new plan's
   signature against the gateway's registered plans predicts, *before*
   registration, which live pipeline tiers (relation / aggregate / join
   side) the query will subscribe to.
@@ -21,7 +21,6 @@ Two independent lenses:
 
 from __future__ import annotations
 
-from ..exastream.mqo.signature import plan_signature
 from ..exastream.plan import as_equi_join
 from ..queries.containment import is_contained_in
 from ..queries.cq import Atom, ConjunctiveQuery, Filter
@@ -36,6 +35,17 @@ _CQ_OPS = {"=", "!=", "<", "<=", ">", ">="}
 _WINDOW_PREFIX = "urn:cqan:window:"
 
 
+def _signature_entries(gateway, signature):
+    """``(index, key)`` for every sharing index a signature appears in."""
+    if signature is None:
+        return []
+    entries = [(gateway._sig_relation, signature.relation_key)]
+    if signature.aggregate_key is not None:
+        entries.append((gateway._sig_aggregate, signature.aggregate_key))
+    entries += [(gateway._sig_side, side.key) for side in signature.sides]
+    return entries
+
+
 def index_plan(gateway, name: str, plan) -> None:
     """Record a newly registered plan in the gateway's sharing indexes.
 
@@ -43,20 +53,10 @@ def index_plan(gateway, name: str, plan) -> None:
     analysis, so a plan never indexes itself into its own report).  The
     indexes turn the per-registration sharing scan from O(live queries)
     into O(1) dictionary lookups — registering N queries costs O(N)
-    signature/CQ encodings in total instead of O(N²).
+    CQ encodings in total instead of O(N²).
     """
-    signature = plan_signature(plan)
-    gateway._sig_by_query[name] = signature
-    if signature is not None:
-        gateway._sig_relation.setdefault(signature.relation_key, set()).add(
-            name
-        )
-        if signature.aggregate_key is not None:
-            gateway._sig_aggregate.setdefault(
-                signature.aggregate_key, set()
-            ).add(name)
-        for side in signature.sides:
-            gateway._sig_side.setdefault(side.key, set()).add(name)
+    for store, key in _signature_entries(gateway, plan.signature):
+        store.setdefault(key, set()).add(name)
     cq = plan_as_cq(plan)
     gateway._cq_by_query[name] = cq
     if cq is not None:
@@ -67,103 +67,59 @@ def index_plan(gateway, name: str, plan) -> None:
                 gateway._cq_windex.setdefault(predicate, set()).add(name)
 
 
-def unindex_plan(gateway, name: str) -> None:
+def unindex_plan(gateway, name: str, plan) -> None:
     """Drop a deregistered query from the gateway's sharing indexes."""
-    signature = gateway._sig_by_query.pop(name, None)
-    if signature is not None:
-        for store, key in (
-            (gateway._sig_relation, signature.relation_key),
-            (gateway._sig_aggregate, signature.aggregate_key),
-        ):
-            if key is None:
-                continue
-            peers = store.get(key)
-            if peers is not None:
-                peers.discard(name)
-                if not peers:
-                    del store[key]
-        for side in signature.sides:
-            peers = gateway._sig_side.get(side.key)
-            if peers is not None:
-                peers.discard(name)
-                if not peers:
-                    del gateway._sig_side[side.key]
+    entries = _signature_entries(gateway, plan.signature)
+    for predicate in gateway._cq_preds.pop(name, ()):
+        if predicate.startswith(_WINDOW_PREFIX):
+            entries.append((gateway._cq_windex, predicate))
+    for store, key in entries:
+        peers = store.get(key)
+        if peers is not None:
+            peers.discard(name)
+            if not peers:
+                del store[key]
     gateway._cq_by_query.pop(name, None)
-    preds = gateway._cq_preds.pop(name, None)
-    if preds is not None:
-        for predicate in preds:
-            if predicate.startswith(_WINDOW_PREFIX):
-                names = gateway._cq_windex.get(predicate)
-                if names is not None:
-                    names.discard(name)
-                    if not names:
-                        del gateway._cq_windex[predicate]
 
 
 def check_sharing(plan, gateway, report: AnalysisReport) -> None:
     """Predict MQO sharing and containment subsumption against a gateway.
 
-    With an index-maintaining gateway (``GatewayServer``) the signature
-    peers come from O(1) key lookups and containment candidates are
-    pruned through the window-predicate inverted index; bare gateway
-    stand-ins fall back to the original full scan.  Diagnostics are
-    identical either way.
+    The signature peers come from O(1) key lookups in the gateway's
+    sharing indexes, and containment candidates are pruned through the
+    window-predicate inverted index.
     """
     if gateway is None:
         return
-    queries = getattr(gateway, "_queries", {})
-    registered = {
-        name: q.plan for name, q in queries.items() if q.plan is not plan
+    live = {
+        name for name, q in gateway._queries.items() if q.plan is not plan
     }
-    if not registered:
+    if not live:
         return
-    indexed = hasattr(gateway, "_sig_by_query")
 
-    signature = plan_signature(plan)
+    signature = plan.signature
     if signature is not None:
-        side_keys = {s.key for s in signature.sides}
-        if indexed:
-            live = set(registered)
-            relation_peers = sorted(
-                gateway._sig_relation.get(signature.relation_key, set())
+        relation_peers = sorted(
+            gateway._sig_relation.get(signature.relation_key, set()) & live
+        )
+        aggregate_peers = (
+            sorted(
+                gateway._sig_aggregate.get(signature.aggregate_key, set())
                 & live
             )
-            aggregate_peers = (
-                sorted(
-                    gateway._sig_aggregate.get(signature.aggregate_key, set())
-                    & live
-                )
-                if signature.aggregate_key is not None
-                else []
-            )
-            side_matches: set[str] = set()
-            for key in side_keys:
-                side_matches |= gateway._sig_side.get(key, set())
-            side_peers = {name: True for name in side_matches & live}
-        else:
-            relation_peers = []
-            aggregate_peers = []
-            side_peers = {}
-            for name, other in registered.items():
-                other_sig = plan_signature(other)
-                if other_sig is None:
-                    continue
-                if other_sig.relation_key == signature.relation_key:
-                    relation_peers.append(name)
-                if (
-                    signature.aggregate_key is not None
-                    and other_sig.aggregate_key == signature.aggregate_key
-                ):
-                    aggregate_peers.append(name)
-                for side in other_sig.sides:
-                    if side.key in side_keys:
-                        side_peers.setdefault(name, []).append(side.key)
+            if signature.aggregate_key is not None
+            else []
+        )
+        side_peers: set[str] = set()
+        for side in signature.sides:
+            side_peers |= gateway._sig_side.get(side.key, set())
+        side_peers &= live
         if aggregate_peers:
             report.add(
                 "ANA030",
                 Severity.INFO,
                 "will share a pipeline prefix up to the partial-aggregate "
-                f"tier with {sorted(aggregate_peers)}",
+                f"tier with {aggregate_peers}",
                 hint="per-pane scan, filter, join and partial-aggregation "
                 "work is computed once across these queries",
             )
@@ -172,14 +128,14 @@ def check_sharing(plan, gateway, report: AnalysisReport) -> None:
                 "ANA030",
                 Severity.INFO,
                 "will share the relational pipeline prefix (scan + filters "
-                f"+ static joins) with {sorted(relation_peers)}",
+                f"+ static joins) with {relation_peers}",
             )
         elif side_peers:
-            peers = sorted(side_peers)
             report.add(
                 "ANA030",
                 Severity.INFO,
-                f"will share per-stream join side state with {peers}",
+                "will share per-stream join side state with "
+                f"{sorted(side_peers)}",
                 hint="the symmetric-hash pane join's per-(side, pane) hash "
                 "tables are shared across these queries",
             )
@@ -187,27 +143,26 @@ def check_sharing(plan, gateway, report: AnalysisReport) -> None:
     new_cq = plan_as_cq(plan)
     if new_cq is None:
         return
-    if indexed:
-        # Candidate pruning: a homomorphism from a registered query's
-        # atoms into the new one requires every registered predicate to
-        # appear in the new query — in particular its window predicates,
-        # so the inverted window-predicate index bounds the candidates
-        # to queries on a shared stream/grid before the (exponential in
-        # the worst case) homomorphism search runs.
-        new_preds = frozenset(atom.predicate.value for atom in new_cq.atoms)
-        candidates: set[str] = set()
-        for predicate in new_preds:
-            if predicate.startswith(_WINDOW_PREFIX):
-                candidates |= gateway._cq_windex.get(predicate, set())
-        items = [
-            (name, gateway._cq_by_query.get(name))
-            for name in registered
-            if name in candidates
-            and gateway._cq_preds.get(name, frozenset()) <= new_preds
-        ]
-    else:
-        items = [(name, plan_as_cq(other)) for name, other in registered.items()]
-    for name, other_cq in items:
+    # Candidate pruning: a homomorphism from a registered query's atoms
+    # into the new one requires every registered predicate to appear in
+    # the new query — in particular its window predicates, so the
+    # inverted window-predicate index bounds the candidates to queries
+    # on a shared stream/grid before the (exponential in the worst case)
+    # homomorphism search runs.
+    new_preds = frozenset(atom.predicate.value for atom in new_cq.atoms)
+    candidates: set[str] = set()
+    for predicate in new_preds:
+        if predicate.startswith(_WINDOW_PREFIX):
+            candidates |= gateway._cq_windex.get(predicate, set())
+    # registration order, like the diagnostics it produces
+    for name in gateway._queries:
+        if (
+            name not in live
+            or name not in candidates
+            or not gateway._cq_preds.get(name, frozenset()) <= new_preds
+        ):
+            continue
+        other_cq = gateway._cq_by_query.get(name)
         if other_cq is None:
             continue
         contained = is_contained_in(new_cq, other_cq)

@@ -4,9 +4,11 @@ The static analyzer reasons about queries *before* they run; this module
 checks that the running engine honours the invariants the analyzer (and
 the rest of the system) relies on:
 
-* **demand balance** — every pane/batch demand a runtime declared on a
-  shared window reader is matched by the reader's refcount, and all
-  counts return to zero when the last query deregisters;
+* **reader balance** — every ``(scope, key)`` of the engine's reader
+  catalog carries exactly the references the live leaf runtimes record,
+  every pane/batch demand a runtime declared on a shared window reader
+  is matched by the reader's refcount, and all of it returns to zero
+  when the last query deregisters;
 * **pane-ring bounds** — the per-runtime pane rings (aggregation panes,
   join side prefixes, pane-pair partials) never hold more state than one
   window span, i.e. eviction keeps up with the window grid;
@@ -14,8 +16,12 @@ the rest of the system) relies on:
   catalog carries exactly the references the live runtimes hold on it,
   and the catalog is empty when the last query deregisters;
 * **signature agreement** — the planner's sharing eligibility
-  (:func:`~repro.exastream.mqo.plan_signature`) and the MQO runtime's
-  actual subscriptions never disagree.
+  (``plan.signature``) and the MQO runtime's actual subscriptions never
+  disagree.
+
+Readers, static relations and the scheduler belong to the engine, which
+several gateways may share (a recovered gateway beside a live one), so
+those balances are taken over every gateway on the engine.
 
 All checks are read-only.  ``verify_gateway`` raises
 :class:`InvariantViolation` listing every violated invariant; the
@@ -30,7 +36,6 @@ from __future__ import annotations
 from collections import Counter
 
 from ..errors import ReproError
-from ..exastream.mqo.signature import plan_signature
 from ..streams.window import pane_plan
 
 __all__ = ["InvariantViolation", "verify_runtime", "verify_gateway"]
@@ -105,10 +110,10 @@ def _verify_leaf(leaf, label: str, violations: list[str]) -> None:
             )
 
     # -- signature eligibility agreement ------------------------------------
-    if leaf.mqo is not None and plan_signature(leaf.plan) is None:
+    if leaf.mqo is not None and leaf.plan.signature is None:
         violations.append(
-            f"{label}: runtime carries an MQO binding but plan_signature "
-            "deems the plan ineligible"
+            f"{label}: runtime carries an MQO binding but the plan's "
+            "signature deems it ineligible"
         )
 
 
@@ -149,40 +154,52 @@ def verify_gateway(gateway) -> None:
     for name, runtime in runtimes.items():
         violations.extend(verify_runtime(runtime, name))
 
+    # Every query on the engine, whichever gateway registered it.
+    engine = gateway.engine
+    engine_queries = [
+        registered
+        for sharer in engine.gateways
+        for registered in sharer.queries
+    ]
+    engine_names = {registered.name for registered in engine_queries}
+    leaves = [
+        leaf
+        for registered in engine_queries
+        for leaf in registered.runtime.leaf_runtimes
+    ]
+
     # -- reader refcount balance --------------------------------------------
-    for name in queries:
-        if name not in gateway._reader_keys:
-            violations.append(f"query {name!r} has no reader-key record")
-    for name in gateway._reader_keys:
-        if name not in queries:
-            violations.append(
-                f"reader keys recorded for unregistered query {name!r}"
-            )
-    expected_refs = Counter(
-        key for keys in gateway._reader_keys.values() for key in keys
+    # A catalog entry's refcount is the number of references the
+    # registered queries' leaf runtimes record on it (one per windowed
+    # input).
+    held_readers = Counter(
+        (leaf.scope, key) for leaf in leaves for key in leaf.reader_keys
     )
-    if expected_refs != gateway._reader_refs:
-        violations.append(
-            f"reader refcounts {dict(gateway._reader_refs)} do not match "
-            f"the registered queries' reader keys {expected_refs}"
-        )
+    reader_refs = engine.catalog.refs
+    for scope, key in held_readers.keys() | reader_refs.keys():
+        if held_readers[scope, key] != reader_refs.get((scope, key), 0):
+            violations.append(
+                f"reader {key!r} in scope {scope!r}: refcount is "
+                f"{reader_refs.get((scope, key), 0)} but "
+                f"{held_readers[scope, key]} runtime reference(s) are "
+                "held on it"
+            )
 
     # -- demand balance on shared readers -----------------------------------
-    # Every reader this gateway's queries share through the engine's
-    # catalog (all scopes: the one-node scope and every sharded layout
-    # slice) carries exactly the demand references the registered
-    # queries' leaf runtimes hold on it.
+    # Every referenced reader of the catalog (all scopes: the one-node
+    # scope and every sharded layout slice) carries exactly the demand
+    # references the leaf runtimes hold on it.  (An unreferenced reader
+    # is one recovery seeded and no re-registration has adopted yet.)
     batch_counts: Counter[int] = Counter()
     pane_counts: Counter[int] = Counter()
-    for runtime in runtimes.values():
-        for leaf in runtime.leaf_runtimes:
-            readers = leaf.readers
-            batch_counts.update(id(readers[k]) for k in leaf._batch_demanded)
-            pane_counts.update(id(readers[k]) for k in leaf._pane_demanded)
-    for scope, readers in gateway.engine.catalog.items():
+    for leaf in leaves:
+        readers = leaf.readers
+        batch_counts.update(id(readers[k]) for k in leaf._batch_demanded)
+        pane_counts.update(id(readers[k]) for k in leaf._pane_demanded)
+    for scope, readers in engine.catalog.items():
         for key, reader in readers.items():
-            if key not in gateway._reader_refs:
-                continue  # another gateway's session on the same engine
+            if (scope, key) not in reader_refs:
+                continue
             for kind, actual, expected in (
                 ("batch", reader.batch_demand, batch_counts[id(reader)]),
                 ("pane", reader.pane_demand, pane_counts[id(reader)]),
@@ -195,17 +212,9 @@ def verify_gateway(gateway) -> None:
                     )
 
     # -- static-relation balance --------------------------------------------
-    # Same rule for the static catalog, which every gateway on the
-    # engine shares: an entry's refcount is the number of references the
-    # registered queries' leaf runtimes hold on it.
-    held = Counter(
-        key
-        for sharer in gateway.engine.gateways
-        for registered in sharer.queries
-        for leaf in registered.runtime.leaf_runtimes
-        for key in leaf.static_keys
-    )
-    static_refs = gateway.engine.static_catalog.refs
+    # Same rule for the static catalog.
+    held = Counter(key for leaf in leaves for key in leaf.static_keys)
+    static_refs = engine.static_catalog.refs
     for key in held.keys() | static_refs.keys():
         if held[key] != static_refs.get(key, 0):
             violations.append(
@@ -217,32 +226,28 @@ def verify_gateway(gateway) -> None:
     # -- MQO subscription agreement -----------------------------------------
     mqo = gateway.mqo
     if mqo is not None:
-        by_query = mqo._by_query
-        for name in by_query:
-            if name not in queries:
-                violations.append(
-                    f"MQO registry still holds subscriptions of "
-                    f"deregistered query {name!r}"
-                )
-        for key, subscribers in mqo.subscribers().items():
-            if not subscribers:
+        subscribers = mqo.subscribers()
+        for key, names in subscribers.items():
+            if not names:
                 violations.append(
                     f"MQO pipeline {key[:80]!r} has zero subscribers but "
                     "was not released"
                 )
-            for sub in subscribers:
+            for sub in names:
                 if sub not in queries:
                     violations.append(
                         f"MQO pipeline subscriber {sub!r} is not a "
                         "registered query"
                     )
         for name, runtime in runtimes.items():
-            bound = any(leaf.mqo is not None for leaf in runtime.leaf_runtimes)
-            if bound and name not in by_query:
-                violations.append(
-                    f"query {name!r} carries an MQO binding but the "
-                    "registry has no subscriptions for it"
-                )
+            for leaf in runtime.leaf_runtimes:
+                if leaf.mqo is not None and name not in subscribers.get(
+                    leaf.mqo.relation_pipe.key, ()
+                ):
+                    violations.append(
+                        f"query {name!r} carries an MQO binding but the "
+                        "registry has no subscription for it"
+                    )
 
     # -- event-bus bookkeeping ----------------------------------------------
     bus = gateway.bus
@@ -295,7 +300,7 @@ def verify_gateway(gateway) -> None:
                         f"scheduler still places shared pipeline "
                         f"{name[:80]!r} with no live refs"
                     )
-            elif name not in queries:
+            elif name not in engine_names:
                 violations.append(
                     f"scheduler still places operators of deregistered "
                     f"query {name!r}"
@@ -305,28 +310,37 @@ def verify_gateway(gateway) -> None:
                 violations.append(
                     f"scheduler pipeline {key[:80]!r} refcount is {refs}"
                 )
-        expected_pipeline_refs: dict[str, int] = {}
-        for keys in gateway._pipeline_keys.values():
-            for key in keys:
-                expected_pipeline_refs[key] = (
-                    expected_pipeline_refs.get(key, 0) + 1
+        for name in report.query_pipelines:
+            if name not in engine_names:
+                violations.append(
+                    f"scheduler still holds pipeline references of "
+                    f"deregistered query {name!r}"
                 )
+        expected_pipeline_refs = Counter(
+            key for keys in report.query_pipelines.values() for key in keys
+        )
         if expected_pipeline_refs != pipeline_refs:
             violations.append(
-                "scheduler pipeline refcounts do not match the gateway's "
-                f"per-query pipeline keys ({len(pipeline_refs)} vs "
+                "scheduler pipeline refcounts do not match its per-query "
+                f"pipeline keys ({len(pipeline_refs)} vs "
                 f"{len(expected_pipeline_refs)} distinct keys)"
             )
 
     # -- sharing-index consistency ------------------------------------------
     # The registration-time sharing analysis relies on these indexes
     # mirroring the live catalog exactly (see repro.analysis.sharing).
-    for attr in ("_sig_by_query", "_cq_by_query"):
-        indexed = set(getattr(gateway, attr))
-        if indexed != set(queries):
+    if set(gateway._cq_by_query) != set(queries):
+        violations.append(
+            f"gateway._cq_by_query indexes {sorted(gateway._cq_by_query)!r}, "
+            f"not the registered queries {sorted(queries)!r}"
+        )
+    for name, registered in queries.items():
+        signature = registered.plan.signature
+        if signature is not None and name not in gateway._sig_relation.get(
+            signature.relation_key, ()
+        ):
             violations.append(
-                f"gateway.{attr} indexes {sorted(indexed)!r}, not the "
-                f"registered queries {sorted(queries)!r}"
+                f"query {name!r} is missing from gateway._sig_relation"
             )
     for attr in ("_sig_relation", "_sig_aggregate", "_sig_side",
                  "_cq_windex"):
@@ -384,25 +398,17 @@ def verify_gateway(gateway) -> None:
         violations.extend(gateway.obs.tracer.audit_violations())
 
     # -- everything drains at zero ------------------------------------------
-    if not queries:
-        for attr in ("_reader_refs", "_reader_keys", "_pipeline_keys"):
-            leftover = getattr(gateway, attr)
-            if leftover:
-                violations.append(
-                    f"gateway.{attr} not empty after the last deregister: "
-                    f"{sorted(leftover)!r}"
-                )
-        if gateway.shared_reader_count:
+    if not queries and mqo is not None and mqo.pipeline_count:
+        violations.append(
+            "MQO registry not empty after the last deregister: "
+            f"{mqo.pipeline_count} pipelines"
+        )
+    if not engine_queries:
+        if engine.shared_reader_count:
             violations.append(
                 f"the engine's reader catalog still holds "
-                f"{gateway.shared_reader_count} reader(s) after the last "
+                f"{engine.shared_reader_count} reader(s) after the last "
                 "deregister"
-            )
-        if mqo is not None and (mqo._pipelines or mqo._by_query):
-            violations.append(
-                "MQO registry not empty after the last deregister: "
-                f"{mqo.pipeline_count} pipelines, "
-                f"{len(mqo._by_query)} query records"
             )
         if scheduler is not None:
             report = scheduler.load_report()

@@ -22,13 +22,22 @@ n, key column, shard)`` triple: a plan laid out over one node lives in
 node *i* serves every scope whose shard index is *i*.  Static relations
 do not depend on the stream layout, so one :class:`StaticCatalog`
 serves every scope of an engine.
+
+**One teardown.**  A runtime owns what it holds: every shared resource a
+binding takes — reader references (:class:`ReaderCatalog`), reader
+demand, static-relation references (:class:`StaticCatalog`), MQO
+subscriptions, worker processes — is recorded on the runtime that took
+it, and :meth:`WindowExecutor.close` gives all of it back.  ``close`` is
+idempotent and is the only release path: a deregistration calls it, a
+bind that raises calls it on the leaves it had built, and neither the
+engine nor the gateway keeps a second record of what a query holds.
 """
 
 from __future__ import annotations
 
 import weakref
 from abc import ABC, abstractmethod
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -48,7 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "PLAIN_SCOPE",
     "Scope",
-    "Catalog",
+    "ReaderCatalog",
     "StaticKey",
     "StaticCatalog",
     "WindowExecutor",
@@ -57,11 +66,51 @@ __all__ = [
 ]
 
 Scope = tuple[int, "str | None", int]
-#: scope -> reader sharing key -> reader
-Catalog = defaultdict[Scope, dict[str, SharedWindowReader]]
 
 #: the unsharded scope: layout 1, no key column, shard 0
 PLAIN_SCOPE: Scope = (1, None, 0)
+
+
+class ReaderCatalog(defaultdict):
+    """The shared window readers, ``scope -> sharing key -> reader``,
+    reference-counted per ``(scope, key)`` by the leaf runtimes bound
+    over them.
+
+    Queries with the same window grid in the same scope share one
+    reader (the wCache behaviour); the reader is dropped when the last
+    runtime holding its key closes.  Checkpoint recovery seeds resumed
+    readers straight into ``catalog[scope]`` before it re-registers the
+    queries, whose binds then adopt (and reference) them.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(dict)
+        self._refs: Counter[tuple[Scope, str]] = Counter()
+
+    @property
+    def refs(self) -> dict[tuple[Scope, str], int]:
+        """Live references per ``(scope, key)`` (the audit compares them
+        to the registered runtimes' own records)."""
+        return dict(self._refs)
+
+    def acquire(
+        self, scope: Scope, key: str, build: Callable[[], SharedWindowReader]
+    ) -> SharedWindowReader:
+        """Take a reference on ``scope``'s reader for ``key``, building
+        it on first use.  A failing ``build`` records nothing."""
+        readers = self[scope]
+        reader = readers.get(key)
+        if reader is None:
+            reader = readers[key] = build()
+        self._refs[scope, key] += 1
+        return reader
+
+    def release(self, scope: Scope, key: str) -> None:
+        """Drop one reference; the last one drops the reader."""
+        self._refs[scope, key] -= 1
+        if not self._refs[scope, key]:
+            del self._refs[scope, key]
+            self[scope].pop(key, None)
 
 #: (database, static SQL text, the database's write counter at
 #: materialisation time)
@@ -146,13 +195,10 @@ class WindowExecutor(ABC):
         references and MQO bindings (a ``PlanRuntime`` is its own)."""
 
     @abstractmethod
-    def release_demand(self) -> None:
-        """Drop every reader demand reference (idempotent)."""
-
-    @abstractmethod
     def close(self) -> None:
-        """Release execution resources — static-relation references,
-        worker processes; idempotent."""
+        """The one teardown: give back everything this binding holds —
+        reader demand, reader references, static-relation references,
+        MQO subscriptions, worker processes.  Idempotent."""
 
     @abstractmethod
     def demote(self, reason: str = "cost-based demotion") -> bool:
@@ -250,8 +296,8 @@ class Engine(ABC):
         ] = {}
         #: the shared-reader catalog: queries with the same window grid
         #: in the same scope share materialised windows (the wCache
-        #: behaviour).  The gateway reference-counts the sharing keys.
-        self.catalog: Catalog = defaultdict(dict)
+        #: behaviour), each leaf runtime holding a reference per input
+        self.catalog = ReaderCatalog()
         #: the materialised static relations, shared by every runtime —
         #: in any scope — whose plan reads the same SQL
         self.static_catalog = StaticCatalog(self.obs.registry)
@@ -325,24 +371,24 @@ class Engine(ABC):
     def shared_reader_count(self) -> int:
         return sum(len(readers) for readers in self.catalog.values())
 
-    def release_reader(self, key: str) -> None:
-        """Drop a shared reader from every scope (its last query left)."""
-        for readers in self.catalog.values():
-            readers.pop(key, None)
-
     def shared_reader(
-        self, readers: dict, ref, plan: ContinuousPlan, scope: Scope,
-        key_index: int | None = None,
+        self, catalog: ReaderCatalog, ref, plan: ContinuousPlan, scope: Scope
     ) -> SharedWindowReader:
-        """``scope``'s reader for one windowed input of ``plan``: the
-        one already in ``readers`` (shared by another query, or resumed
-        from a checkpoint), else a new one over the scope's slice."""
+        """Take a reference on ``scope``'s reader for one windowed input
+        of ``plan`` in ``catalog``: the one already there (shared by
+        another query, or resumed from a checkpoint), else a new one
+        over the scope's slice.  The caller records
+        :meth:`shared_reader_key` and releases it through the catalog."""
+        n, _key_column, shard = scope
         key = self.shared_reader_key(ref, plan)
-        reader = readers.get(key)
-        if reader is None:
-            n, _key_column, shard = scope
+        # the partition column of a multi-node layout's slice
+        key_index = (
+            plan.partitioning.stream_keys.get(ref.stream) if n > 1 else None
+        )
+
+        def build() -> SharedWindowReader:
             source, anchor = self.reader_source(ref.stream, scope, key_index)
-            reader = readers[key] = SharedWindowReader(
+            return SharedWindowReader(
                 # The cache identity encodes the partition layout: a
                 # node's WindowCache is shared across layouts, and a
                 # full-stream reader and a slice reader would otherwise
@@ -354,15 +400,15 @@ class Engine(ABC):
                 self.scope_cache(scope),
                 start=plan.start if plan.start is not None else anchor,
             )
-        return reader
+
+        return catalog.acquire(scope, key, build)
 
     @staticmethod
     def shared_reader_key(ref, plan: ContinuousPlan) -> str:
         """Sharing identity of one windowed input.
 
         The pulse anchor is part of the identity: two queries only share
-        materialised windows when their grids coincide.  The gateway
-        reference-counts shared readers across queries by these keys.
+        materialised windows when their grids coincide.
         """
         return f"{ref.reader_key}@{plan.start}"
 
@@ -421,26 +467,19 @@ class Engine(ABC):
         """Bind a plan to sources/databases over the shared catalog.
 
         ``mqo`` is the gateway's shared-pipeline registry, which the
-        engine scopes per layout slice.  A bind that raises leaves the
-        catalogs as it found them.
+        engine scopes per layout slice.  A bind that raises has closed
+        the leaves it built, so the catalogs are as it found them.
         """
-        before = {scope: len(readers) for scope, readers in self.catalog.items()}
-        try:
-            return self._bind(plan, shards, mqo, self.catalog)
-        except Exception:
-            # Readers this bind created have no query to release them;
-            # a bind only ever adds, so they are each scope's newest.
-            for scope, readers in self.catalog.items():
-                while len(readers) > before.get(scope, 0):
-                    readers.popitem()
-            raise
+        return self._bind(plan, shards, mqo, self.catalog)
 
     @abstractmethod
-    def _bind(self, plan, shards, mqo, catalog: Catalog) -> WindowExecutor:
-        """``bind`` over ``catalog[scope]`` reader dictionaries — the one
-        part of the contract this module cannot state, because it builds
-        the runtimes (:class:`~repro.exastream.engine.StreamEngine`).  A
-        multi-node runtime is added to :attr:`_runtimes`."""
+    def _bind(
+        self, plan, shards, mqo, catalog: ReaderCatalog
+    ) -> WindowExecutor:
+        """``bind`` over ``catalog`` — the one part of the contract this
+        module cannot state, because it builds the runtimes
+        (:class:`~repro.exastream.engine.StreamEngine`).  A multi-node
+        runtime is added to :attr:`_runtimes`."""
 
     def metrics_snapshot(self):
         """A picklable point-in-time copy of the engine's registries,
@@ -480,7 +519,7 @@ class Engine(ABC):
     ) -> Iterator[WindowResult]:
         """Execute one plan until stream end (or ``max_windows``) over
         private readers — nothing enters the shared catalog."""
-        runtime = self._bind(plan, shards, None, defaultdict(dict))
+        runtime = self._bind(plan, shards, None, ReaderCatalog())
         try:
             window_id = 0
             while max_windows is None or window_id < max_windows:
@@ -490,5 +529,4 @@ class Engine(ABC):
                 yield result
                 window_id += 1
         finally:
-            runtime.release_demand()
             runtime.close()

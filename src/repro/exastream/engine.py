@@ -37,6 +37,7 @@ from ..streams import SharedWindowReader, WindowBatch
 from .contracts import (
     PLAIN_SCOPE,
     Engine,
+    ReaderCatalog,
     Scope,
     StaticCatalog,
     StaticKey,
@@ -44,7 +45,6 @@ from .contracts import (
 )
 from .metrics import QueryMetrics, Stopwatch
 from .mqo.runtime import MQOBinding
-from .mqo.signature import plan_signature
 from .operators import (
     Relation,
     StaticTable,
@@ -199,26 +199,33 @@ class PlanRuntime(WindowExecutor):
     """
 
     plan: ContinuousPlan
-    readers: dict[str, SharedWindowReader]
-    statics: dict[str, StaticTable]
-    stream_columns: dict[str, list[str]]
     udfs: UDFRegistry
     metrics: QueryMetrics
+    #: the catalogs this binding's reader and static references live in
+    catalog: ReaderCatalog
+    static_catalog: StaticCatalog
     #: bind-time switch: ``False`` binds recompute-only whatever the
     #: plan's incremental decision says
     incremental_enabled: bool = True
-    #: shared-subplan handle (multi-query optimization); ``None`` runs
-    #: the binding fully private — output is identical either way
-    mqo: MQOBinding | None = None
     #: the engine's observability bundle (registry + tracer); ``None``
     #: or a disabled bundle skips histograms/per-operator recording
     obs: Observability | None = None
     #: the reader/cache/MQO sharing scope this binding lives in
     scope: Scope = PLAIN_SCOPE
-    #: the references this binding holds on shared static relations
-    #: (one per static input), released by :meth:`close`
-    static_catalog: StaticCatalog | None = None
+    # What the binding holds.  ``StreamEngine.bind_scope`` records each
+    # resource here as it takes it and then calls :meth:`_open`;
+    # :meth:`close` gives all of it back.
+    readers: dict[str, SharedWindowReader] = field(default_factory=dict)
+    #: one catalog reference (by sharing key, in :attr:`scope`) per
+    #: windowed input
+    reader_keys: list[str] = field(default_factory=list)
+    stream_columns: dict[str, list[str]] = field(default_factory=dict)
+    statics: dict[str, StaticTable] = field(default_factory=dict)
+    #: one static-catalog reference per static input
     static_keys: list[StaticKey] = field(default_factory=list)
+    #: shared-subplan handle (multi-query optimization); ``None`` runs
+    #: the binding fully private — output is identical either way
+    mqo: MQOBinding | None = None
 
     def __post_init__(self) -> None:
         self._bind_obs()
@@ -245,38 +252,51 @@ class PlanRuntime(WindowExecutor):
                 self._equi.append(decomposed)
             else:
                 self._residual.append(predicate)
-        # Static relations are invariant: apply their pushdown filters
-        # once at bind time (this also covers the indexed join_probe
-        # path, which bypasses the per-window load).  The filtered table
-        # is this binding's own; the shared one is never written.
-        for alias, static in list(self.statics.items()):
-            filtered = self._push_filters(alias, static.relation, record=False)
-            if filtered is not static.relation:
-                self.statics[alias] = StaticTable(filtered)
-        decision = self.plan.incremental
-        if decision is None:
-            decision = self.plan.incremental = analyze_incremental(self.plan)
         #: the live pane executor (``None``: every window recomputes)
         self.tier: TierExecutor | None = None
-        if self.incremental_enabled and decision.is_pane_join:
-            self.tier = PaneJoinExecutor(self, decision)
-        elif self.incremental_enabled and decision.is_incremental:
-            self.tier = PaneExecutor(self)
         #: why the tier was retired (``None`` while it is live or when
         #: the binding never had one), and whether a cost-based
         #: ``demote()`` — rather than disorder — retired it
         self._retired: str | None = None
         self._demoted = False
         #: keys of :attr:`readers` this binding holds a batch-demand
-        #: reference on — released on deregistration so a surviving
+        #: reference on — released by :meth:`close`, so a surviving
         #: pane-driven query regains its no-batch property once every
         #: batch-driven query is gone
         self._batch_demanded: list[str] = []
         #: keys of :attr:`readers` this binding holds a pane-demand
         #: reference on (one per windowed input: a self-join holds two on
-        #: its shared reader) — released on deregistration or tier
-        #: retirement so a reader without pane consumers stops slicing
+        #: its shared reader) — released by :meth:`close` or tier
+        #: retirement, so a reader without pane consumers stops slicing
         self._pane_demanded: list[str] = []
+
+    def _open(self) -> None:
+        """Second half of binding, once the readers and statics are in
+        place: filter the statics, choose the tier, declare demand."""
+        # Static relations are invariant: apply their pushdown filters
+        # once at bind time (this also covers the indexed join_probe
+        # path, which bypasses the per-window load).  The filtered table
+        # is this binding's own; the shared one is never written.
+        for ref in self.plan.statics:
+            static = self.statics[ref.alias]
+            try:
+                filtered = self._push_filters(
+                    ref.alias, static.relation, record=False
+                )
+            except (KeyError, ValueError) as exc:  # unknown column / UDF
+                # (args[0]: a KeyError's str() is the repr of its message)
+                raise BindError(
+                    self.plan.name, ref.alias, ref.sql, exc.args[0]
+                ) from exc
+            if filtered is not static.relation:
+                self.statics[ref.alias] = StaticTable(filtered)
+        decision = self.plan.incremental
+        if decision is None:
+            decision = self.plan.incremental = analyze_incremental(self.plan)
+        if self.incremental_enabled and decision.is_pane_join:
+            self.tier = PaneJoinExecutor(self, decision)
+        elif self.incremental_enabled and decision.is_incremental:
+            self.tier = PaneExecutor(self)
         # Declare demand at bind time: a tier turns on pane slicing (so
         # the shared readers slice from their first pulse); a
         # recompute-only binding takes batch demand so every pulse
@@ -373,27 +393,25 @@ class PlanRuntime(WindowExecutor):
             reader.demand_batches()
             self._batch_demanded.append(key)
 
-    def release_demand(self) -> None:
-        """Release this binding's batch- and pane-demand references
-        (idempotent).
-
-        Called on deregistration; once the last batch-driven binding is
-        gone the shared reader stops assembling O(range) batches per
-        pulse (and likewise stops pane slicing once its last pane-driven
-        binding is gone).
-        """
+    def close(self) -> None:
+        """Give back what this binding holds (see the contract).  Once
+        the last batch-driven binding is gone a shared reader stops
+        assembling O(range) batches per pulse, and stops pane slicing
+        once its last pane-driven binding is gone."""
         for key in self._batch_demanded:
             self.readers[key].release_batches()
         self._batch_demanded.clear()
         for key in self._pane_demanded:
             self.readers[key].release_panes()
         self._pane_demanded.clear()
-
-    def close(self) -> None:
-        """Release this binding's static-relation references."""
+        for key in self.reader_keys:
+            self.catalog.release(self.scope, key)
+        self.reader_keys.clear()
         for key in self.static_keys:
             self.static_catalog.release(key)
         self.static_keys.clear()
+        if self.mqo is not None:
+            self.mqo.release()
 
     # -- checkpoint / restore -----------------------------------------------
 
@@ -823,7 +841,7 @@ class StreamEngine(Engine):
         decision = plan.partitioning
         n = self.resolve_shards(plan, shards)
         if n == 1:
-            return self.bind_scope(plan, catalog[PLAIN_SCOPE], mqo, PLAIN_SCOPE)
+            return self.bind_scope(plan, catalog, mqo, PLAIN_SCOPE)
         # sharded.py builds on this module's PlanRuntime and WindowResult
         from .sharded import ShardedPlanRuntime
 
@@ -832,97 +850,84 @@ class StreamEngine(Engine):
         # and shard slices preserve stream order, so each shard's output
         # — and therefore the merge — is unchanged by the tier.
         shard_plan, combiner = make_shard_plan(plan, decision)
-        leaves = []
-        for shard in range(n):
-            scope = (n, decision.key_column, shard)
-            for ref in plan.windows:  # this shard's partitioned readers
-                self.shared_reader(
-                    catalog[scope], ref, plan, scope,
-                    decision.stream_keys.get(ref.stream),
-                )
-            leaves.append(
-                self.bind_scope(shard_plan, catalog[scope], mqo, scope)
+        leaves: list[PlanRuntime] = []
+        try:
+            for shard in range(n):
+                leaves.append(self.bind_scope(
+                    shard_plan, catalog, mqo, (n, decision.key_column, shard)
+                ))
+            runtime = ShardedPlanRuntime(
+                plan=plan,
+                combiner=combiner,
+                shard_runtimes=leaves,
+                metrics=self.metrics.query(plan.name),
+                udfs=self.udfs,
+                parallel=self.parallel,
+                scheduler=self.scheduler,
             )
-        runtime = ShardedPlanRuntime(
-            plan=plan,
-            combiner=combiner,
-            shard_runtimes=leaves,
-            metrics=self.metrics.query(plan.name),
-            udfs=self.udfs,
-            parallel=self.parallel,
-            scheduler=self.scheduler,
-        )
+        except Exception:
+            for leaf in leaves:
+                leaf.close()
+            raise
         self._runtimes.add(runtime)
         return runtime
 
     def bind_scope(
         self,
         plan: ContinuousPlan,
-        readers: dict[str, SharedWindowReader],
+        catalog: ReaderCatalog,
         mqo,
         scope: Scope,
     ) -> PlanRuntime:
         """Bind a plan to the sources/databases within ``scope``, on the
         node serving it.
 
-        ``readers`` is the scope's shared-reader dictionary (see
-        :meth:`shared_reader`).  ``mqo`` is the shared pipeline
-        registry; when the plan's prefix is shareable, the runtime
-        computes per-pane results once across every structurally equal
-        query registered in the same scope.
+        Readers come from ``catalog`` (see :meth:`shared_reader`).
+        ``mqo`` is the shared pipeline registry; when the plan's prefix
+        is shareable, the runtime computes per-pane results once across
+        every structurally equal query registered in the same scope.
+        Each resource is recorded on the runtime as it is taken, so a
+        failure anywhere closes the runtime and leaves nothing behind.
         """
         node = self.nodes[scope[2]]
-        # Statics first: their SQL is what can fail, and nothing else
-        # has been taken yet when it does.
-        static_keys: list[StaticKey] = []
+        runtime = PlanRuntime(
+            plan=plan,
+            udfs=self.udfs,
+            metrics=node.metrics.query(plan.name),
+            catalog=catalog,
+            static_catalog=self.static_catalog,
+            incremental_enabled=self.incremental,
+            obs=node.obs,
+            scope=scope,
+        )
         try:
-            statics: dict[str, StaticTable] = {}
             for ref in plan.statics:
                 key, shared = self._static(plan, ref)
-                static_keys.append(key)
-                statics[ref.alias] = shared.view(ref.alias)
-            bound: dict[str, SharedWindowReader] = {}
-            stream_columns: dict[str, list[str]] = {}
+                runtime.static_keys.append(key)
+                runtime.statics[ref.alias] = shared.view(ref.alias)
             for ref in plan.windows:
-                bound[ref.reader_key] = self.shared_reader(
-                    readers, ref, plan, scope
+                runtime.readers[ref.reader_key] = self.shared_reader(
+                    catalog, ref, plan, scope
                 )
+                runtime.reader_keys.append(self.shared_reader_key(ref, plan))
                 schema = self._sources[ref.stream].stream.schema
-                stream_columns[ref.alias] = [
+                runtime.stream_columns[ref.alias] = [
                     f"{ref.alias}.{c}" for c in schema.column_names
                 ]
-
-            binding = None
-            if mqo is not None and self.mqo:
-                signature = plan_signature(plan)
-                if signature is not None:
-                    if len(self.nodes) > 1:
-                        # Slices of different layouts hold different
-                        # tuples and must never interchange results.  (A
-                        # one-node engine has one scope and shares at
-                        # the registry's root.)
-                        n, key_column, shard = scope
-                        mqo = mqo.scoped(f"{n}:{key_column or 'none'}:{shard}")
-                    binding = mqo.bind(signature, plan.name)
-
-            return PlanRuntime(
-                plan=plan,
-                readers=bound,
-                statics=statics,
-                stream_columns=stream_columns,
-                udfs=self.udfs,
-                metrics=node.metrics.query(plan.name),
-                incremental_enabled=self.incremental,
-                mqo=binding,
-                obs=node.obs,
-                scope=scope,
-                static_catalog=self.static_catalog,
-                static_keys=static_keys,
-            )
+            if mqo is not None and self.mqo and plan.signature is not None:
+                if len(self.nodes) > 1:
+                    # Slices of different layouts hold different tuples
+                    # and must never interchange results.  (A one-node
+                    # engine has one scope and shares at the registry's
+                    # root.)
+                    n, key_column, shard = scope
+                    mqo = mqo.scoped(f"{n}:{key_column or 'none'}:{shard}")
+                runtime.mqo = mqo.bind(plan.signature, plan.name)
+            runtime._open()
         except Exception:
-            for key in static_keys:
-                self.static_catalog.release(key)
+            runtime.close()
             raise
+        return runtime
 
     def _static(self, plan, ref) -> tuple[StaticKey, StaticTable]:
         """Take a reference on the shared relation of one static input."""

@@ -28,10 +28,12 @@ once (closing the query's topic), and a bounded
 :class:`~repro.exastream.engine.BoundedResultSink` for incremental pull
 delivery.
 
-The gateway owns the *query catalog*; the shared-reader catalog lives in
-the engine (:mod:`repro.exastream.contracts`), for every deployment
-shape.  The gateway only reference-counts reader sharing keys across
-queries and tells the engine when a key's last query has left.
+The gateway owns the *query catalog* and nothing a query holds: shared
+readers, static relations, MQO subscriptions and worker processes belong
+to the query's runtime, whose ``close()`` gives them back
+(:mod:`repro.exastream.contracts`), and operator placements to the
+scheduler, whose ``remove(name)`` does.  Deregistration is cancel →
+``runtime.close()`` → ``scheduler.remove(name)`` → unindex.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from __future__ import annotations
 import asyncio
 import itertools
 import os
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from collections.abc import Callable
@@ -49,16 +50,12 @@ from .bus import EventBus, Subscription
 from .contracts import Engine, WindowExecutor
 from .engine import BoundedResultSink, WindowResult
 from .metrics import BusMetrics, Stopwatch
-from .mqo import SharedPipelineRegistry, plan_signature
+from .mqo import SharedPipelineRegistry
 from .estimator import ReplanGuard
 from .partial_agg import IncrementalMode
 from .plan import ContinuousPlan
 from .planner import costed_plan, plan_sql
-from .scheduler import (
-    Scheduler,
-    plan_join_stage_operators,
-    plan_side_prefix_operators,
-)
+from .scheduler import Scheduler
 
 __all__ = ["QueryState", "RegisteredQuery", "GatewayServer"]
 
@@ -106,6 +103,9 @@ class RegisteredQuery:
     #: plans only) — fed one observation per executed pulse; when it
     #: fires, the gateway demotes the runtime permanently
     guard: object | None = field(default=None, repr=False)
+    #: this query's ``bus_delivery_seconds`` histogram, bound on its
+    #: first timed delivery
+    deliver_seconds: object | None = field(default=None, repr=False)
 
     @property
     def active(self) -> bool:
@@ -216,15 +216,23 @@ class GatewayServer:
     The gateway registers queries, lets the :class:`Scheduler` place their
     operators on workers (for placement/ balance accounting), and executes
     all active queries round-robin, window by window, against the
-    engine's shared readers.  Shared readers are reference-counted here
-    by sharing key: when the last query windowing a stream deregisters,
-    the engine releases the reader.
+    engine's shared readers.
+
+    A deployment has one scheduler, the engine's: ``scheduler`` is
+    installed on an engine that has none and must otherwise be the
+    engine's own.
     """
 
     def __init__(self, engine: Engine, scheduler: Scheduler | None = None):
         self.engine = engine
         engine.gateways.add(self)
-        self.scheduler = scheduler
+        if engine.scheduler is None:
+            engine.scheduler = scheduler
+        elif scheduler is not None and scheduler is not engine.scheduler:
+            raise ValueError(
+                "the engine already has a scheduler; a deployment has one"
+            )
+        self.scheduler = engine.scheduler
         #: the engine's observability bundle — bus counters, MQO stats
         #: and the per-query delivery histograms all write through it
         self.obs = engine.obs
@@ -234,11 +242,7 @@ class GatewayServer:
         #: ``async for`` consumers)
         self.bus = EventBus(metrics=BusMetrics(registry=self.obs.registry))
         self._queries: dict[str, RegisteredQuery] = {}
-        self._reader_keys: dict[str, set[str]] = {}
-        self._reader_refs: Counter[str] = Counter()
         self._name_counter = itertools.count(1)
-        #: per-query ``bus_delivery_seconds`` histograms, bound lazily
-        self._h_deliver: dict[str, object] = {}
         #: the multi-query-optimization registry: per-(signature, pane)
         #: results shared across every registered query whose pipeline
         #: prefix matches.  ``mqo=False`` on the engine disables it.
@@ -246,10 +250,6 @@ class GatewayServer:
             SharedPipelineRegistry(registry=self.obs.registry)
             if engine.mqo else None
         )
-        #: query name -> shared-pipeline keys placed with the scheduler
-        #: (one for a single-stream prefix; per-side prefixes plus the
-        #: join stage for a two-stream join plan)
-        self._pipeline_keys: dict[str, list[str]] = {}
         #: audit mode: verify the engine's refcount/ring/signature
         #: invariants on every register/deregister and whenever a step
         #: drains (CI sets REPRO_AUDIT=1; read-only, output-identical)
@@ -264,7 +264,6 @@ class GatewayServer:
         #: signature-key -> query names, plus each query's cached
         #: conjunctive-query encoding and its window-predicate index for
         #: containment candidate pruning.
-        self._sig_by_query: dict[str, object] = {}
         self._sig_relation: dict[str, set[str]] = {}
         self._sig_aggregate: dict[str, set[str]] = {}
         self._sig_side: dict[str, set[str]] = {}
@@ -365,59 +364,12 @@ class GatewayServer:
         self._queries[name] = registered
         index_plan(self, name, plan)
         self.bus.wake()  # a parked serve() loop has new work
-        keys = {
-            Engine.shared_reader_key(ref, plan) for ref in plan.windows
-        }
-        self._reader_keys[name] = keys
-        self._reader_refs.update(keys)
         if self.scheduler is not None:
-            signature = (
-                plan_signature(plan) if self.mqo is not None else None
+            self.scheduler.place_query(
+                plan,
+                plan.signature if self.mqo is not None else None,
+                runtime.leaf_runtimes[0].scope,
             )
-            if signature is None:
-                self.scheduler.place(plan)
-            else:
-                # Shared-subplan load accounting: the pipeline prefix is
-                # placed (and costed) once per *pipeline*, refcounted
-                # across its subscriber queries; only the per-query
-                # residual operators are placed per query.  The key is
-                # scoped by (shard count, partition key column),
-                # mirroring the registry's per-layout scoping: a
-                # shards=1 and a shards=2 registration of the same task
-                # — or two layouts partitioned on different key columns
-                # — share no execution, so they must not share a
-                # placement either.
-                layout, key_column, _shard = runtime.leaf_runtimes[0].scope
-                scope = f"shards={layout}:{key_column}"
-                pipeline_keys: list[str] = []
-                if signature.sides:
-                    # Two-stream join: each side's scan+filter prefix
-                    # weighs on the cluster once per (scope, side
-                    # signature) — queries joining the same stream share
-                    # that side's load even when their partner streams
-                    # differ — plus one shared join stage per full
-                    # relation prefix.
-                    for index, side in enumerate(signature.sides):
-                        side_key = f"{scope}|side|{side.key}"
-                        self.scheduler.place_pipeline(
-                            side_key,
-                            plan,
-                            operators=plan_side_prefix_operators(plan, index),
-                        )
-                        pipeline_keys.append(side_key)
-                    join_key = f"{scope}|{signature.relation_key}"
-                    self.scheduler.place_pipeline(
-                        join_key,
-                        plan,
-                        operators=plan_join_stage_operators(plan),
-                    )
-                    pipeline_keys.append(join_key)
-                else:
-                    pipeline_key = f"{scope}|{signature.relation_key}"
-                    self.scheduler.place_pipeline(pipeline_key, plan)
-                    pipeline_keys.append(pipeline_key)
-                self.scheduler.place_residual(plan)
-                self._pipeline_keys[name] = pipeline_keys
         if self.audit:
             self._verify()
         return registered
@@ -450,29 +402,20 @@ class GatewayServer:
         """Remove a query from the catalog.
 
         Raises :class:`~repro.errors.QueryNotFound` (a ``KeyError``) for
-        unknown names, and releases each shared window reader once its
-        last query is gone.
+        unknown names.  The runtime gives back everything the query
+        held (a shared reader goes once its last query is gone), the
+        scheduler everything it placed for it.
         """
         if name not in self._queries:
             raise QueryNotFound(name)
         from ..analysis.sharing import unindex_plan
 
         registered = self._queries.pop(name)
-        unindex_plan(self, name)
         registered.cancel()
-        registered.runtime.release_demand()
-        registered.runtime.close()  # sharded runtimes own worker processes
-        if self.mqo is not None:
-            self.mqo.release_query(name)
+        registered.runtime.close()
         if self.scheduler is not None:
             self.scheduler.remove(name)
-            for pipeline_key in self._pipeline_keys.pop(name, []):
-                self.scheduler.release_pipeline(pipeline_key)
-        for key in self._reader_keys.pop(name, set()):
-            self._reader_refs[key] -= 1
-            if self._reader_refs[key] <= 0:  # the key's last query left
-                del self._reader_refs[key]
-                self.engine.release_reader(key)
+        unindex_plan(self, name, registered.plan)
         if self.audit:
             self._verify()
 
@@ -578,14 +521,11 @@ class GatewayServer:
             if deliver_watch is not None:
                 # sink offer + subscriber callbacks + bus publish: the
                 # delivery lag between engine output and consumers
-                histogram = self._h_deliver.get(registered.name)
-                if histogram is None:
-                    histogram = self._h_deliver[registered.name] = (
-                        obs.registry.histogram(
-                            "bus_delivery_seconds", query=registered.name
-                        )
+                if registered.deliver_seconds is None:
+                    registered.deliver_seconds = obs.registry.histogram(
+                        "bus_delivery_seconds", query=registered.name
                     )
-                histogram.observe(deliver_watch.elapsed())
+                registered.deliver_seconds.observe(deliver_watch.elapsed())
             # completing on the last limited window (not one visit later)
             # keeps the state accurate the moment work is done; a no-op if a
             # subscriber callback already cancelled the query mid-delivery

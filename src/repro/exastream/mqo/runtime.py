@@ -11,13 +11,14 @@ subsystem:
   one shared prefix — the joined/filtered pane relations and the
   combinable partial-aggregation payload maps — keyed by pane / window
   id and evicted by the subscribers' low-watermarks;
-* the :class:`SharedPipelineRegistry` maps signature keys to pipelines,
-  reference-counts subscriber queries (a pipeline is dropped when its
-  last subscriber deregisters) and exposes :class:`MQOStats` counters;
+* the :class:`SharedPipelineRegistry` maps signature keys to pipelines
+  (a pipeline is dropped when its last subscriber releases it) and
+  exposes :class:`MQOStats` counters;
 * an :class:`MQOBinding` is one query's handle on its pipelines: the
   per-runtime face consulted by
   :class:`~repro.exastream.engine.PlanRuntime` on every pane and every
-  fallback window.
+  fallback window, and the owner of the subscriptions it took —
+  ``release()`` (called by the runtime's ``close()``) gives them back.
 
 Sharing is *memoizing*, never prescriptive: the first subscriber to need
 a pane computes it with its own (structurally identical) operators and
@@ -233,7 +234,6 @@ class SharedPipelineRegistry:
         self.stats = MQOStats(registry=registry)
         self._cap = cap_per_pipeline
         self._pipelines: dict[str, SharedPipeline] = {}
-        self._by_query: dict[str, set[str]] = {}
 
     @property
     def pipeline_count(self) -> int:
@@ -261,7 +261,6 @@ class SharedPipelineRegistry:
             self._pipelines[key] = pipeline
             self.stats.pipelines_created += 1
         pipeline.subscribe(query)
-        self._by_query.setdefault(query, set()).add(key)
         return pipeline
 
     def bind(self, signature: PlanSignature, query: str) -> MQOBinding:
@@ -276,30 +275,26 @@ class SharedPipelineRegistry:
         )
         return MQOBinding(
             query, self.stats, relation_pipe, aggregate_pipe,
-            signature.alias_map, side_pipes,
+            signature.alias_map, side_pipes, registry=self,
         )
 
-    def release_query(self, query: str) -> list[str]:
-        """Drop every subscription of ``query``; returns died pipeline keys."""
-        died: list[str] = []
-        for key in sorted(self._by_query.pop(query, ())):
-            pipeline = self._pipelines.get(key)
-            if pipeline is None:
-                continue
-            pipeline.unsubscribe(query)
-            if pipeline.subscriber_count == 0:
-                del self._pipelines[key]
-                self.stats.pipelines_released += 1
-                died.append(key)
-        return died
+    def _unsubscribe(self, pipeline: SharedPipeline, query: str) -> None:
+        """Drop ``query``'s subscription; the last one drops the pipeline."""
+        pipeline.unsubscribe(query)
+        if (
+            pipeline.subscriber_count == 0
+            and self._pipelines.get(pipeline.key) is pipeline
+        ):
+            del self._pipelines[pipeline.key]
+            self.stats.pipelines_released += 1
 
     def scoped(self, tag: str) -> ScopedPipelineRegistry:
         """A view whose signature keys are prefixed with ``tag``.
 
         An engine of several nodes scopes sharing per (partition layout,
         shard): shard slices of the same stream hold different tuples,
-        so their results must never interchange.  Subscriptions still register at
-        the root, so one ``release_query`` call tears down every scope.
+        so their results must never interchange.  Pipelines still live
+        in the root registry, under the prefixed keys.
         """
         return ScopedPipelineRegistry(self, tag)
 
@@ -375,9 +370,6 @@ class ScopedPipelineRegistry:
         )
         return self._root.bind(scoped, query)
 
-    def release_query(self, query: str) -> list[str]:
-        return self._root.release_query(query)
-
     def scoped(self, tag: str) -> ScopedPipelineRegistry:
         return ScopedPipelineRegistry(self._root, f"{self._tag}::{tag}")
 
@@ -400,6 +392,9 @@ class MQOBinding:
     aggregate_pipe: SharedPipeline | None
     alias_map: dict[str, str]
     side_pipes: tuple[tuple[SharedPipeline, dict[str, str]], ...] = ()
+    #: the registry the subscriptions were taken in (``None`` once
+    #: released)
+    registry: SharedPipelineRegistry | None = None
     _from_canon: dict[str, str] = field(init=False)
     _side_from_canon: tuple[dict[str, str], ...] = field(init=False)
 
@@ -409,6 +404,19 @@ class MQOBinding:
             {v: k for k, v in side_map.items()}
             for _, side_map in self.side_pipes
         )
+
+    def release(self) -> None:
+        """Give back every subscription this binding took (idempotent)."""
+        registry, self.registry = self.registry, None
+        if registry is None:
+            return
+        pipes = [self.relation_pipe, self.aggregate_pipe]
+        pipes += [pipe for pipe, _ in self.side_pipes]
+        for pipe in pipes:
+            # a self-join's two sides may name one pipeline: a second
+            # unsubscribe is a no-op
+            if pipe is not None:
+                registry._unsubscribe(pipe, self.query)
 
     def _rename(self, columns: list[str], mapping: dict[str, str]) -> list[str]:
         out: list[str] = []

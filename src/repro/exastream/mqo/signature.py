@@ -180,8 +180,10 @@ def _side_signature(plan: ContinuousPlan, index: int) -> SideSignature:
 
 
 def plan_signature(plan: ContinuousPlan) -> PlanSignature | None:
-    """Canonical signature of ``plan``'s shareable prefix (memoized on
-    the plan, like its partitioning/incremental classifications).
+    """Canonical signature of ``plan``'s shareable prefix.  Computes
+    afresh on every call: read ``plan.signature``, which calls this once
+    per plan object and keeps the result beside the plan's
+    partitioning/incremental classifications.
 
     Keys are ``repr``\\ s of nested tuples of strings — Python's string
     escaping keeps every component unambiguous, so no static SQL text or
@@ -194,11 +196,7 @@ def plan_signature(plan: ContinuousPlan) -> PlanSignature | None:
     Joins across more than two windowed streams are not covered and
     return ``None``.
     """
-    cached = plan.mqo_signature
-    if cached is not None:
-        return cached or None  # False marks "analyzed, ineligible"
     if len(plan.windows) > 2:
-        plan.mqo_signature = False
         return None
     alias_map = {
         window.alias: f"s{index}" for index, window in enumerate(plan.windows)
@@ -285,6 +283,4 @@ def plan_signature(plan: ContinuousPlan) -> PlanSignature | None:
         if decision.is_pane_join:
             sides = (_side_signature(plan, 0), _side_signature(plan, 1))
 
-    signature = PlanSignature(relation_key, aggregate_key, alias_map, sides)
-    plan.mqo_signature = signature
-    return signature
+    return PlanSignature(relation_key, aggregate_key, alias_map, sides)

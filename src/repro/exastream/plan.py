@@ -176,9 +176,8 @@ class ContinuousPlan:
     incremental: IncrementalDecision | None = field(
         default=None, compare=False, repr=False
     )
-    #: shared-subplan signature memo (``None``: not analyzed yet;
-    #: ``False``: analyzed and ineligible) — see
-    #: :func:`repro.exastream.mqo.plan_signature`.
+    #: what :attr:`signature` stores (``None``: not analyzed yet;
+    #: ``False``: analyzed and ineligible)
     mqo_signature: PlanSignature | bool | None = field(
         default=None, compare=False, repr=False
     )
@@ -200,6 +199,20 @@ class ContinuousPlan:
             raise ValueError("duplicate aliases in plan")
         if self.aggregate is None and not self.projection:
             raise ValueError("plan needs a projection or an aggregation")
+
+    @property
+    def signature(self) -> PlanSignature | None:
+        """The shared-subplan signature of this plan's pipeline prefix
+        (``None``: ineligible), computed on first read by
+        :func:`repro.exastream.mqo.plan_signature` and kept — every
+        layer that needs it (sharing analysis, bind, scheduler
+        placement, the sharing indexes) reads it here."""
+        if self.mqo_signature is None:
+            # signature.py builds on this module's plan classes
+            from .mqo.signature import plan_signature
+
+            self.mqo_signature = plan_signature(self) or False
+        return self.mqo_signature or None
 
     @property
     def spec(self) -> WindowSpec:

@@ -16,8 +16,9 @@ Two layers share one load account:
   (skewed partitions put real, measured weight on their workers).
 
 Every placement is released when its query deregisters — including the
-scan-affinity entries, which are reference-counted so a departed query
-cannot leave behind phantom cache discounts (the load-drift bug).
+shared-pipeline references :meth:`Scheduler.place_query` took for it and
+the scan-affinity entries, which are reference-counted so a departed
+query cannot leave behind phantom cache discounts (the load-drift bug).
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ class SchedulerReport:
     query_costs: dict[str, float]
     #: shared-pipeline key -> subscriber refcount
     pipeline_refs: dict[str, int]
+    #: query name -> the shared-pipeline keys it holds a reference on
+    query_pipelines: dict[str, tuple[str, ...]]
     #: max/mean worker load ratio — 1.0 is perfectly balanced
     balance: float
 
@@ -199,8 +202,51 @@ class Scheduler:
         #: shared-pipeline key -> subscriber refcount (MQO accounting:
         #: the prefix operators weigh on the cluster once per pipeline)
         self._pipeline_refs: dict[str, int] = {}
+        #: query name -> the pipeline keys :meth:`place_query` referenced
+        #: for it (one for a single-stream prefix; per-side prefixes plus
+        #: the join stage for a two-stream join plan)
+        self._query_pipelines: dict[str, list[str]] = {}
 
     # -- placement --------------------------------------------------------
+
+    def place_query(self, plan: ContinuousPlan, signature, scope) -> None:
+        """Place one registered query.  ``signature`` is the plan's MQO
+        signature when its prefix executes shared (``None``: every
+        operator is the query's own), ``scope`` the ``(layout, key
+        column, shard)`` of its first leaf runtime.
+
+        Shared-subplan load accounting: the pipeline prefix is placed
+        (and costed) once per *pipeline*, refcounted across its
+        subscriber queries; only the per-query residual operators are
+        placed per query.  The key is scoped by (shard count, partition
+        key column), mirroring the MQO registry's per-layout scoping: a
+        shards=1 and a shards=2 registration of the same task — or two
+        layouts partitioned on different key columns — share no
+        execution, so they must not share a placement either.
+        :meth:`remove` releases what this took.
+        """
+        if signature is None:
+            self.place(plan)
+            return
+        layout, key_column, _shard = scope
+        tag = f"shards={layout}:{key_column}"
+        relation_key = f"{tag}|{signature.relation_key}"
+        # Two-stream join: each side's scan+filter prefix weighs on the
+        # cluster once per (scope, side signature) — queries joining the
+        # same stream share that side's load even when their partner
+        # streams differ — plus one shared join stage per full relation
+        # prefix.  Otherwise the whole prefix is one pipeline.
+        pipelines = [
+            (f"{tag}|side|{side.key}", plan_side_prefix_operators(plan, index))
+            for index, side in enumerate(signature.sides)
+        ] + [(
+            relation_key,
+            plan_join_stage_operators(plan) if signature.sides else None,
+        )]
+        for key, operators in pipelines:
+            self.place_pipeline(key, plan, operators=operators)
+            self._query_pipelines.setdefault(plan.name, []).append(key)
+        self.place_residual(plan)
 
     #: marginal cost of re-reading a window scan already materialised on
     #: a node (the wCache effect: later queries hit the shared cache)
@@ -233,7 +279,7 @@ class Scheduler:
     def place_residual(self, plan: ContinuousPlan) -> list[OperatorPlacement]:
         """Place only the per-query residual operators of ``plan``.
 
-        Used with :meth:`place_pipeline` by the gateway's MQO path: the
+        Used with :meth:`place_pipeline` by :meth:`place_query`: the
         shareable prefix weighs on the cluster once per pipeline, each
         subscriber query adds only its residual aggregation/projection.
         """
@@ -248,9 +294,9 @@ class Scheduler:
         """Account one shared pipeline's prefix operators (refcounted).
 
         The first subscriber places the prefix (``operators`` defaults
-        to the plan's full pipeline prefix; the gateway passes per-side
-        prefixes and the join stage separately for two-stream join
-        plans) under the synthetic query id ``mqo::<key>``; later
+        to the plan's full pipeline prefix; :meth:`place_query` passes
+        per-side prefixes and the join stage separately for two-stream
+        join plans) under the synthetic query id ``mqo::<key>``; later
         subscribers only bump the refcount.  Returns the pipeline's live
         placements.
         """
@@ -284,13 +330,16 @@ class Scheduler:
         return min(self.workers, key=lambda w: (w.load, w.node_id))
 
     def remove(self, query: str) -> None:
-        """Release every placement of one deregistered query.
+        """Release every placement of one deregistered query, and its
+        references on shared pipelines.
 
         Scan-affinity entries are reference-counted: once the last query
         scanning a window grid leaves, the affinity (and its cached-scan
         discount) is dropped, so load accounting cannot drift across
         register/deregister cycles.
         """
+        for key in self._query_pipelines.pop(query, ()):
+            self.release_pipeline(key)
         for placement in self._by_query.pop(query, []):
             self.workers[placement.worker].release(placement)
             operator = placement.operator
@@ -509,5 +558,9 @@ class Scheduler:
             workers=workers,
             query_costs=query_costs,
             pipeline_refs=dict(self._pipeline_refs),
+            query_pipelines={
+                query: tuple(keys)
+                for query, keys in self._query_pipelines.items()
+            },
             balance=self.balance(),
         )

@@ -313,10 +313,6 @@ class ShardedPlanRuntime(WindowExecutor):
         """The per-shard bindings, in shard order."""
         return list(self._shard_runtimes)
 
-    def release_demand(self) -> None:
-        for runtime in self._shard_runtimes:
-            runtime.release_demand()
-
     # -- adaptive re-planning ------------------------------------------------
 
     @property

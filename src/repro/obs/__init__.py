@@ -87,7 +87,7 @@ class Observability:
     id).  ``enabled=False`` keeps the registry (core counters are views
     over it) but skips the detailed recording — histograms and
     per-operator stats — and forces the tracer off; it exists for
-    overhead baselines (``bench_obs_overhead``).
+    overhead baselines.
     """
 
     def __init__(self, registry: MetricRegistry | None = None,

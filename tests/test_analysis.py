@@ -208,7 +208,7 @@ class TestStrictRegistration:
         assert info.value.report.has_errors
         assert "doomed" not in gateway
         assert gateway.shared_reader_count == 0
-        assert not gateway._reader_refs
+        assert not gateway.engine.catalog.refs
 
     def test_strict_accepts_clean_query(self):
         gateway = fresh_gateway()

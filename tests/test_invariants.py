@@ -1,11 +1,17 @@
 """Plan-invariant verifier tests: refcount balance, pane-ring bounds and
 signature-eligibility agreement, checked mid-flight and at teardown."""
 
+import itertools
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from cqgen import build_engine
 from repro.analysis import InvariantViolation, verify_gateway, verify_runtime
-from repro.exastream import GatewayServer
+from repro.errors import BindError
+from repro.exastream import GatewayServer, Scheduler, plan_sql
+from repro.optique.session import PreparedQuery, Session
 from repro.siemens import deploy, diagnostic_catalog
 
 ROWS = [(float(i), i % 3, float(i) * 1.5) for i in range(20)]
@@ -78,19 +84,28 @@ def test_runtime_ring_bounds_direct():
 def test_violation_detected_when_refcounts_corrupted():
     gateway = fresh_gateway()
     gateway.register(QUERIES["agg"], name="agg")
-    key = next(iter(gateway._reader_refs))
-    gateway._reader_refs[key] += 1  # simulate a leaked reference
+    catalog = gateway.engine.catalog
+    scope, key = next(iter(catalog.refs))
+    catalog.acquire(scope, key, None)  # a reference no runtime accounts for
     with pytest.raises(InvariantViolation) as info:
         verify_gateway(gateway)
-    assert any("refcount" in v or "reader" in v for v in info.value.violations)
+    assert any("refcount is 2" in v for v in info.value.violations)
+    with pytest.raises(InvariantViolation) as info:
+        gateway.deregister("agg")
+        verify_gateway(gateway)  # ... and the reader outlives its last query
+    assert any("still holds 1 reader" in v for v in info.value.violations)
 
 
-def test_violation_detected_on_stale_reader_key():
+def test_violation_detected_on_reference_the_catalog_does_not_count():
     gateway = fresh_gateway()
-    gateway.register(QUERIES["agg"], name="agg")
-    gateway._reader_keys["ghost"] = set(gateway._reader_keys["agg"])
-    with pytest.raises(InvariantViolation):
+    registered = gateway.register(QUERIES["agg"], name="agg")
+    registered.runtime.reader_keys.append("ghost@None")
+    with pytest.raises(InvariantViolation) as info:
         verify_gateway(gateway)
+    assert any(
+        "'ghost@None'" in v and "refcount is 0" in v
+        for v in info.value.violations
+    )
 
 
 def test_audit_mode_runs_checks_inline(monkeypatch):
@@ -147,11 +162,15 @@ def test_sharded_violation_detected_when_refcounts_corrupted(shards):
     gateway = sharded_gateway()
     gateway.register(QUERIES["agg"], name="agg", shards=shards)
     verify_gateway(gateway)
-    key = next(iter(gateway._reader_refs))
-    gateway._reader_refs[key] += 1  # simulate a leaked reference
+    catalog = gateway.engine.catalog
+    scope, key = max(catalog.refs)  # the last shard's
+    catalog.acquire(scope, key, None)  # a reference no runtime accounts for
     with pytest.raises(InvariantViolation) as info:
         verify_gateway(gateway)
-    assert any("refcount" in v or "reader" in v for v in info.value.violations)
+    assert any(
+        repr(scope) in v and "refcount is 2" in v
+        for v in info.value.violations
+    )
 
 
 @pytest.mark.parametrize("kind", ["batch", "pane"])
@@ -222,3 +241,74 @@ def test_verify_runtime_walks_sharded_leaves(key):
     assert verify_runtime(runtime, "q") == []
     runtime.leaf_runtimes[0]._batch_demanded.clear()
     assert any("demoted" in v for v in verify_runtime(runtime, "q"))
+
+
+# -- lifecycle property: whatever the interleaving, everything comes back ---
+
+LIFECYCLE_SQL = [QUERIES["agg"], QUERIES["agg_twin"], QUERIES["join"],
+                 QUERIES["pane_join"], SHARDED_SQL["pane_join"]]
+#: binds up to the MQO subscription, then fails compiling a static filter
+FAILING_SQL = QUERIES["join"] + " AND NOSUCH(t.kind) = 1"
+
+
+@pytest.mark.parametrize("mqo", [True, False])
+@pytest.mark.parametrize("seed", range(6))
+def test_lifecycle_interleavings_release_everything(seed, mqo):
+    rng = random.Random(seed)
+    scheduler = Scheduler(2)
+    engine = build_engine(list(ROWS), shards=2, mqo=mqo, scheduler=scheduler)
+    gateways = [GatewayServer(engine), GatewayServer(engine)]
+    sessions = [Session(None, gateway) for gateway in gateways]
+    streams = {}  # query name -> an open bus subscription
+    names = (f"q{n}" for n in itertools.count())  # unique per engine
+
+    def submit(session, sql):
+        # a session submits prepared STARQL; all it reads is the plan
+        prepared = PreparedQuery(sql, SimpleNamespace(plan=plan_sql(sql, engine)))
+        return session.submit(
+            prepared, name=next(names), shards=rng.choice([1, 2])
+        )
+
+    def forget_streams():
+        for name in [n for n in streams if not any(n in g for g in gateways)]:
+            streams.pop(name).close()
+
+    for _ in range(40):
+        session = rng.choice(sessions)
+        op = rng.choice(
+            ["register", "register", "fail", "step", "step", "pause",
+             "resume", "deregister", "close"]
+        )
+        if op == "register":
+            handle = submit(session, rng.choice(LIFECYCLE_SQL))
+            if rng.random() < 0.3:
+                streams[handle.name] = handle.stream(capacity=4)
+        elif op == "fail":
+            with pytest.raises(BindError):
+                submit(session, FAILING_SQL)
+        elif op == "step":
+            session.step(rng.randrange(1, 4))
+        elif op == "close":
+            session.close()
+        elif session.handles:
+            handle = rng.choice(session.handles)
+            if op == "deregister":
+                handle.close()
+            elif not handle.state.is_terminal:
+                handle.pause() if op == "pause" else handle.resume()
+        forget_streams()
+        for gateway in gateways:
+            verify_gateway(gateway)
+
+    for session in sessions:
+        session.close()
+    forget_streams()
+    for gateway in gateways:
+        verify_gateway(gateway)
+        assert gateway.queries == [] and gateway.bus.topics == {}
+        assert gateway.mqo is None or gateway.mqo.pipeline_count == 0
+    assert engine.shared_reader_count == 0
+    assert engine.catalog.refs == {} and engine.static_catalog.refs == {}
+    report = scheduler.load_report()
+    assert report.query_costs == {} and report.pipeline_refs == {}
+    assert all(worker.placements == () for worker in report.workers)

@@ -561,9 +561,10 @@ class TestRegistrationCost:
 
     def test_sharing_analysis_is_linear_in_registrations(self, monkeypatch):
         import repro.analysis.sharing as sharing
+        import repro.exastream.mqo.signature as signature
 
         calls = {"signature": 0, "cq": 0}
-        real_sig, real_cq = sharing.plan_signature, sharing.plan_as_cq
+        real_sig, real_cq = signature.plan_signature, sharing.plan_as_cq
 
         def counted_sig(plan):
             calls["signature"] += 1
@@ -573,7 +574,8 @@ class TestRegistrationCost:
             calls["cq"] += 1
             return real_cq(plan)
 
-        monkeypatch.setattr(sharing, "plan_signature", counted_sig)
+        # ``plan.signature`` resolves the function through its module
+        monkeypatch.setattr(signature, "plan_signature", counted_sig)
         monkeypatch.setattr(sharing, "plan_as_cq", counted_cq)
 
         n = 12
@@ -587,10 +589,12 @@ class TestRegistrationCost:
                 name=f"q{i}",
             )
         # The sharing index gives each registration constant analysis
-        # work: one signature + one CQ encoding for check_sharing, the
-        # same again for index_plan.  The pre-index peer scan re-derived
-        # every live query's signature and CQ per registration (~n^2/2).
-        assert calls["signature"] <= 2 * n
+        # work: one signature per plan — check_sharing, bind and
+        # index_plan all read the stored ``plan.signature`` — and one CQ
+        # encoding each for check_sharing and index_plan.  The pre-index
+        # peer scan re-derived every live query's signature and CQ per
+        # registration (~n^2/2).
+        assert calls["signature"] == n
         assert calls["cq"] <= 2 * n
         # And the diagnostics still fire: later same-grid queries see
         # their sharing peers through the index.

@@ -107,6 +107,29 @@ class TestOneEngineServesEveryLayout:
         verify_gateway(gateway)
 
 
+    @pytest.mark.parametrize("leaver", [1, 2])
+    def test_a_layout_leaves_with_its_own_readers_only(self, leaver):
+        # Both layouts window A on the same grid, so the three readers
+        # share one sharing key: a per-key count released "from every
+        # scope" kept the leaver's readers until the other layout left.
+        engine = build_engine(streams=STREAMS, shards=2)
+        gateway = GatewayServer(engine)
+        sql, _tier = PLANS["pane"]
+        for shards in (1, 2):
+            gateway.register(sql, name=f"q{shards}", shards=shards)
+        assert engine.shared_reader_count == 3
+        gateway.step(3)
+        gateway.deregister(f"q{leaver}")
+        stayer = gateway.query(f"q{3 - leaver}")
+        assert engine.shared_reader_count == 3 - leaver
+        live = {leaf.scope for leaf in stayer.runtime.leaf_runtimes}
+        assert {s for s, readers in engine.catalog.items() if readers} == live
+        verify_gateway(gateway)
+        gateway.deregister(stayer.name)
+        assert engine.shared_reader_count == 0
+        verify_gateway(gateway)
+
+
 class TestOneOfEverything:
     def test_width_is_the_number_of_node_records(self):
         for width in (1, 2, 3):

@@ -15,7 +15,7 @@ import pytest
 from cqgen import build_engine, measurement_rows, snapshot
 from repro.analysis import verify_gateway
 from repro.errors import BindError, ReproError
-from repro.exastream import GatewayServer, plan_sql
+from repro.exastream import GatewayServer, Scheduler, plan_sql
 from repro.exastream.durability import CheckpointManager, recover
 from repro.mappings import (
     MappingAssertion,
@@ -296,6 +296,123 @@ def test_unattached_database_is_a_bind_error():
     assert isinstance(info.value, KeyError)  # what it used to be
     assert "not attached" in str(info.value) and info.value.alias == "t"
     assert bare.shared_reader_count == 0
+
+
+#: static-side filters that only fail when the runtime compiles them —
+#: after the statics, the readers and the MQO subscription were taken
+LATE_FAILURES = ["NOSUCH(t.kind) = 1", "t.nosuch = 1"]
+
+
+def engine_state(gateway):
+    """Everything a registration can take from the deployment."""
+    engine = gateway.engine
+    return {
+        "queries": sorted(q.name for q in gateway.queries),
+        "mqo": gateway.mqo.subscribers(),
+        "statics": engine.static_catalog.refs,
+        "reader_refs": engine.catalog.refs,
+        "demand": {
+            (scope, key): (reader.batch_demand, reader.pane_demand)
+            for scope, readers in engine.catalog.items()
+            for key, reader in readers.items()
+        },
+    }
+
+
+@pytest.mark.parametrize("condition", LATE_FAILURES)
+@pytest.mark.parametrize("shards", [1, 2])
+def test_bind_failing_after_the_mqo_subscription_leaks_nothing(
+    shards, condition
+):
+    gateway = GatewayServer(build_engine(list(ROWS), shards=2))
+    live = gateway.register(JOIN_T, name="live", shards=shards)
+    assert len(live.runtime.leaf_runtimes) == shards
+    gateway.step(2)
+    before = engine_state(gateway)
+    assert before["mqo"] and before["statics"] and before["demand"]
+    bad = JOIN_T.replace("GROUP BY", f"AND {condition} GROUP BY")
+    with pytest.raises(BindError) as info:  # same reader, same static
+        gateway.register(bad, name="bad", shards=shards)
+    assert isinstance(info.value, ReproError)
+    assert (info.value.query, info.value.alias) == ("bad", "t")
+    assert isinstance(info.value.__cause__, (KeyError, ValueError))
+    assert engine_state(gateway) == before
+    verify_gateway(gateway)
+    drain(gateway)
+    assert snapshot(live) == solo(JOIN_T, shards)
+    gateway.deregister("live")
+    assert engine_state(gateway)["reader_refs"] == {}
+    verify_gateway(gateway)
+
+
+# -- what a query takes dies with it -----------------------------------------
+
+
+def test_gateway_keeps_no_per_query_record_after_deregister():
+    gateway = GatewayServer(build_engine(list(ROWS)))
+    assert gateway.obs.enabled  # delivery is timed per query
+
+    def record_sizes():
+        return {
+            attr: len(value)
+            for attr, value in vars(gateway).items()
+            if hasattr(value, "__len__")
+        }
+
+    before = record_sizes()
+    for cycle in range(5):
+        gateway.register(JOIN_T, name=f"q{cycle}")
+        assert gateway.step(2) == 2
+        gateway.deregister(f"q{cycle}")
+    assert record_sizes() == before
+
+
+@pytest.mark.parametrize("on_engine", [True, False])
+def test_one_scheduler_per_deployment(on_engine):
+    scheduler = Scheduler(2)
+    if on_engine:  # supplied to the engine, found by the gateway
+        engine = build_engine(list(ROWS), shards=2, scheduler=scheduler)
+        gateway = GatewayServer(engine)
+    else:  # supplied to the gateway, installed on the engine
+        engine = build_engine(list(ROWS), shards=2)
+        gateway = GatewayServer(engine, scheduler=scheduler)
+    assert gateway.scheduler is engine.scheduler is scheduler
+    assert GatewayServer(engine, scheduler=scheduler).scheduler is scheduler
+    with pytest.raises(ValueError):
+        GatewayServer(engine, scheduler=Scheduler(2))
+
+    gateway.register(JOIN_T, name="q", shards=2)
+    gateway.step(2)
+    assert "q" in scheduler.load_report().query_costs
+    assert scheduler.shard_assignments("q") == {0: 0, 1: 1}
+    gateway.deregister("q")
+    assert scheduler.load_report().query_costs == {}
+    assert scheduler.shard_assignments("q") == {}
+    verify_gateway(gateway)
+
+
+@pytest.mark.parametrize("shards, at_most", [(1, 1), (4, 2)])
+def test_plan_signature_runs_once_per_plan(shards, at_most, monkeypatch):
+    import repro.exastream.mqo.signature as signature
+
+    calls = []
+    real = signature.plan_signature
+
+    def counted(plan):
+        calls.append(plan.name)
+        return real(plan)
+
+    monkeypatch.setattr(signature, "plan_signature", counted)
+    engine = build_engine(list(ROWS), shards=4, scheduler=Scheduler(2))
+    gateway = GatewayServer(engine)
+    registered = gateway.register(JOIN_T, name="q", shards=shards)
+    assert len(registered.runtime.leaf_runtimes) == shards
+    assert all(leaf.mqo is not None for leaf in registered.runtime.leaf_runtimes)
+    assert 1 <= len(calls) <= at_most
+    gateway.step(2)
+    gateway.deregister("q")  # unindexing reads the stored signature
+    verify_gateway(gateway)
+    assert len(calls) <= at_most
 
 
 # -- translate leg: block dedupe and the bounded translation cache -----------

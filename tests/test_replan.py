@@ -224,7 +224,6 @@ def per_window_shard_sums(rows, n_windows):
             if leaf.last_pane_stats is not None:
                 stats.append(leaf.last_pane_stats)
         sums.append(tuple(map(sum, zip(*stats))) if stats else None)
-    runtime.release_demand()
     runtime.close()
     return sums
 
