@@ -8,7 +8,7 @@ RUFF ?= ruff
 
 export PYTHONPATH := src
 
-.PHONY: test test-audit bench bench-smoke bench-adaptive bench-recovery coverage examples smoke lint lint-cq test-recovery obs-demo ledger ledger-compare ci
+.PHONY: test test-audit bench bench-smoke bench-adaptive bench-recovery coverage examples smoke lint lint-cq test-recovery obs-demo ledger ledger-compare profile ci
 
 test:
 	$(PY) -m pytest -x -q
@@ -103,6 +103,16 @@ ledger:
 
 ledger-compare:
 	$(PY) benchmarks/ledger/compare.py $(LEDGER_A) $(LEDGER_B)
+
+# Where one ledger pass spends its time: a warm-up pass, then one pass
+# under cProfile (top 25 by cumulative and by self time) and a
+# per-query table of PlanRuntime.execute_window.  For finding
+# candidates; a gain is measured with `make ledger`, profiling off.
+#   make profile WORKLOAD=siemens_catalog SEED=11
+WORKLOAD ?= siemens_catalog
+SEED ?= 11
+profile:
+	$(PY) benchmarks/profile_pass.py --workload $(WORKLOAD) --seed $(SEED)
 
 smoke:
 	$(PY) -m pytest tests/test_examples_smoke.py -q

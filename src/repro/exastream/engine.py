@@ -46,11 +46,11 @@ from .contracts import (
 from .metrics import QueryMetrics, Stopwatch
 from .mqo.runtime import MQOBinding
 from .operators import (
+    JoinedRows,
     Relation,
     StaticTable,
     compile_expr,
-    hash_join,
-    nested_loop_join,
+    hash_join_rows,
 )
 from .pane_executor import PaneExecutor, PartialContext, TierExecutor
 from .pane_join_executor import (  # noqa: F401
@@ -641,18 +641,49 @@ class PlanRuntime(WindowExecutor):
         current = self._join_rest(current, joined, pending, batches)
         return self._apply_residual_filters(current)
 
-    def _join_statics(self, relation: Relation, joined: set[str]) -> Relation:
-        """Fold the static relations into an already stream-joined
-        relation (a pane pair), then apply the residual filters."""
-        if self.plan.statics:
-            relation = self._join_rest(
-                relation, joined, [s.alias for s in self.plan.statics], {}
+    def _join_statics(self, pairs: JoinedRows, joined: set[str]) -> Relation:
+        """Fold the static relations into a pane pair's stream-stream
+        join (not carried out yet: an indexed static probe reads it as
+        it is enumerated), then apply the residual filters."""
+        return self._apply_residual_filters(self._join_rest(
+            pairs, joined, [s.alias for s in self.plan.statics], {}
+        ))
+
+    def _join_order(
+        self, joined: set[str], pending: list[str]
+    ) -> list[tuple[str, tuple[list[str], list[str]] | None, bool]]:
+        """The order ``pending`` folds into ``joined``: per step the
+        alias, its ``(joined-side keys, alias-side keys)`` and whether
+        the step probes a static relation's hash index.  Always the
+        first alias an equi-join connects to what is joined so far,
+        else the first alias as a cross join (``None`` keys)."""
+        joined, pending = set(joined), list(pending)
+        order = []
+        while pending:
+            chosen, keys = pending[0], None  # cross join fallback
+            for alias in pending:
+                left_keys: list[str] = []
+                right_keys: list[str] = []
+                for a, ac, b, bc in self._equi:
+                    if a in joined and b == alias:
+                        left_keys.append(f"{a}.{ac}")
+                        right_keys.append(f"{b}.{bc}")
+                    elif b in joined and a == alias:
+                        left_keys.append(f"{b}.{bc}")
+                        right_keys.append(f"{a}.{ac}")
+                if left_keys:
+                    chosen, keys = alias, (left_keys, right_keys)
+                    break
+            pending.remove(chosen)
+            joined.add(chosen)
+            order.append(
+                (chosen, keys, chosen in self.statics and keys is not None)
             )
-        return self._apply_residual_filters(relation)
+        return order
 
     def _join_rest(
         self,
-        current: Relation,
+        current: Relation | JoinedRows,
         joined: set[str],
         pending: list[str],
         batches: dict[str, Relation],
@@ -663,46 +694,39 @@ class PlanRuntime(WindowExecutor):
         pipeline: both visit the pending aliases in the identical
         discovery order with identical keys, so static expansion order —
         and therefore per-group value order — is the same on every path.
+
+        A stream-stream join directly followed by an indexed static
+        probe is not materialised: the probe reads the join as it is
+        enumerated and keeps the rows with a static match (same loops,
+        same order, so the output is the materialised form's).
         """
-        equi = self._equi
-        while pending:
-            # pick an alias connected to the joined set by an equi-join
-            chosen = None
-            keys: tuple[list[str], list[str]] | None = None
-            for alias in pending:
-                left_keys: list[str] = []
-                right_keys: list[str] = []
-                for a, ac, b, bc in equi:
-                    if a in joined and b == alias:
-                        left_keys.append(f"{a}.{ac}")
-                        right_keys.append(f"{b}.{bc}")
-                    elif b in joined and a == alias:
-                        left_keys.append(f"{b}.{bc}")
-                        right_keys.append(f"{a}.{ac}")
-                if left_keys:
-                    chosen = alias
-                    keys = (left_keys, right_keys)
-                    break
-            if chosen is None:  # cross join fallback
-                chosen = pending[0]
-                keys = None
-            pending.remove(chosen)
-            joined.add(chosen)
-            rows_in = len(current.rows)
-            if chosen in self.statics and keys is not None:
+        order = self._join_order(joined, pending)
+        #: (alias, inputs, output) per join; cardinalities are read once
+        #: every join has been carried out
+        steps: list[tuple[str, tuple, Relation | JoinedRows]] = []
+        for position, (chosen, keys, probes_index) in enumerate(order):
+            if probes_index:
                 static = self.statics[chosen]
-                rows_in += len(static.relation.rows)
-                # indexed stream-static join: probe the static hash index
-                current = static.join_probe(current, keys[0], keys[1])
+                other = static.relation
+                result = static.join_probe(current, keys[0], keys[1])
             else:
-                right = self._load(chosen, batches)
-                rows_in += len(right.rows)
-                if keys is not None:
-                    current = hash_join(current, right, keys[0], keys[1])
-                else:
-                    current = nested_loop_join(current, right)
-            if self._detailed:
-                self._record_op(f"join:{chosen}", rows_in, len(current.rows))
+                if isinstance(current, JoinedRows):
+                    current = current.materialise()
+                other = self._load(chosen, batches)
+                left_keys, right_keys = keys or ((), ())
+                result = hash_join_rows(current, other, left_keys, right_keys)
+                feeds_probe = position + 1 < len(order) and order[position + 1][2]
+                if not feeds_probe:
+                    result = result.materialise()
+            steps.append((chosen, (current, other), result))
+            current = result
+        if isinstance(current, JoinedRows):  # a pane pair with no probe
+            current = current.materialise()
+        if self._detailed:
+            for chosen, inputs, result in steps:
+                self._record_op(
+                    f"join:{chosen}", sum(map(len, inputs)), len(result)
+                )
         return current
 
     def _apply_residual_filters(self, relation: Relation) -> Relation:
@@ -817,13 +841,19 @@ class PlanRuntime(WindowExecutor):
             if name == "MIN":
                 return min(values)
             return max(values)
-        udf = self.udfs.sequence(name)
-        if udf is None:
-            raise ValueError(f"unknown aggregate or sequence UDF {name!r}")
-        columns = {
-            expected: relation.index_of(actual)
-            for expected, actual in call.argument_columns
-        }
+        # A sequence UDF and its {role: column index} are resolved once
+        # per (call, schema), like :meth:`_compile` — not once per group.
+        key = (id(call), tuple(relation.columns))
+        resolved = self._compiled.get(key)
+        if resolved is None:
+            udf = self.udfs.sequence(name)
+            if udf is None:
+                raise ValueError(f"unknown aggregate or sequence UDF {name!r}")
+            resolved = self._compiled[key] = (udf, {
+                expected: relation.index_of(actual)
+                for expected, actual in call.argument_columns
+            })
+        udf, columns = resolved
         return udf(members, columns)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from typing import Any
 
 from ..sql import BinOp, Col, Expr, Func, Lit, Star, UnaryOp
@@ -20,6 +20,8 @@ from .udf import UDFRegistry
 __all__ = [
     "Relation",
     "compile_expr",
+    "JoinedRows",
+    "hash_join_rows",
     "hash_join",
     "nested_loop_join",
     "StaticTable",
@@ -154,36 +156,158 @@ def compile_expr(
     raise TypeError(f"cannot compile expression {expr!r}")
 
 
+class JoinedRows:
+    """A stream-stream join that has not been carried out yet.
+
+    ``table`` maps join key -> build-side rows; each of ``probe_rows``
+    looks its key (the columns at ``probe_idx``) up in it.  Rows come
+    out probe-major — probe rows outer, the build side's matches inner —
+    with the left input's columns first whichever side was the build.
+
+    :meth:`materialise` lists every joined row.  :meth:`matching` is the
+    iterator form a following static probe reads instead: the same
+    loops in the same order, yielding only the rows the static relation
+    has a match for, so the full intermediate relation never exists.
+
+    Use once.  ``len()`` is the number of joined rows enumerated so far
+    — the join's output cardinality once either method has run.
+    """
+
+    def __init__(
+        self,
+        left_columns: list[str],
+        right_columns: list[str],
+        table: dict[tuple, list[tuple]],
+        probe_rows: list[tuple],
+        probe_idx: Sequence[int],
+        build_is_left: bool,
+    ) -> None:
+        self._header = Relation(left_columns + right_columns, [])
+        self._left_width = len(left_columns)
+        self._table = table
+        self._probe_rows = probe_rows
+        self._probe_idx = probe_idx
+        self._build_is_left = build_is_left
+        self._enumerated = 0
+
+    @property
+    def columns(self) -> list[str]:
+        return self._header.columns
+
+    def __len__(self) -> int:
+        return self._enumerated
+
+    def materialise(self) -> Relation:
+        """Carry the join out into a :class:`Relation`."""
+        lookup = self._table.get
+        probe_idx = self._probe_idx
+        build_is_left = self._build_is_left
+        rows = self._header.rows
+        for row in self._probe_rows:
+            matches = lookup(tuple(row[i] for i in probe_idx))
+            if not matches:
+                continue
+            if build_is_left:
+                for match in matches:
+                    rows.append(match + row)
+            else:
+                for match in matches:
+                    rows.append(row + match)
+        self._enumerated = len(rows)
+        return self._header
+
+    def matching(
+        self,
+        static: StaticTable,
+        probe_keys: Sequence[str],
+        static_keys: Sequence[str],
+    ) -> Iterator[tuple[tuple, list[tuple]]]:
+        """``(joined row, its matches in static)`` for every joined row
+        that has one, in :meth:`materialise`'s row order.
+
+        A static key is put together from the two halves of a joined
+        row (the left input's key columns, then the right input's — the
+        order the static index is asked for), each half's part taken
+        once per input row rather than once per pair, and the halves
+        are only concatenated for a pair that matched.
+        """
+        split = self._left_width
+        positions = [self._header.index_of(k) for k in probe_keys]
+        in_left = [k for k, p in enumerate(positions) if p < split]
+        in_right = [k for k, p in enumerate(positions) if p >= split]
+        lookup = static.index_for(
+            [static_keys[k] for k in in_left + in_right]
+        ).get
+        left_part = [positions[k] for k in in_left]
+        right_part = [positions[k] - split for k in in_right]
+        build_is_left = self._build_is_left
+        build_part, probe_part = (
+            (left_part, right_part) if build_is_left
+            else (right_part, left_part)
+        )
+        keyed = {
+            key: [(tuple(row[i] for i in build_part), row) for row in rows]
+            for key, rows in self._table.items()
+        }
+        probe_idx = self._probe_idx
+        for row in self._probe_rows:
+            matches = keyed.get(tuple(row[i] for i in probe_idx))
+            if not matches:
+                continue
+            self._enumerated += len(matches)
+            tail = tuple(row[i] for i in probe_part)
+            if build_is_left:
+                for head, match in matches:
+                    found = lookup(head + tail)
+                    if found:
+                        yield match + row, found
+            else:
+                for head, match in matches:
+                    found = lookup(tail + head)
+                    if found:
+                        yield row + match, found
+
+
+def hash_join_rows(
+    left: Relation,
+    right: Relation,
+    left_keys: Sequence[str],
+    right_keys: Sequence[str],
+) -> JoinedRows:
+    """Equi-join two relations, building the hash table on the smaller.
+
+    With no keys every row pair matches: the cross product, left rows
+    outer.
+    """
+    if len(left_keys) != len(right_keys):
+        raise ValueError("join key arity mismatch")
+    build_is_left = bool(left_keys) and len(left) <= len(right)
+    build, probe = (left, right) if build_is_left else (right, left)
+    build_keys, probe_keys = (
+        (left_keys, right_keys) if build_is_left else (right_keys, left_keys)
+    )
+    build_idx = [build.index_of(k) for k in build_keys]
+    table: dict[tuple, list[tuple]] = {}
+    for row in build.rows:
+        table.setdefault(tuple(row[i] for i in build_idx), []).append(row)
+    return JoinedRows(
+        left.columns,
+        right.columns,
+        table,
+        probe.rows,
+        [probe.index_of(k) for k in probe_keys],
+        build_is_left,
+    )
+
+
 def hash_join(
     left: Relation,
     right: Relation,
     left_keys: Sequence[str],
     right_keys: Sequence[str],
 ) -> Relation:
-    """Equi-join two relations, building the hash table on the smaller."""
-    if len(left_keys) != len(right_keys):
-        raise ValueError("join key arity mismatch")
-    build, probe = (left, right) if len(left) <= len(right) else (right, left)
-    build_keys, probe_keys = (
-        (left_keys, right_keys) if build is left else (right_keys, left_keys)
-    )
-    build_idx = [build.index_of(k) for k in build_keys]
-    probe_idx = [probe.index_of(k) for k in probe_keys]
-    table: dict[tuple, list[tuple]] = {}
-    for row in build.rows:
-        table.setdefault(tuple(row[i] for i in build_idx), []).append(row)
-    out_rows: list[tuple] = []
-    left_is_build = build is left
-    for row in probe.rows:
-        matches = table.get(tuple(row[i] for i in probe_idx))
-        if not matches:
-            continue
-        for match in matches:
-            if left_is_build:
-                out_rows.append(match + row)
-            else:
-                out_rows.append(row + match)
-    return Relation(left.columns + right.columns, out_rows)
+    """:func:`hash_join_rows`, materialised."""
+    return hash_join_rows(left, right, left_keys, right_keys).materialise()
 
 
 def nested_loop_join(
@@ -192,14 +316,9 @@ def nested_loop_join(
     predicate: RowFn | None = None,
 ) -> Relation:
     """Cross product with an optional post-filter (non-equi joins)."""
-    combined = Relation(left.columns + right.columns, [])
-    rows = []
-    for l_row in left.rows:
-        for r_row in right.rows:
-            row = l_row + r_row
-            if predicate is None or predicate(row):
-                rows.append(row)
-    combined.rows = rows
+    combined = hash_join_rows(left, right, (), ()).materialise()
+    if predicate is not None:
+        combined.rows = [row for row in combined.rows if predicate(row)]
     return combined
 
 
@@ -243,20 +362,29 @@ class StaticTable:
 
     def join_probe(
         self,
-        probe: Relation,
+        probe: Relation | JoinedRows,
         probe_keys: Sequence[str],
         static_keys: Sequence[str],
     ) -> Relation:
-        """Join ``probe`` (stream side) against this static table."""
-        index = self.index_for(static_keys)
-        probe_idx = [probe.index_of(k) for k in probe_keys]
+        """Join ``probe`` (stream side) against this static table.
+
+        A ``probe`` that is a join not yet carried out is read as it is
+        enumerated (:meth:`JoinedRows.matching`) and never materialised.
+        """
         rows: list[tuple] = []
-        for row in probe.rows:
-            matches = index.get(tuple(row[i] for i in probe_idx))
-            if not matches:
-                continue
-            for match in matches:
-                rows.append(row + match)
+        if isinstance(probe, JoinedRows):
+            for row, matches in probe.matching(self, probe_keys, static_keys):
+                for match in matches:
+                    rows.append(row + match)
+        else:
+            index = self.index_for(static_keys)
+            probe_idx = [probe.index_of(k) for k in probe_keys]
+            for row in probe.rows:
+                matches = index.get(tuple(row[i] for i in probe_idx))
+                if not matches:
+                    continue
+                for match in matches:
+                    rows.append(row + match)
         return Relation(probe.columns + self.relation.columns, rows)
 
 

@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Any
 
 from .mqo.runtime import PaneSideEntry
-from .operators import Relation
+from .operators import JoinedRows, Relation
 from .pane_executor import PartialContext, TierExecutor
 from .partial_agg import finalize_rows
 from .plan import WindowedStreamRef
@@ -364,27 +364,22 @@ class PaneJoinExecutor(TierExecutor):
         rel_left, rel_right = left.relation, right.relation
         if left.count == 0 or right.count == 0:
             return {}
-        rows: list[tuple] = []
         if probe_is_right:
             index = left.entry.index_for(ctx.join.left_keys, rel_left)
-            key_idx = [rel_right.index_of(c) for c in ctx.join.right_keys]
-            for r_row in rel_right.rows:
-                matches = index.get(tuple(r_row[i] for i in key_idx))
-                if matches:
-                    for l_row in matches:
-                        rows.append(l_row + r_row)
+            probe, probe_keys = rel_right, ctx.join.right_keys
         else:
             index = right.entry.index_for(ctx.join.right_keys, rel_right)
-            key_idx = [rel_left.index_of(c) for c in ctx.join.left_keys]
-            for l_row in rel_left.rows:
-                matches = index.get(tuple(l_row[i] for i in key_idx))
-                if matches:
-                    for r_row in matches:
-                        rows.append(l_row + r_row)
-        if not rows:
-            return {}
+            probe, probe_keys = rel_left, ctx.join.left_keys
+        key_idx = [probe.index_of(c) for c in probe_keys]
+        if not any(
+            tuple(row[i] for i in key_idx) in index for row in probe.rows
+        ):
+            return {}  # no pair: no static probe either
         relation = rt._join_statics(
-            Relation(rel_left.columns + rel_right.columns, rows),
+            JoinedRows(
+                rel_left.columns, rel_right.columns,
+                index, probe.rows, key_idx, build_is_left=probe_is_right,
+            ),
             {ctx.join.left_alias, ctx.join.right_alias},
         )
         if not relation.rows:

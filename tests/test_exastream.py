@@ -1,6 +1,9 @@
 """Tests for the EXASTREAM engine: operators, planner, gateway, scheduler,
 UDFs, fusion and the cluster simulator."""
 
+import hashlib
+import random
+
 import pytest
 
 # These modules predate (and deliberately cover) the deprecated batch
@@ -25,11 +28,16 @@ from repro.exastream import (
     compile_expr,
     fuse,
     hash_join,
+    hash_join_rows,
+    nested_loop_join,
     plan_sql,
 )
 from repro.relational import Column, Database, Schema, SQLType, Table
 from repro.sql import BinOp, Col, Func, Lit, UnaryOp
 from repro.streams import ListSource, Stream, StreamSchema
+
+import cqgen
+from test_pane_join import assert_join_differential
 
 
 def measurement_stream(rows, name="S_Msmt"):
@@ -154,6 +162,191 @@ class TestJoins:
         probe = Relation(["w.k"], [(1,), (1,), (9,)])
         joined = static.join_probe(probe, ["w.k"], ["s.k"])
         assert len(joined) == 2
+
+
+def _random_relation(rng, alias, n_rows, key_domain):
+    """``alias.k1``/``alias.k2`` drawn from a small domain (duplicate
+    keys on purpose), ``alias.id`` unique so row order is visible."""
+    return Relation(
+        [f"{alias}.k1", f"{alias}.k2", f"{alias}.id"],
+        [
+            (rng.randrange(key_domain), rng.randrange(key_domain),
+             f"{alias}{i}")
+            for i in range(n_rows)
+        ],
+    )
+
+
+def _naive_three_way(left, right, static, join_idx, static_idx):
+    """Every (left, right, static) row triple that agrees on the keys,
+    straight from the definition (order-free)."""
+    rows = []
+    for l_row in left.rows:
+        for r_row in right.rows:
+            if any(l_row[i] != r_row[i] for i in join_idx):
+                continue
+            pair = l_row + r_row
+            for s_row in static.rows:
+                if all(pair[p] == s_row[q] for p, q in static_idx):
+                    rows.append(pair + s_row)
+    return rows
+
+
+class TestStreamedStaticProbe:
+    """A static probe reading a stream-stream join as it is produced
+    gives exactly the rows, in exactly the order, of probing the
+    materialised join."""
+
+    #: (probe columns, static columns): keyed from both inputs, from the
+    #: left only, from the right only, and with two columns of one side
+    STATIC_KEYS = [
+        (["a.k2", "b.k2"], ["s.x", "s.y"]),
+        (["b.k2", "a.k2"], ["s.x", "s.y"]),
+        (["a.k2"], ["s.x"]),
+        (["b.k1"], ["s.y"]),
+        (["a.k1", "a.k2", "b.k2"], ["s.x", "s.y", "s.x"]),
+    ]
+    JOIN_KEYS = [
+        (["a.k1"], ["b.k1"]),
+        (["a.k1", "a.k2"], ["b.k1", "b.k2"]),
+        ([], []),  # the cross-join fallback
+    ]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_streamed_equals_materialised(self, seed):
+        rng = random.Random(seed)
+        domain = rng.choice([1, 2, 4, 9])
+        # either build side, and empty inputs
+        left = _random_relation(rng, "a", rng.choice([0, 1, 5, 12]), domain)
+        right = _random_relation(rng, "b", rng.choice([0, 1, 5, 12]), domain)
+        # expansion > 1 (repeated static keys) or no match at all
+        shift = rng.choice([0, 0, 0, 100])
+        static_rows = [
+            (rng.randrange(domain) + shift, rng.randrange(domain) + shift,
+             f"s{i}")
+            for i in range(rng.choice([0, 3, 20]))
+        ]
+        for left_keys, right_keys in self.JOIN_KEYS:
+            for probe_keys, static_keys in self.STATIC_KEYS:
+                static = StaticTable(
+                    Relation(["s.x", "s.y", "s.id"], static_rows)
+                )
+                joined = hash_join(left, right, left_keys, right_keys)
+                expected = static.join_probe(joined, probe_keys, static_keys)
+
+                streamed = hash_join_rows(left, right, left_keys, right_keys)
+                got = static.join_probe(streamed, probe_keys, static_keys)
+
+                assert got.columns == expected.columns
+                assert got.rows == expected.rows  # same rows, same order
+                # the join's cardinality, counted as the pairs flowed
+                assert len(streamed) == len(joined)
+                naive = _naive_three_way(
+                    left, right, static.relation,
+                    [joined.index_of(k) for k in left_keys],
+                    [(joined.index_of(p), static.relation.index_of(q))
+                     for p, q in zip(probe_keys, static_keys)],
+                )
+                assert sorted(got.rows) == sorted(naive)
+
+    def test_probe_major_order_with_static_expansion_last(self):
+        left = Relation(["a.k", "a.id"], [(1, "a0"), (1, "a1")])
+        right = Relation(["b.k", "b.id"], [(1, "b0"), (1, "b1"), (1, "b2")])
+        static = StaticTable(Relation(
+            ["s.a", "s.b", "s.id"],
+            [("a1", "b0", "s0"), ("a0", "b2", "s1"), ("a1", "b0", "s2")],
+        ))
+        streamed = hash_join_rows(left, right, ["a.k"], ["b.k"])
+        got = static.join_probe(streamed, ["a.id", "b.id"], ["s.a", "s.b"])
+        # left is the smaller (build) side: right rows outer, left
+        # matches inner, static matches of one pair last
+        assert [(r[1], r[3], r[6]) for r in got.rows] == [
+            ("a1", "b0", "s0"), ("a1", "b0", "s2"), ("a0", "b2", "s1"),
+        ]
+        assert len(streamed) == 6
+
+    def test_materialise_is_the_plain_join(self):
+        left = Relation(["a.k"], [(1,), (2,), (2,)])
+        right = Relation(["b.k"], [(2,), (1,), (2,), (3,)])
+        streamed = hash_join_rows(left, right, ["a.k"], ["b.k"])
+        assert len(streamed) == 0  # nothing enumerated yet
+        relation = streamed.materialise()
+        assert relation.rows == hash_join(left, right, ["a.k"], ["b.k"]).rows
+        assert len(streamed) == len(relation) == 5
+
+    def test_cross_join_is_left_major(self):
+        left = Relation(["a.v"], [(1,), (2,)])
+        right = Relation(["b.v"], [("x",), ("y",), ("z",)])
+        assert nested_loop_join(left, right).rows == [
+            (1, "x"), (1, "y"), (1, "z"), (2, "x"), (2, "y"), (2, "z"),
+        ]
+        odd = nested_loop_join(left, right, lambda row: row[0] == 2)
+        assert odd.rows == [(2, "x"), (2, "y"), (2, "z")]
+
+
+#: task 5's shape: two windows over one stream joined on the timestamp,
+#: one static relation keyed from both sides (sensor pairs of one kind,
+#: each pair three times over via ``z``: static expansion > 1)
+T05_SHAPED_SQL = (
+    "SELECT p.k AS k, w1.sid AS a, w2.sid AS b, COUNT(*) AS n, "
+    "SUM(w1.val * w2.val) AS dot, AVG(w2.val) AS m "
+    "FROM timeSlidingWindow(S, 20, 5) AS w1, "
+    "timeSlidingWindow(S, 20, 5) AS w2, "
+    "(SELECT x.sid AS a, y.sid AS b, x.kind AS k "
+    "FROM sensors AS x, sensors AS y, sensors AS z "
+    "WHERE x.kind = y.kind AND z.kind = x.kind) AS p "
+    "WHERE w1.ts = w2.ts AND w1.sid = p.a AND w2.sid = p.b "
+    "GROUP BY p.k, w1.sid, w2.sid"
+)
+
+
+class TestT05ShapedPlan:
+    """The streamed probe inside the engine: result bytes and the
+    ``join:<stream>``/``join:<static>`` cardinalities are pinned to the
+    values the materialised pipeline produced."""
+
+    #: shards -> (sha256 of the result sequence, {operator: (in, out)})
+    PINNED = {
+        1: ("fe890c6db92d9af3d5831a1bdcf806281d39260e68099dfb9c5061aea81cc57e", {"join:w2": (2664, 7992), "join:p": (8928, 15984)}),
+        2: ("27666e8a04823316fc10ab57c67b60351875c8c30dcec0eebbfa832efeface84", {"join:w2": (2664, 7992), "join:p": (9864, 15984)}),
+    }
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_recompute_rows_and_join_cardinalities(self, shards):
+        engine = cqgen.build_engine(
+            cqgen.measurement_rows(60, 6), shards=shards,
+            incremental=False, mqo=False,
+        )
+        gateway = GatewayServer(engine)
+        query = gateway.register(
+            T05_SHAPED_SQL, name="q", sink_capacity=None,
+            shards=shards if shards > 1 else None,
+        )
+        while gateway.step():
+            pass
+        results = cqgen.snapshot(query)
+        assert len(results) == 13
+        digest, cardinalities = self.PINNED[shards]
+        assert hashlib.sha256(repr(results).encode()).hexdigest() == digest
+        snapshot = gateway.metrics_snapshot()
+        for operator, (rows_in, rows_out) in cardinalities.items():
+            assert snapshot.value(
+                "operator_rows_in_total", query="q", operator=operator
+            ) == rows_in
+            assert snapshot.value(
+                "operator_rows_out_total", query="q", operator=operator
+            ) == rows_out
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_pane_join_tier_agrees(self, shards):
+        _, gateway, engine = assert_join_differential(
+            T05_SHAPED_SQL, streams={"S": cqgen.measurement_rows(60, 6)},
+            shards=shards,
+        )
+        for node in engine.nodes:  # every shard ran the tier
+            metrics = node.metrics.query("q0")
+            assert metrics.windows_pane_join == metrics.windows_processed > 0
+            assert metrics.pane_pairs_built > 0
 
 
 class TestFusion:

@@ -1,6 +1,8 @@
 """Tests for STARQL: parser, macros, translator and the equivalence of
 the compiled relational path with the reference semantics."""
 
+import random
+
 import pytest
 
 # These modules predate (and deliberately cover) the deprecated batch
@@ -20,23 +22,26 @@ from repro.mappings import (
     TemplateSpec,
 )
 from repro.ontology import parse_ontology
-from repro.rdf import IRI, Namespace, Variable, XSD
+from repro.errors import ReproError
+from repro.queries import ClassAtom, PropertyAtom
+from repro.rdf import IRI, Literal, Namespace, Variable, XSD
 from repro.relational import Column, Database, Schema, SQLType, Table
 from repro.starql import (
     AggregateComparison,
+    BoolOp,
     Comparison,
     Exists,
     Forall,
     GraphPattern,
-    HavingEvaluator,
     Implies,
     MacroCall,
+    MacroError,
     MacroRegistry,
-    RelationalStates,
     ReferenceEvaluator,
     STARQLSyntaxError,
     STARQLTranslator,
     TranslationError,
+    compile_macro,
     parse_aggregate_macro,
     parse_document,
     parse_duration,
@@ -44,6 +49,8 @@ from repro.starql import (
     static_abox_graph,
 )
 from repro.streams import ListSource, Stream, StreamSchema
+
+from having_oracle import HavingEvaluator, RelationalStates, interpret_macro
 
 SIE = Namespace("http://siemens.com/ontology#")
 
@@ -163,9 +170,12 @@ class TestParser:
 
 
 class TestHavingEvaluator:
-    """Direct checks of the macro semantics on relational states."""
+    """Direct checks of the macro semantics on relational states: the
+    frozen tree-walking oracle and the compiled form must both meet
+    every expectation."""
 
     COLUMNS = {"ts": 0, "attr0": 1, "attr1": 2}
+    ROLES = {SIE.hasValue: "attr0", SIE.showsFailure: "attr1"}
 
     def states(self, rows):
         return RelationalStates(
@@ -184,10 +194,13 @@ class TestHavingEvaluator:
         )
         return registry.expand(call)
 
-    def run(self, rows):
-        body = self.macro_body()
+    def run(self, rows, body=None):
+        body = body or self.macro_body()
         evaluator = HavingEvaluator(self.states(rows))
-        return evaluator.is_satisfied(body, {Variable("s"): IRI("urn:s1")})
+        expected = evaluator.is_satisfied(body, {Variable("s"): IRI("urn:s1")})
+        compiled = compile_macro(body, IRI("urn:s1"), self.ROLES)
+        assert compiled(rows, self.COLUMNS) is expected
+        return expected
 
     def test_monotonic_with_failure(self):
         rows = [(0.0, 1.0, None), (1.0, 2.0, None), (2.0, 3.0, None),
@@ -229,6 +242,326 @@ class TestHavingEvaluator:
         )))
         evaluator = HavingEvaluator(states)
         assert evaluator.is_satisfied(cond, {Variable("s"): IRI("urn:s1")})
+        assert self.run([(0.0, 1.0, None), (1.0, 5.0, None)], cond)
+
+
+class _HavingFamily:
+    """A seeded generator of HAVING bodies over the relational layout:
+    EXISTS, FORALL with index constraints, IF..THEN, AND/OR/NOT,
+    comparisons, flag atoms and literal objects, with variables reused
+    across patterns (joins), bound in only some OR branches, compared
+    while unbound, and shadowed by nested quantifiers."""
+
+    SUBJECT = IRI("urn:s1")
+    INDEXES = [Variable(n) for n in "ijkm"]
+    VALUES = [Variable(n) for n in "xyz"]
+    OPS = ["=", "!=", "<", "<=", ">", ">="]
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def body(self):
+        """A closed body: every state variable is quantified."""
+        rng = self.rng
+        if rng.random() < 0.5:
+            return self.exists([], 3)
+        return self.forall([], 3)
+
+    def exists(self, indexes, depth):
+        new = self.rng.sample(self.INDEXES, self.rng.choice([1, 1, 2]))
+        return Exists(tuple(new), self.expr(indexes + new, depth - 1))
+
+    def forall(self, indexes, depth):
+        rng = self.rng
+        new = rng.sample(self.INDEXES, rng.choice([1, 2, 2]))
+        scope = indexes + new
+        constraints = tuple(
+            Comparison(rng.choice(self.OPS), rng.choice(new), rng.choice(scope))
+            for _ in range(rng.choice([0, 1, 1, 2]))
+        )
+        if rng.random() < 0.7:
+            body = Implies(
+                self.expr(scope, depth - 1), self.expr(scope, depth - 1)
+            )
+        else:
+            body = self.expr(scope, depth - 1)
+        return Forall(tuple(new), constraints, tuple(self.VALUES[:2]), body)
+
+    def expr(self, indexes, depth):
+        rng = self.rng
+        leaves = [self.pattern, self.pattern, self.comparison]
+        if depth <= 0:
+            return rng.choice(leaves)(indexes)
+        roll = rng.random()
+        if roll < 0.30:
+            return rng.choice(leaves)(indexes)
+        if roll < 0.55:
+            return BoolOp("AND", tuple(
+                self.expr(indexes, depth - 1)
+                for _ in range(rng.choice([2, 2, 3]))
+            ))
+        if roll < 0.70:
+            return BoolOp("OR", tuple(
+                self.expr(indexes, depth - 1)
+                for _ in range(rng.choice([2, 2, 3]))
+            ))
+        if roll < 0.78:
+            return BoolOp("NOT", (self.expr(indexes, depth - 1),))
+        if roll < 0.86:
+            return Implies(
+                self.expr(indexes, depth - 1), self.expr(indexes, depth - 1)
+            )
+        if roll < 0.93:
+            return self.exists(indexes, depth)
+        return self.forall(indexes, depth)
+
+    def comparison(self, indexes):
+        rng = self.rng
+
+        def operand():
+            roll = rng.random()
+            if roll < 0.45:
+                return rng.choice(self.VALUES)
+            if roll < 0.75:
+                return rng.choice(indexes)
+            if roll < 0.95:
+                return Literal(str(rng.choice([0, 1, 2, 3])), XSD.integer)
+            return Literal("2.5", XSD.double)
+
+        return Comparison(rng.choice(self.OPS), operand(), operand())
+
+    def pattern(self, indexes):
+        rng = self.rng
+        atoms = tuple(self.atom() for _ in range(rng.choice([1, 1, 1, 2])))
+        return GraphPattern(rng.choice(indexes), atoms)
+
+    def atom(self):
+        rng = self.rng
+        roll = rng.random()
+        if roll < 0.85:
+            subject = Variable("s")
+        elif roll < 0.90:
+            subject = self.SUBJECT
+        elif roll < 0.95:
+            subject = IRI("urn:other")
+        else:
+            subject = rng.choice(self.VALUES)  # a data variable as subject
+        roll = rng.random()
+        if roll < 0.05:
+            return ClassAtom(SIE.Sensor, subject)
+        if roll < 0.10:
+            return PropertyAtom(SIE.noSuchRole, subject, rng.choice(self.VALUES))
+        if roll < 0.30:  # the parser's encoding of ``{$var sie:showsFailure}``
+            return PropertyAtom(
+                rng.choice([SIE.showsFailure, SIE.hasValue]), subject,
+                Variable(f"anyobj_{rng.randrange(3)}"),
+            )
+        if roll < 0.45:
+            literal = Literal(str(rng.choice([1, 2, 3])), XSD.integer)
+            return PropertyAtom(SIE.hasValue, subject, literal)
+        if roll < 0.50:
+            return PropertyAtom(SIE.hasValue, subject, IRI("urn:any"))
+        return PropertyAtom(
+            rng.choice([SIE.hasValue, SIE.hasValue, SIE.showsFailure]),
+            subject, rng.choice(self.VALUES),
+        )
+
+    def sequence(self):
+        """``(ts, value, flag)`` rows: ``None`` values, duplicate
+        timestamps, unsorted, a single state, no rows at all."""
+        rng = self.rng
+        shape = rng.random()
+        if shape < 0.08:
+            return []
+        n_rows = 1 if shape < 0.16 else rng.randrange(2, 9)
+        times = [0.0] if shape < 0.30 else [float(t) for t in range(5)]
+        rows = [
+            (
+                rng.choice(times),
+                rng.choice([None, 1, 2, 3, 2.0, 2.5, 0, "two"]),
+                rng.choice([None, None, 0, 1]),
+            )
+            for _ in range(n_rows)
+        ]
+        if rng.random() < 0.5:
+            rows.sort(key=lambda row: row[0])
+        return rows
+
+
+class TestCompiledHaving:
+    """``compile_macro`` against the frozen tree-walking oracle
+    (``tests/having_oracle.py``), and its compile-time error surface."""
+
+    ROLES = {SIE.hasValue: "attr0", SIE.showsFailure: "attr1"}
+    COLUMNS = {"ts": 0, "attr0": 1, "attr1": 2}
+
+    def agree(self, body, subject, sequences):
+        compiled = compile_macro(body, subject, self.ROLES)
+        oracle = interpret_macro(body, subject, self.ROLES)
+        for rows in sequences:
+            expected = oracle(list(rows), self.COLUMNS)
+            assert compiled(list(rows), self.COLUMNS) is expected, (
+                body, rows, compiled.source
+            )
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            MacroCall("MONOTONIC.HAVING", (Variable("c"), SIE.hasValue)),
+            MacroCall("STRICT.INCREASE", (Variable("c"), SIE.hasValue)),
+            MacroCall("FAILURE.SEEN", (Variable("c"),)),
+        ],
+    )
+    def test_shipped_macros_agree_with_the_oracle(self, call):
+        from repro.siemens import standard_macros
+
+        body = standard_macros().expand(call)
+        family = _HavingFamily(random.Random(call.name))
+        sequences = [family.sequence() for _ in range(400)]
+        self.agree(body, call.args[0], sequences)
+        # both truth values actually occur
+        compiled = compile_macro(body, call.args[0], self.ROLES)
+        assert {compiled(rows, self.COLUMNS) for rows in sequences} == {
+            True, False,
+        }
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_generated_family_agrees_with_the_oracle(self, seed):
+        family = _HavingFamily(random.Random(9100 + seed))
+        for _ in range(12):
+            body = family.body()
+            self.agree(
+                body, family.SUBJECT, [family.sequence() for _ in range(8)]
+            )
+
+    def test_family_reaches_every_construct_and_both_verdicts(self):
+        seen, verdicts = set(), set()
+
+        def walk(expr):
+            seen.add(
+                f"{type(expr).__name__}:{expr.op}"
+                if isinstance(expr, BoolOp) else type(expr).__name__
+            )
+            for child in getattr(expr, "operands", ()):
+                walk(child)
+            for name in ("body", "premise", "conclusion"):
+                if hasattr(expr, name):
+                    walk(getattr(expr, name))
+
+        family = _HavingFamily(random.Random(9100))
+        for _ in range(300):
+            body = family.body()
+            walk(body)
+            compiled = compile_macro(body, family.SUBJECT, self.ROLES)
+            verdicts.add(compiled(family.sequence(), self.COLUMNS))
+        assert seen >= {
+            "Exists", "Forall", "Implies", "GraphPattern", "Comparison",
+            "BoolOp:AND", "BoolOp:OR", "BoolOp:NOT",
+        }
+        assert verdicts == {True, False}
+
+    def test_one_compiled_macro_serves_every_column_layout(self):
+        from repro.siemens import standard_macros
+
+        call = MacroCall("MONOTONIC.HAVING", (Variable("c"), SIE.hasValue))
+        compiled = compile_macro(
+            standard_macros().expand(call), call.args[0], self.ROLES
+        )
+        oracle = interpret_macro(
+            standard_macros().expand(call), call.args[0], self.ROLES
+        )
+        rows = [(0.0, 5.0, None), (1.0, 2.0, None), (2.0, None, 1)]
+        wide = [("pad", flag, value, ts) for ts, value, flag in rows]
+        moved = {"ts": 3, "attr0": 2, "attr1": 1}
+        swapped = {"ts": 3, "attr0": 1, "attr1": 2}
+        # a value drop before the failure; read with the roles swapped,
+        # the first "failure" (5.0, truthy) has nothing before it
+        assert compiled(rows, self.COLUMNS) is False
+        assert compiled(wide, moved) is False
+        assert compiled(wide, swapped) is True
+        for layout in (moved, swapped):
+            assert compiled(wide, layout) is oracle(wide, layout)
+
+    def test_compilation_is_memoised_on_the_body(self):
+        macro = parse_aggregate_macro(FIG1_MACRO)
+        registry = MacroRegistry()
+        registry.register(macro)
+        call = MacroCall("MONOTONIC.HAVING", (Variable("c"), SIE.hasValue))
+        first = compile_macro(registry.expand(call), call.args[0], self.ROLES)
+        again = compile_macro(registry.expand(call), call.args[0], self.ROLES)
+        assert first is again
+        other = compile_macro(
+            registry.expand(call), call.args[0], {SIE.hasValue: "attr0"}
+        )
+        assert other is not first
+
+    def test_translating_a_text_twice_compiles_its_macro_once(self):
+        from repro.starql import macros as macros_module
+
+        _, _, _, _, translator = tiny_deployment()
+        translator.translate(parse_starql(FIG1_QUERY), name="a")
+        before = macros_module._compile_macro.cache_info()
+        translator.translate(
+            parse_starql(FIG1_QUERY.replace("S_out", "S_other")), name="b"
+        )
+        after = macros_module._compile_macro.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 1
+
+    # -- errors surface when the macro is compiled, as MacroError ----------
+
+    def test_unbound_state_variable(self):
+        body = GraphPattern(
+            Variable("k"), (PropertyAtom(SIE.hasValue, Variable("s"), Variable("x")),)
+        )
+        with pytest.raises(MacroError, match=r"unbound state variable \?k"):
+            compile_macro(body, IRI("urn:s1"), self.ROLES)
+
+    def test_state_variable_bound_to_a_value(self):
+        k, x = Variable("k"), Variable("x")
+        value = PropertyAtom(SIE.hasValue, Variable("s"), x)
+        body = Exists((k,), BoolOp("AND", (
+            GraphPattern(k, (value,)), GraphPattern(x, (value,)),
+        )))
+        with pytest.raises(MacroError, match="not bound by EXISTS/FORALL"):
+            compile_macro(body, IRI("urn:s1"), self.ROLES)
+
+    def test_unexpanded_macro_call_in_a_body(self):
+        body = Exists((Variable("k"),), MacroCall("FAILURE.SEEN", (Variable("s"),)))
+        with pytest.raises(MacroError, match="FAILURE.SEEN"):
+            compile_macro(body, IRI("urn:s1"), self.ROLES)
+
+    def test_unknown_macro_and_wrong_arity_at_translate_time(self):
+        _, _, _, _, translator = tiny_deployment()
+        for having in ("NO.SUCH(?c2)", "MONOTONIC.HAVING(?c2)"):
+            text = FIG1_QUERY.replace(
+                "MONOTONIC.HAVING(?c2, sie:hasValue)", having
+            )
+            with pytest.raises(MacroError) as raised:
+                translator.translate(parse_starql(text))
+            assert isinstance(raised.value, ReproError)
+
+    def test_window_aggregate_inside_a_body(self):
+        body = Exists((Variable("k"),), AggregateComparison(
+            "AVG", Variable("s"), SIE.hasValue, ">",
+            Literal("1", XSD.integer),
+        ))
+        with pytest.raises(MacroError, match="AVG"):
+            compile_macro(body, IRI("urn:s1"), self.ROLES)
+
+    def test_a_body_too_deep_for_python_is_a_macro_error(self):
+        body = GraphPattern(
+            Variable("k"), (PropertyAtom(SIE.hasValue, Variable("s"), Variable("x")),)
+        )
+        for _ in range(30):
+            body = BoolOp("AND", (
+                GraphPattern(Variable("k"), (
+                    PropertyAtom(SIE.hasValue, Variable("s"), Variable("x")),
+                )),
+                body,
+            ))
+        with pytest.raises(MacroError, match="too deeply"):
+            compile_macro(Exists((Variable("k"),), body), IRI("urn:s1"), self.ROLES)
 
 
 def tiny_deployment():
