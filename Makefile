@@ -8,7 +8,7 @@ RUFF ?= ruff
 
 export PYTHONPATH := src
 
-.PHONY: test test-audit bench bench-smoke bench-adaptive bench-recovery coverage examples smoke lint lint-cq test-recovery obs-demo ledger ledger-compare profile ci
+.PHONY: test test-audit bench bench-smoke bench-adaptive coverage examples smoke lint lint-cq test-recovery obs-demo ledger ledger-compare profile ci
 
 test:
 	$(PY) -m pytest -x -q
@@ -54,20 +54,16 @@ lint-cq:
 bench:
 	$(PY) -m pytest benchmarks/bench_*.py -q
 
-# The CI benchmark job: session-poll + sharded-engine + incremental +
-# MQO + pane-join + event-bus fan-out + durability benches on tiny
-# workloads, with machine-readable results for the workflow artifact.
-# The recovery gates (recovery >= 5x over replay, checkpoint overhead
-# <= 10%) assert in smoke mode too.  Tracing overhead is a ledger
-# metric (`bench.trace_overhead_pct`), not a gate here.
+# The CI benchmark job: the sharded-engine, pane-join and adaptive
+# benches on tiny workloads, with machine-readable results for the
+# workflow artifact — the three shapes no ledger workload covers yet
+# (fork shards, pane joins, `adaptive=True`).  Session polling, pane vs
+# recompute, MQO sharing, bus fan-out, recovery time, checkpoint size
+# and tracing overhead are ledger metrics (`make ledger`), not ratio
+# gates here.
 bench-smoke:
-	$(PY) -m pytest benchmarks/bench_session_poll.py \
-		benchmarks/bench_sharded_engine.py \
-		benchmarks/bench_incremental.py \
-		benchmarks/bench_mqo.py \
+	$(PY) -m pytest benchmarks/bench_sharded_engine.py \
 		benchmarks/bench_join.py \
-		benchmarks/bench_fanout.py \
-		benchmarks/bench_recovery.py \
 		benchmarks/bench_adaptive.py \
 		-q --smoke --benchmark-json=bench-results.json
 
@@ -76,10 +72,6 @@ bench-smoke:
 # tier on an adversarial workload, byte-identical output on every tier.
 bench-adaptive:
 	$(PY) -m pytest benchmarks/bench_adaptive.py -q
-
-# The durability gates alone, at full workload scale.
-bench-recovery:
-	$(PY) -m pytest benchmarks/bench_recovery.py -q
 
 # The crash/recovery differential + fault-injection suite, with the
 # gateway's plan-invariant verifier on (the CI fault-injection job).

@@ -10,11 +10,6 @@ from repro.exastream import QueryState
 from repro.siemens import diagnostic_catalog
 
 
-def _register_fig1(deployment):
-    task = diagnostic_catalog()[0]
-    return deployment.register_task(task.starql, name="fig1")
-
-
 def test_fig1_translation_and_shape(fresh_deployment, benchmark):
     """Benchmark: STARQL -> plan translation (enrichment + unfolding)."""
     from repro.starql import parse_starql
@@ -32,18 +27,22 @@ def test_fig1_translation_and_shape(fresh_deployment, benchmark):
 
 def test_fig1_execution_detects_ramp(fresh_deployment, small_fleet, benchmark):
     """Benchmark: executing the Figure 1 plan over 22 windows."""
-    registered, translation = _register_fig1(fresh_deployment)
+    session = fresh_deployment.session(sink_capacity=None)
+    handle = session.submit(diagnostic_catalog()[0].starql, name="fig1")
+    registered = handle.registered
+    construct = handle.prepared.translation.construct
 
     def run_all():
         registered.next_window = 0
         registered.sink.clear()
         registered.state = QueryState.REGISTERED
-        fresh_deployment.run(max_windows=22)
+        while fresh_deployment.gateway.step(window_limit=22):
+            pass
         return registered.results()
 
     results = benchmark(run_all)
     alerted = {
-        str(translation.construct.triples_for(row)[0][0]).rsplit("/", 1)[-1]
+        str(construct.triples_for(row)[0][0]).rsplit("/", 1)[-1]
         for result in results
         for row in result.rows
     }

@@ -21,14 +21,13 @@ from repro.starql import STARQLTranslator, parse_starql
 def _naive_translator(deployment):
     """Unfolding without mapping pruning = the hand-written fleet size."""
     from repro.mappings.saturation import existential_subontology, saturate_mappings
-    from repro.siemens.deployment import PRIMARY_KEYS
 
     translator = STARQLTranslator(
         deployment.ontology,
         deployment.mappings,
         deployment.engine,
         deployment.macros,
-        primary_keys=PRIMARY_KEYS,
+        primary_keys=deployment.primary_keys,
         use_tmappings=False,  # reconfigured below
     )
     translator.saturated = saturate_mappings(
@@ -40,7 +39,9 @@ def _naive_translator(deployment):
     translator._rewriter = PerfectRef(
         existential_subontology(deployment.ontology)
     )
-    translator._unfolder = Unfolder(translator.saturated, PRIMARY_KEYS)
+    translator._unfolder = Unfolder(
+        translator.saturated, deployment.primary_keys
+    )
     return translator
 
 

@@ -11,7 +11,6 @@ Run:  python examples/diagnostics_dashboard.py
 import time
 
 from repro.siemens import (
-    Dashboard,
     FleetConfig,
     deploy,
     diagnostic_catalog,
@@ -27,7 +26,7 @@ def main() -> None:
 
     catalog = diagnostic_catalog()
     session = deployment.session(sink_capacity=16)
-    dashboard = Dashboard()
+    dashboard = deployment.dashboard  # every session handle feeds a panel
     fleet_total = 0
     for task in catalog:
         handle = session.submit(
@@ -35,7 +34,6 @@ def main() -> None:
             name=f"{task.task_id:02d}-{task.name}"[:28],
             max_windows=15,
         )
-        dashboard.subscribe(handle)
         fleet_total += handle.prepared.fleet_size
     print(f"submitted {len(catalog)} STARQL diagnostic tasks "
           f"({fleet_total} unfolded SQL blocks)\n")

@@ -2,9 +2,9 @@
 
 Submits a selection of catalog tasks as query handles through a session
 over the Siemens deployment, steps the cooperative executor, and
-monitors the handles on the text dashboard (per-handle ``subscribe``
-instead of a global hook) — the workflow a service engineer follows in
-the demo.
+monitors the handles on the deployment's text dashboard (every session
+handle feeds its own panel) — the workflow a service engineer follows
+in the demo.
 
 Run:  python examples/turbine_diagnostics.py
 """
@@ -12,7 +12,6 @@ Run:  python examples/turbine_diagnostics.py
 import time
 
 from repro.siemens import (
-    Dashboard,
     FleetConfig,
     deploy,
     diagnostic_catalog,
@@ -33,14 +32,12 @@ def main() -> None:
           f"{deployment.ontology.term_count()} ontology terms")
 
     session = deployment.session(sink_capacity=32)
-    dashboard = Dashboard()
     selected = [catalog[i] for i in (0, 1, 3, 6, 7, 9)]
     total_fleet = 0
     for task in selected:
         handle = session.submit(
             session.prepare(task.starql), name=task.name, max_windows=25
         )
-        dashboard.subscribe(handle)
         total_fleet += handle.prepared.fleet_size
         print(f"submitted  {task.name:<28} "
               f"(unfolds to {handle.prepared.fleet_size} SQL block(s))")
@@ -51,7 +48,7 @@ def main() -> None:
     while session.step(5):
         pass  # handles progress round-robin; panels update per result
     seconds = time.perf_counter() - started
-    print(dashboard.render())
+    print(deployment.dashboard.render())
     states = {h.name: h.state.name for h in session.handles}
     print(f"\nhandle states: {states}")
     metrics = deployment.engine.metrics

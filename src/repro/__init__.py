@@ -18,8 +18,8 @@ Subpackages
 ``repro.optique``    the end-to-end platform facade
 """
 
-from .optique import OptiquePlatform, RegisteredTask
+from .optique import OptiquePlatform
 
 __version__ = "1.0.0"
 
-__all__ = ["OptiquePlatform", "RegisteredTask", "__version__"]
+__all__ = ["OptiquePlatform", "__version__"]

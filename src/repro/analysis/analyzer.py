@@ -35,8 +35,12 @@ from .windows import check_windows
 __all__ = ["analyze_plan", "analyze_starql", "check_translation"]
 
 
-def analyze_plan(plan, engine, gateway=None, name=None) -> AnalysisReport:
-    """All plan-level diagnostics for one continuous plan."""
+def analyze_plan(
+    plan, engine, gateway=None, name=None, cq=None
+) -> AnalysisReport:
+    """All plan-level diagnostics for one continuous plan.  ``cq`` is
+    the plan's :func:`~repro.analysis.sharing.plan_as_cq` encoding when
+    the caller already made it (registration does)."""
     report = AnalysisReport(name or plan.name or "<query>")
     check_types(plan, engine, report)
     source = plan.source
@@ -49,7 +53,7 @@ def analyze_plan(plan, engine, gateway=None, name=None) -> AnalysisReport:
             list(plan.aggregate.having), report, source, "HAVING predicate"
         )
     check_windows(plan, report)
-    check_sharing(plan, gateway, report)
+    check_sharing(plan, gateway, report, cq)
     check_statics(plan, engine, gateway, report)
     check_observed(gateway, report)
     check_estimates(plan, gateway, report)

@@ -46,18 +46,18 @@ def _signature_entries(gateway, signature):
     return entries
 
 
-def index_plan(gateway, name: str, plan) -> None:
+def index_plan(gateway, name: str, plan, cq) -> None:
     """Record a newly registered plan in the gateway's sharing indexes.
 
     The gateway calls this once per registration (after the advisory
-    analysis, so a plan never indexes itself into its own report).  The
-    indexes turn the per-registration sharing scan from O(live queries)
-    into O(1) dictionary lookups — registering N queries costs O(N)
-    CQ encodings in total instead of O(N²).
+    analysis, so a plan never indexes itself into its own report),
+    handing over the :func:`plan_as_cq` encoding it made for that
+    analysis.  The indexes turn the per-registration sharing scan from
+    O(live queries) into O(1) dictionary lookups — registering N
+    queries costs N CQ encodings in total instead of O(N²).
     """
     for store, key in _signature_entries(gateway, plan.signature):
         store.setdefault(key, set()).add(name)
-    cq = plan_as_cq(plan)
     gateway._cq_by_query[name] = cq
     if cq is not None:
         preds = frozenset(atom.predicate.value for atom in cq.atoms)
@@ -82,12 +82,34 @@ def unindex_plan(gateway, name: str, plan) -> None:
     gateway._cq_by_query.pop(name, None)
 
 
-def check_sharing(plan, gateway, report: AnalysisReport) -> None:
+def _holds_current_statics(registered) -> bool:
+    """Whether a bind made now would take the static rows this query
+    holds (no ``Database.insert`` since it registered) — the condition
+    under which the relation and aggregate tiers are shared, see
+    :meth:`~repro.exastream.mqo.signature.PlanSignature.over`."""
+    return all(
+        version == database.version
+        for database, _, version
+        in registered.runtime.leaf_runtimes[0].static_keys
+    )
+
+
+def _tier_peers(gateway, index, key, live) -> list[str]:
+    """The live queries indexed under a relation/aggregate tier ``key``
+    that a registration made now would actually share that tier with."""
+    return sorted(
+        name for name in index.get(key, ())
+        if name in live and _holds_current_statics(gateway._queries[name])
+    )
+
+
+def check_sharing(plan, gateway, report: AnalysisReport, cq=None) -> None:
     """Predict MQO sharing and containment subsumption against a gateway.
 
     The signature peers come from O(1) key lookups in the gateway's
     sharing indexes, and containment candidates are pruned through the
-    window-predicate inverted index.
+    window-predicate inverted index.  ``cq`` is the plan's
+    :func:`plan_as_cq` encoding when the caller already made it.
     """
     if gateway is None:
         return
@@ -99,13 +121,12 @@ def check_sharing(plan, gateway, report: AnalysisReport) -> None:
 
     signature = plan.signature
     if signature is not None:
-        relation_peers = sorted(
-            gateway._sig_relation.get(signature.relation_key, set()) & live
+        relation_peers = _tier_peers(
+            gateway, gateway._sig_relation, signature.relation_key, live
         )
         aggregate_peers = (
-            sorted(
-                gateway._sig_aggregate.get(signature.aggregate_key, set())
-                & live
+            _tier_peers(
+                gateway, gateway._sig_aggregate, signature.aggregate_key, live
             )
             if signature.aggregate_key is not None
             else []
@@ -140,7 +161,7 @@ def check_sharing(plan, gateway, report: AnalysisReport) -> None:
                 "tables are shared across these queries",
             )
 
-    new_cq = plan_as_cq(plan)
+    new_cq = cq if cq is not None else plan_as_cq(plan)
     if new_cq is None:
         return
     # Candidate pruning: a homomorphism from a registered query's atoms

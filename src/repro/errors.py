@@ -17,6 +17,10 @@ Concrete classes keep their historical builtin bases (``KeyError``,
 * :class:`BindError` — a plan's static input could not be bound (its
   database is not attached, or its SQL failed); carries the query name,
   the static alias and the SQL text; also a ``KeyError``;
+* :class:`InvalidOption` — an engine option was given a value the
+  engine does not have (``shards=0``, ``parallel="frok"``); raised by
+  the one engine constructor, so by ``OptiquePlatform(...)`` and
+  ``deploy(...)`` too; also a ``ValueError``;
 * :class:`SinkOverflow` — a result had to be refused by a bounded
   delivery channel that cannot block (an event-bus subscription whose
   ``block``-policy queue is force-offered); also a ``RuntimeError``;
@@ -59,6 +63,7 @@ __all__ = [
     "ReproError",
     "QueryNotFound",
     "BindError",
+    "InvalidOption",
     "SinkOverflow",
     "StrictAnalysisError",
     "InvariantViolation",
@@ -109,6 +114,14 @@ class BindError(ReproError, KeyError):
 
     def __str__(self) -> str:  # KeyError.__str__ repr()s its arg
         return self.args[0]
+
+
+class InvalidOption(ReproError, ValueError):
+    """An engine option was given a value the engine does not have.
+
+    Raised by the engine constructor before anything is built, so a
+    misspelt value can never select a default silently.
+    """
 
 
 class SinkOverflow(ReproError, RuntimeError):

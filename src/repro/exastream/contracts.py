@@ -42,6 +42,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ..errors import InvalidOption
 from ..obs import MetricRegistry, Observability
 from ..relational import Database
 from ..streams import SharedWindowReader, StreamSource, WindowCache
@@ -243,9 +244,11 @@ class Engine(ABC):
     ``shards`` is the deployment's width; each ``bind`` may lay a plan
     out over any ``1..shards`` of the nodes.  ``parallel="fork"`` runs
     the shards of a multi-node binding in forked worker processes
-    (Linux/macOS); the default runs them in-process, which is
-    deterministic and cheap for small queries.  ``scheduler`` receives
-    the shard assignments and observed per-shard load of such bindings.
+    (Linux/macOS); the default (``None`` or ``"serial"``) runs them
+    in-process, which is deterministic and cheap for small queries; any
+    other value is an :class:`~repro.errors.InvalidOption`.
+    ``scheduler`` receives the shard assignments and observed per-shard
+    load of such bindings.
     """
 
     def __init__(
@@ -261,7 +264,11 @@ class Engine(ABC):
         adaptive: bool = False,
     ) -> None:
         if shards < 1:
-            raise ValueError("need at least one shard")
+            raise InvalidOption("need at least one shard")
+        if parallel not in (None, "serial", "fork"):
+            raise InvalidOption(
+                f"parallel={parallel!r}: expected None, 'serial' or 'fork'"
+            )
         #: the widest layout ``bind`` accepts
         self.default_shards = shards
         self.udfs = udfs or builtin_registry()

@@ -45,6 +45,7 @@ from .contracts import (
 )
 from .metrics import QueryMetrics, Stopwatch
 from .mqo.runtime import MQOBinding
+from .mqo.signature import PlanSignature
 from .operators import (
     JoinedRows,
     Relation,
@@ -269,6 +270,16 @@ class PlanRuntime(WindowExecutor):
         #: its shared reader) — released by :meth:`close` or tier
         #: retirement, so a reader without pane consumers stops slicing
         self._pane_demanded: list[str] = []
+
+    @property
+    def signature(self) -> PlanSignature | None:
+        """The plan's MQO signature over the static rows this binding
+        holds: what it shares under, and what the scheduler accounts
+        its pipeline prefix under (``None``: ineligible)."""
+        signature = self.plan.signature
+        if signature is None:
+            return None
+        return signature.over(tuple(key[2] for key in self.static_keys))
 
     def _open(self) -> None:
         """Second half of binding, once the readers and statics are in
@@ -952,7 +963,7 @@ class StreamEngine(Engine):
                     # root.)
                     n, key_column, shard = scope
                     mqo = mqo.scoped(f"{n}:{key_column or 'none'}:{shard}")
-                runtime.mqo = mqo.bind(plan.signature, plan.name)
+                runtime.mqo = mqo.bind(runtime.signature, plan.name)
             runtime._open()
         except Exception:
             runtime.close()

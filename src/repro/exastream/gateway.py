@@ -121,7 +121,7 @@ class RegisteredQuery:
         return self.sink.poll(max_results)
 
     def subscribe(self, callback: Callable[[WindowResult], None]) -> None:
-        """Per-query result delivery (replaces the global ``on_result``).
+        """Per-query result delivery.
 
         Idempotent per callback: subscribing the same callable twice
         (e.g. a dashboard auto-attached by a session and again by hand)
@@ -196,16 +196,10 @@ class RegisteredQuery:
         """Terminal: the executor will never touch this query again."""
         self._set_state(QueryState.CANCELLED)
 
-    def _deliver(
-        self,
-        result: WindowResult,
-        on_result: Callable[[WindowResult], None] | None,
-    ) -> None:
+    def _deliver(self, result: WindowResult) -> None:
         self.sink.offer(result)
         for callback in self.subscribers:
             callback(result)
-        if on_result is not None:
-            on_result(result)
         if self.bus is not None:
             self.bus.publish(self.name, result)
 
@@ -326,10 +320,15 @@ class GatewayServer:
         # repro.analysis imports plan/signature modules from this package.
         from ..analysis import StrictAnalysisError, analyze_plan
         from ..analysis.diagnostics import AnalysisReport
-        from ..analysis.sharing import check_sharing, index_plan
+        from ..analysis.sharing import check_sharing, index_plan, plan_as_cq
 
+        # encoded once: the sharing check and the sharing indexes both
+        # read it
+        cq = plan_as_cq(plan)
         if strict:
-            analysis = analyze_plan(plan, self.engine, gateway=self, name=name)
+            analysis = analyze_plan(
+                plan, self.engine, gateway=self, name=name, cq=cq
+            )
             if analysis.has_errors:
                 raise StrictAnalysisError(analysis)
             diagnostics = list(analysis)
@@ -338,7 +337,7 @@ class GatewayServer:
             # (signature sharing + containment subsumption), no type or
             # satisfiability passes.
             advisory = AnalysisReport(name)
-            check_sharing(plan, self, advisory)
+            check_sharing(plan, self, advisory, cq)
             diagnostics = list(advisory)
         runtime = self.engine.bind(plan, shards=shards, mqo=self.mqo)
         registered = RegisteredQuery(
@@ -362,13 +361,16 @@ class GatewayServer:
             # materializes.
             registered.guard = ReplanGuard()
         self._queries[name] = registered
-        index_plan(self, name, plan)
+        index_plan(self, name, plan, cq)
         self.bus.wake()  # a parked serve() loop has new work
         if self.scheduler is not None:
+            # placed under the identity the runtime shares under: queries
+            # over different static materialisations are two pipelines
+            leaf = runtime.leaf_runtimes[0]
             self.scheduler.place_query(
                 plan,
-                plan.signature if self.mqo is not None else None,
-                runtime.leaf_runtimes[0].scope,
+                leaf.signature if self.mqo is not None else None,
+                leaf.scope,
             )
         if self.audit:
             self._verify()
@@ -445,10 +447,7 @@ class GatewayServer:
     _IDLE = "idle"
 
     def _pulse_query(
-        self,
-        registered: RegisteredQuery,
-        on_result: Callable[[WindowResult], None] | None,
-        window_limit: int | None,
+        self, registered: RegisteredQuery, window_limit: int | None
     ) -> str:
         """Advance one query by at most one window.
 
@@ -515,9 +514,9 @@ class GatewayServer:
             deliver_watch = Stopwatch() if obs.enabled else None
             if pulse is not None:
                 with obs.span("deliver", registered.name):
-                    registered._deliver(result, on_result)
+                    registered._deliver(result)
             else:
-                registered._deliver(result, on_result)
+                registered._deliver(result)
             if deliver_watch is not None:
                 # sink offer + subscriber callbacks + bus publish: the
                 # delivery lag between engine output and consumers
@@ -568,7 +567,6 @@ class GatewayServer:
     def step(
         self,
         n_windows: int = 1,
-        on_result: Callable[[WindowResult], None] | None = None,
         window_limit: int | None = None,
     ) -> int:
         """Advance every runnable query by up to ``n_windows`` windows.
@@ -591,9 +589,7 @@ class GatewayServer:
         for _ in range(n_windows):
             progressed = False
             for registered in list(self._queries.values()):
-                outcome = self._pulse_query(
-                    registered, on_result, window_limit
-                )
+                outcome = self._pulse_query(registered, window_limit)
                 if outcome == self._EXECUTED:
                     progressed = True
                     executed += 1
@@ -606,7 +602,6 @@ class GatewayServer:
     async def serve(
         self,
         window_limit: int | None = None,
-        on_result: Callable[[WindowResult], None] | None = None,
         stop_when_idle: bool = True,
         drain_poll: float = 0.05,
     ) -> int:
@@ -635,9 +630,7 @@ class GatewayServer:
             progressed = False
             blocked = False
             for registered in list(self._queries.values()):
-                outcome = self._pulse_query(
-                    registered, on_result, window_limit
-                )
+                outcome = self._pulse_query(registered, window_limit)
                 if outcome == self._EXECUTED:
                     progressed = True
                     executed_total += 1

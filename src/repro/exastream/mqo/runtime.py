@@ -303,10 +303,11 @@ class SharedPipelineRegistry:
     def snapshot_pipelines(self) -> dict[str, dict]:
         """Picklable per-pipeline entries and subscriber frontiers.
 
-        Signature keys (and their scope prefixes) are deterministic
-        functions of the registered plans, so the same keys re-appear
-        when the plans re-register after recovery and the snapshot
-        overlays cleanly.
+        Pipeline keys (and their scope prefixes) are deterministic
+        functions of the registered plans and of their static
+        databases' write counters, so the same keys re-appear when the
+        plans re-register after recovery over the same data and the
+        snapshot overlays cleanly.
         """
         return {
             key: {

@@ -37,11 +37,17 @@ cached relation columns back into each subscriber's own aliases.
 Everything *after* the prefix — final aggregation mapping, HAVING,
 DISTINCT, projection, output names — is per-query residual work and is
 deliberately excluded.
+
+The signature is a function of the plan alone.  Which *rows* a static
+input holds is decided at bind time (the static catalog materialises
+afresh after a ``Database.insert``), so a binding shares under
+:meth:`PlanSignature.over` — the signature qualified by the write
+counters of the static relations it actually took.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ...sql import BinOp, Col, Expr, Func, Lit, Star, UnaryOp
 from ..partial_agg import COMBINABLE, analyze_incremental, decompose_calls
@@ -148,6 +154,30 @@ class PlanSignature:
         return (
             self.relation_key == other.relation_key
             and self.aggregate_key == other.aggregate_key
+        )
+
+    def over(self, static_versions: tuple[int, ...]) -> PlanSignature:
+        """This identity over static relations materialised at the given
+        database write counters (one per static input, in plan order:
+        the version component of each ``StaticKey``).
+
+        The relation and aggregate tiers interchange rows already joined
+        to the static side, so two bindings may share them only when
+        they hold the same materialisation — a query registered after a
+        ``Database.insert`` probes fresh rows and must not read pane
+        results computed over the old ones.  Side prefixes sit below the
+        static joins and keep their keys.
+        """
+        if not static_versions:
+            return self
+        tag = f"@{static_versions!r}"
+        return replace(
+            self,
+            relation_key=self.relation_key + tag,
+            aggregate_key=(
+                None if self.aggregate_key is None
+                else self.aggregate_key + tag
+            ),
         )
 
 

@@ -221,7 +221,7 @@ class ShardedPlanRuntime(WindowExecutor):
         self.metrics = metrics
         self._udfs = udfs
         self._scheduler = scheduler
-        use_fork = parallel in ("fork", "process") and fork_available()
+        use_fork = parallel == "fork" and fork_available()
         worker_cls = ForkShardWorker if use_fork else LocalShardWorker
         self.parallel = "fork" if use_fork else "serial"
         self._shard_runtimes = shard_runtimes

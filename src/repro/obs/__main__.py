@@ -20,7 +20,7 @@ import json
 import sys
 import time
 
-from .monitor import Monitor, render_trace_report
+from .monitor import render_trace_report
 from .tracing import Span
 
 
@@ -63,7 +63,7 @@ def _live_mode(tasks: int, rounds: int, shards: int, out=sys.stdout) -> int:
     session = deployment.session()
     for task in diagnostic_catalog()[:tasks]:
         session.submit(task.starql, name=f"t{task.task_id}")
-    monitor = Monitor(deployment)
+    monitor = deployment.monitor()
     for pulse_round in range(1, rounds + 1):
         if not session.step(4):
             break

@@ -11,8 +11,8 @@ Siemens dashboard):
   (where did each query's pulse time go, by span name).
 
 :class:`Monitor` binds the registry view to a live source — anything
-with a ``metrics_snapshot()`` (a ``GatewayServer``, a ``Session``, a
-``SiemensDeployment``) — so dashboards re-render per step without
+with a ``metrics_snapshot()`` (a ``GatewayServer``, a ``Session``, an
+``OptiquePlatform``) — so dashboards re-render per step without
 touching engine internals.
 """
 

@@ -1,11 +1,10 @@
 """OPTIQUE platform facade: deployment, verification, query lifecycle."""
 
-from .platform import OptiquePlatform, RegisteredTask
+from .platform import OptiquePlatform
 from .session import AsyncSession, PreparedQuery, QueryHandle, Session
 
 __all__ = [
     "OptiquePlatform",
-    "RegisteredTask",
     "PreparedQuery",
     "QueryHandle",
     "Session",

@@ -1,79 +1,47 @@
-"""The OPTIQUE platform facade.
+"""The OPTIQUE platform: the one deployment object.
 
-One object wiring the full OBSSDI lifecycle end-to-end:
+An :class:`OptiquePlatform` is the single place a deployment is wired —
+one scheduler, one engine, one gateway — and the object an engineer
+holds afterwards:
 
 * **deployment assets** — ontology + mappings, either hand-curated or
   bootstrapped with BOOTOX (``bootstrap_from``) and then refined;
+  static databases (``attach_database`` records their primary keys for
+  the unfolder), streams and aggregate macros;
 * **verification** — OWL 2 QL profile + mapping quality checks;
 * **query processing** — STARQL in, enrichment → unfolding → SQL(+) →
-  EXASTREAM execution, answers out, dashboards updated.
+  EXASTREAM execution, answers out, dashboard panels updated;
+* **observation** — ``monitor()`` / ``metrics_snapshot()`` over the
+  whole deployment.
 
-Query processing is session-based: :meth:`OptiquePlatform.session` yields
-a :class:`~repro.optique.session.Session` whose ``prepare()`` caches
-translations by normalized query text and whose ``submit()`` returns a
+There is one way to run a task: open a session
+(:meth:`OptiquePlatform.session`, or :meth:`~OptiquePlatform.async_session`
+for the asyncio executor), ``submit()`` STARQL text for a
 :class:`~repro.optique.session.QueryHandle` with an explicit lifecycle
-(pause/resume/cancel) and bounded incremental result delivery
-(``poll``/``subscribe``).  Execution is cooperative — ``step(n)``
-interleaves every registered query — while the legacy batch pair
-``register_task()`` + ``run()`` survives as a compatibility wrapper over
-the same machinery.
+(pause/resume/cancel) and bounded result delivery
+(``poll``/``subscribe``/``async for``), and drive the shared cooperative
+executor with ``step(n)`` or ``await serve()``.  ``max_windows=`` on
+``submit()`` bounds a task; ``sink_capacity=None`` keeps every result.
 
-This is the API the examples and the demo scenarios (S1-S3) use.
+:func:`repro.siemens.deploy` builds the preconfigured Siemens platform;
+the examples and the demo scenarios (S1-S3) use nothing else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..bootox import DirectMapper, ProvenanceCatalog, QualityReport, verify_deployment
-from ..exastream import (
-    BoundedResultSink,
-    GatewayServer,
-    Scheduler,
-    Stopwatch,
-    StreamEngine,
-)
+from ..exastream import GatewayServer, Scheduler, StreamEngine
 from ..mappings import MappingCollection
+from ..obs import Monitor
 from ..ontology import Ontology
 from ..rdf import IRI, Namespace
 from ..relational import Database, Schema
 from ..siemens.dashboard import Dashboard
-from ..starql import (
-    MacroRegistry,
-    STARQLTranslator,
-    TranslationResult,
-    parse_aggregate_macro,
-)
+from ..starql import MacroRegistry, STARQLTranslator, parse_aggregate_macro
 from ..streams import StreamSource
 from .session import AsyncSession, Session
 
-__all__ = ["RegisteredTask", "OptiquePlatform"]
-
-
-@dataclass
-class RegisteredTask:
-    """One continuous diagnostic task registered on the platform."""
-
-    name: str
-    translation: TranslationResult
-    registered: object  # exastream.RegisteredQuery
-
-    @property
-    def fleet_size(self) -> int:
-        return self.translation.fleet_size
-
-    def alerts(self) -> list[tuple]:
-        """CONSTRUCTed triples of the results retained by the task's sink.
-
-        Results are routed through the query's bounded sink, so with a
-        bounded sink this answers from the retained tail of most recent
-        windows (bounded, predictable).
-        """
-        triples = []
-        for result in self.registered.results():
-            for row in result.rows:
-                triples.extend(self.translation.construct.triples_for(row))
-        return triples
+__all__ = ["OptiquePlatform"]
 
 
 class OptiquePlatform:
@@ -100,9 +68,10 @@ class OptiquePlatform:
         self.macros = MacroRegistry()
         self.dashboard = Dashboard()
         self.primary_keys = dict(primary_keys or {})
+        #: the generated scenario behind the deployment, when
+        #: :func:`repro.siemens.deploy` built it
+        self.fleet = None
         self._translator: STARQLTranslator | None = None
-        self._tasks: dict[str, RegisteredTask] = {}
-        self._compat_session: Session | None = None
 
     # -- deployment assets ------------------------------------------------------
 
@@ -162,97 +131,50 @@ class OptiquePlatform:
             )
         return self._translator
 
-    def session(
-        self,
-        sink_capacity: int | None = 256,
-        overflow: str = BoundedResultSink.DROP_OLDEST,
-        name: str | None = None,
-    ) -> Session:
-        """A client session issuing prepared queries and query handles.
-
-        Handles submitted through a session deliver results into bounded
-        ring-buffer sinks (``poll``/``subscribe``) and update the platform
-        dashboard as they execute.
-        """
-        return Session(
+    def _open(self, session_class, session_options):
+        return session_class(
             lambda: self.translator,
             self.gateway,
             dashboard=self.dashboard,
-            sink_capacity=sink_capacity,
-            overflow=overflow,
-            name=name,
+            **session_options,
         )
 
-    def async_session(
-        self,
-        sink_capacity: int | None = 256,
-        overflow: str = BoundedResultSink.DROP_OLDEST,
-        name: str | None = None,
-    ) -> AsyncSession:
+    def session(self, **session_options) -> Session:
+        """A client session issuing prepared queries and query handles.
+
+        ``session_options`` go to :class:`~repro.optique.session.Session`
+        (``sink_capacity=``, ``overflow=``, ``name=``).  Handles
+        submitted through a session deliver results into bounded
+        ring-buffer sinks (``poll``/``subscribe``) and update the
+        platform dashboard as they execute.
+        """
+        return self._open(Session, session_options)
+
+    def async_session(self, **session_options) -> AsyncSession:
         """An asyncio client session: ``await session.serve()`` drives
         pulses off the event loop while handles are consumed with
         ``async for result in handle`` (see :class:`AsyncSession`)."""
-        return AsyncSession(
-            lambda: self.translator,
-            self.gateway,
-            dashboard=self.dashboard,
-            sink_capacity=sink_capacity,
-            overflow=overflow,
-            name=name,
-        )
+        return self._open(AsyncSession, session_options)
+
+    def step(self, n_windows: int = 1) -> int:
+        """Advance the cooperative executor; see ``GatewayServer.step``."""
+        return self.gateway.step(n_windows)
 
     async def serve(self, **kwargs) -> int:
         """Drive the gateway's asyncio pulse loop; see
         :meth:`~repro.exastream.gateway.GatewayServer.serve`."""
         return await self.gateway.serve(**kwargs)
 
-    def register_task(
-        self, starql_text: str, name: str | None = None
-    ) -> RegisteredTask:
-        """Translate and register one STARQL diagnostic task.
+    # -- observability -------------------------------------------------------
 
-        Compatibility wrapper over the session API: translations are
-        cached by normalized text, and the task keeps every result
-        (unbounded sink) as the batch workflow expects.
+    def metrics_snapshot(self):
+        """The deployment's merged registry snapshot (shards included)."""
+        return self.gateway.metrics_snapshot()
+
+    def monitor(self) -> Monitor:
+        """The live monitoring surface over this deployment (S2).
+
+        ``monitor().render()`` is the per-task throughput / latency /
+        MQO-hit progress table, re-rendered per call from the registry.
         """
-        if self._compat_session is None:
-            self._compat_session = Session(
-                lambda: self.translator,
-                self.gateway,
-                dashboard=self.dashboard,
-                sink_capacity=None,
-            )
-        handle = self._compat_session.submit(starql_text, name=name)
-        task = RegisteredTask(
-            handle.name, handle.prepared.translation, handle.registered
-        )
-        self._tasks[task.name] = task
-        return task
-
-    def step(self, n_windows: int = 1) -> int:
-        """Advance the cooperative executor; see ``GatewayServer.step``."""
-        return self.gateway.step(n_windows)
-
-    def run(self, max_windows: int | None = None) -> float:
-        """Run all registered tasks to exhaustion (batch compatibility).
-
-        Dashboard panels update as results arrive through each query's
-        subscribers.  Returns wall-clock seconds.
-        """
-        watch = Stopwatch()
-        while self.gateway.step(window_limit=max_windows):
-            pass
-        elapsed = watch.elapsed()
-        self.engine.metrics.wall_seconds += elapsed
-        return elapsed
-
-    def task(self, name: str) -> RegisteredTask:
-        return self._tasks[name]
-
-    @property
-    def tasks(self) -> list[RegisteredTask]:
-        return list(self._tasks.values())
-
-    def total_fleet_size(self) -> int:
-        """Low-level queries generated across all registered tasks."""
-        return sum(t.fleet_size for t in self._tasks.values())
+        return Monitor(self)

@@ -6,9 +6,9 @@ run-to-exhaustion API cannot serve that shape under multi-tenant load.
 This module is the client-facing lifecycle layer on top of the gateway's
 cooperative executor:
 
-* :class:`Session` — issued by ``OptiquePlatform.session()`` (or
-  ``SiemensDeployment.session()``); prepares STARQL text into cached
-  translations and submits them as query handles;
+* :class:`Session` — issued by ``OptiquePlatform.session()``; prepares
+  STARQL text into cached translations and submits them as query
+  handles;
 * :class:`PreparedQuery` — parse + translate exactly once per normalized
   query text, reusable across submissions and sessions;
 * :class:`QueryHandle` — explicit lifecycle (``REGISTERED → RUNNING →

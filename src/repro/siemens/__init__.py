@@ -4,8 +4,6 @@ from .catalog import DiagnosticTask, diagnostic_catalog
 from .dashboard import Dashboard, TaskPanel
 from .deployment import (
     DATA,
-    PRIMARY_KEYS,
-    SiemensDeployment,
     build_siemens_mappings,
     deploy,
     standard_macros,
@@ -26,8 +24,6 @@ __all__ = [
     "Dashboard",
     "TaskPanel",
     "DATA",
-    "PRIMARY_KEYS",
-    "SiemensDeployment",
     "build_siemens_mappings",
     "deploy",
     "standard_macros",

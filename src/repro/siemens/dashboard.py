@@ -76,10 +76,10 @@ class Dashboard:
         Accepts anything with ``name`` and ``subscribe(callback)`` — a
         session :class:`~repro.optique.session.QueryHandle` or a gateway
         :class:`~repro.exastream.gateway.RegisteredQuery`.  The panel then
-        updates per result as the cooperative executor steps, replacing
-        the global ``on_result`` hook.  Subscribing the same handle twice
-        is a no-op (per-callback idempotent), so sessions that
-        auto-attach a dashboard compose with manual calls.
+        updates per result as the cooperative executor steps.
+        Subscribing the same handle twice is a no-op (per-callback
+        idempotent), so sessions that auto-attach a dashboard compose
+        with manual calls.
         """
         panel = self._panel_for(handle.name)
         handle.subscribe(self.observe)

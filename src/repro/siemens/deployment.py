@@ -1,23 +1,20 @@
-"""Wiring a full OPTIQUE deployment over the Siemens scenario.
+"""The preconfigured Siemens deployment.
 
-This module plays the role of the demo's preconfigured deployment: the
-hand-curated ontology + mappings (the paper bootstraps them with BOOTOX
-and then manually post-processes "so that they reach the required
-quality"), the EXASTREAM engine with streams and static databases
-attached, and the STARQL translator bound to all of it.
+This module holds the demo's assets — the hand-curated mappings over
+the ``plant`` schema and the measurement stream (the paper bootstraps
+them with BOOTOX and then manually post-processes "so that they reach
+the required quality") and the aggregate macro library — and
+:func:`deploy`, which stands them up on the one deployment object,
+:class:`~repro.optique.platform.OptiquePlatform`: fleet databases
+attached, streams registered, macros installed, translator built.
+Tasks run the one way every platform runs them:
+``deploy(...).session().submit(starql)`` then ``session.step()``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from ..exastream import (
-    Engine,
-    GatewayServer,
-    Scheduler,
-    Stopwatch,
-    StreamEngine,
-)
 from ..mappings import (
     ColumnSpec,
     MappingAssertion,
@@ -25,22 +22,22 @@ from ..mappings import (
     Template,
     TemplateSpec,
 )
-from ..ontology import Ontology
 from ..rdf import Namespace, XSD
-from ..starql import MacroRegistry, STARQLTranslator, parse_aggregate_macro
+from ..starql import MacroRegistry, parse_aggregate_macro
 from .generator import FleetConfig, SiemensFleet, generate_fleet
 from .ontology import SIE, build_siemens_ontology
+
+if TYPE_CHECKING:
+    from ..optique.platform import OptiquePlatform
 
 __all__ = [
     "DATA",
     "TURBINE_T",
     "ASSEMBLY_T",
     "SENSOR_T",
-    "PRIMARY_KEYS",
     "build_siemens_mappings",
     "MONOTONIC_MACRO",
     "standard_macros",
-    "SiemensDeployment",
     "deploy",
 ]
 
@@ -51,19 +48,6 @@ ASSEMBLY_T = Template(DATA.base + "assembly/{aid}")
 SENSOR_T = Template(DATA.base + "sensor/{sid}")
 PLANT_T = Template(DATA.base + "plant/{plant_id}")
 COUNTRY_T = Template(DATA.base + "country/{country_id}")
-
-PRIMARY_KEYS = {
-    "countries": ("country_id",),
-    "plants": ("plant_id",),
-    "turbines": ("tid",),
-    "assemblies": ("aid",),
-    "sensors": ("sid",),
-    "weather": ("plant_id", "day"),
-    "EQUIP": ("EQ_NO",),
-    "MEASPOINT": ("MP_NO",),
-    "service_events": ("event_id",),
-    "operating_hours": ("tid", "year"),
-}
 
 _ASSEMBLY_CLASS_FOR_KIND = {
     "rotor": "Rotor",
@@ -219,77 +203,6 @@ def standard_macros() -> MacroRegistry:
     return registry
 
 
-@dataclass
-class SiemensDeployment:
-    """Everything needed to register and run diagnostic tasks."""
-
-    fleet: SiemensFleet
-    ontology: Ontology
-    mappings: MappingCollection
-    engine: Engine
-    gateway: GatewayServer
-    translator: STARQLTranslator
-    macros: MacroRegistry
-    _compat_session: object = field(default=None, repr=False)
-
-    def register_task(self, starql_text: str, name: str | None = None):
-        """Translate STARQL text and register it as a continuous query.
-
-        Compatibility wrapper over the session API (one shared compat
-        session with unbounded sinks): translations are cached by
-        normalized text and the cached plan is cloned per registration.
-        """
-        if self._compat_session is None:
-            self._compat_session = self.session(sink_capacity=None)
-        handle = self._compat_session.submit(starql_text, name=name)
-        return handle.registered, handle.prepared.translation
-
-    def session(self, **kwargs):
-        """A client session over this deployment's translator + gateway."""
-        from ..optique.session import Session
-
-        return Session(self.translator, self.gateway, **kwargs)
-
-    def async_session(self, **kwargs):
-        """An asyncio session (``serve()`` + ``async for`` handles)."""
-        from ..optique.session import AsyncSession
-
-        return AsyncSession(self.translator, self.gateway, **kwargs)
-
-    def step(self, n_windows: int = 1) -> int:
-        """Advance the cooperative executor; see ``GatewayServer.step``."""
-        return self.gateway.step(n_windows)
-
-    async def serve(self, **kwargs) -> int:
-        """Drive the asyncio pulse loop; see ``GatewayServer.serve``."""
-        return await self.gateway.serve(**kwargs)
-
-    def run(self, max_windows: int | None = None) -> float:
-        """Drive all registered tasks; returns wall seconds."""
-        watch = Stopwatch()
-        while self.gateway.step(window_limit=max_windows):
-            pass
-        elapsed = watch.elapsed()
-        self.engine.metrics.wall_seconds += elapsed
-        return elapsed
-
-    # -- observability -------------------------------------------------------
-
-    def metrics_snapshot(self):
-        """The deployment's merged registry snapshot (shards included)."""
-        return self.gateway.metrics_snapshot()
-
-    def monitor(self):
-        """The live monitoring surface over this deployment (S2).
-
-        ``monitor().render()`` is the per-task throughput / latency /
-        MQO-hit progress table, re-rendered per call from the registry.
-        """
-        from ..obs import Monitor
-
-        return Monitor(self)
-
-
 def deploy(
     fleet: SiemensFleet | None = None,
     config: FleetConfig | None = None,
@@ -297,8 +210,13 @@ def deploy(
     stream_duration: int = 30,
     workers: int = 4,
     **engine_options,
-) -> SiemensDeployment:
-    """Stand up a complete deployment (generate the fleet if needed).
+) -> OptiquePlatform:
+    """Stand up the Siemens platform (generate the fleet if needed).
+
+    Returns an :class:`~repro.optique.platform.OptiquePlatform` with the
+    three fleet databases attached (their primary keys read off the
+    schemas), the measurement and event streams registered, the macro
+    library installed, ``.fleet`` set and the translator already built.
 
     ``engine_options`` go to the one engine constructor,
     :class:`~repro.exastream.contracts.Engine`.  ``shards=N`` partitions
@@ -313,38 +231,34 @@ def deploy(
     mid-flight re-planning guards (also byte-identical: the estimator
     only picks among the exact tiers).
     """
+    # optique.platform imports this package (for the dashboard)
+    from ..optique.platform import OptiquePlatform
+
+    # first, so a refused engine option costs no fleet generation
+    platform = OptiquePlatform(
+        build_siemens_ontology(),
+        build_siemens_mappings(),
+        workers,
+        **engine_options,
+    )
     if fleet is None:
         fleet = generate_fleet(config or FleetConfig(turbines=10, plants=4))
-    ontology = build_siemens_ontology()
-    mappings = build_siemens_mappings()
-
-    scheduler = Scheduler(workers)
-    engine = StreamEngine(scheduler=scheduler, **engine_options)
-    engine.attach_database("plant", fleet.plant_db)
-    engine.attach_database("legacy", fleet.legacy_db)
-    engine.attach_database("history", fleet.history_db)
+    platform.fleet = fleet
+    platform.attach_database("plant", fleet.plant_db)
+    platform.attach_database("legacy", fleet.legacy_db)
+    platform.attach_database("history", fleet.history_db)
     sensors = stream_sensors
     if sensors is None:
         sensors = (fleet.ramp_sensors[:3] + fleet.sensor_ids[:20])[:23]
         for a, b in fleet.correlated[:2]:
             sensors.extend([a, b])
         sensors = list(dict.fromkeys(sensors))
-    engine.register_stream(
+    platform.register_stream(
         fleet.measurement_source(sensors, duration_seconds=stream_duration)
     )
-    engine.register_stream(fleet.event_source(duration_seconds=stream_duration))
-
-    macros = standard_macros()
-    translator = STARQLTranslator(
-        ontology, mappings, engine, macros, primary_keys=PRIMARY_KEYS
+    platform.register_stream(
+        fleet.event_source(duration_seconds=stream_duration)
     )
-    gateway = GatewayServer(engine, scheduler=scheduler)
-    return SiemensDeployment(
-        fleet=fleet,
-        ontology=ontology,
-        mappings=mappings,
-        engine=engine,
-        gateway=gateway,
-        translator=translator,
-        macros=macros,
-    )
+    platform.macros = standard_macros()
+    _ = platform.translator  # built here, so registration never pays for it
+    return platform

@@ -194,6 +194,50 @@ class TestServeStepDifferential:
             assert canonical(streamed[name]) == oracle[name]
             assert canonical(sinks[name]) == oracle[name]
 
+    def test_serve_fans_out_to_many_subscribers_per_query(self):
+        """One registered query per task, many viewers: every bus
+        subscriber receives the polled oracle's sequence, and the topics
+        are gone once the last one drains."""
+        oracle = self.run_oracle()
+        viewers = 40
+
+        async def run_async():
+            gateway = GatewayServer(engine_with_data())
+            queries = {
+                name: gateway.register(SQL, name=name, sink_capacity=None)
+                for name in ("a", "b")
+            }
+
+            async def collect(sub):
+                return [result async for result in sub]
+
+            # subscribe *before* serving: no pulse precedes anyone
+            tasks = {
+                name: [
+                    asyncio.create_task(collect(query.stream()))
+                    for _ in range(viewers)
+                ]
+                for name, query in queries.items()
+            }
+            await gateway.serve()
+            streamed = {
+                name: [await task for task in consumers]
+                for name, consumers in tasks.items()
+            }
+            return gateway, streamed
+
+        gateway, streamed = asyncio.run(run_async())
+        for name in ("a", "b"):
+            assert len(streamed[name]) == viewers
+            for received in streamed[name]:
+                assert canonical(received) == oracle[name]
+        assert gateway.bus.topics == {}
+        metrics = gateway.bus.metrics
+        assert metrics.peak_subscribers == 2 * viewers
+        assert metrics.results_dropped == 0
+        assert metrics.fanout == viewers
+        verify_gateway(gateway)
+
     def test_serve_matches_step_across_siemens_suite(self, small_fleet):
         """The acceptance differential: every catalog task, bus delivery
         byte-identical (content and per-query order) to the sync oracle."""

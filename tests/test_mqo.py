@@ -15,6 +15,7 @@ import pytest
 
 import cqgen
 from cqgen import SCHEMA, build_engine, random_family, snapshot
+from repro.analysis import verify_gateway
 from repro.exastream import (
     GatewayServer,
     Scheduler,
@@ -308,6 +309,66 @@ class TestMidFlight:
         shared, gateway = self._run(True)
         assert gateway.mqo.stats.partial_hits > 0
 
+    STATIC_JOIN = (
+        "SELECT m.kind AS kind, COUNT(*) AS n "
+        "FROM timeSlidingWindow(S, 20, 5) AS w, "
+        "(SELECT sid, kind FROM sensors) AS m "
+        "WHERE w.sid = m.sid GROUP BY m.kind"
+    )
+
+    def _run_across_insert(self, mqo):
+        """The same SQL registered before and after a static insert."""
+        engine = build_engine(
+            measurement_rows(60, n_sensors=4), mqo=mqo, attach_static=False
+        )
+        db = cqgen.static_db(n_sensors=2)  # sensors 2 and 3 unknown so far
+        engine.attach_database("meta", db)
+        scheduler = Scheduler(2)
+        gateway = GatewayServer(engine, scheduler=scheduler)
+        before = gateway.register(self.STATIC_JOIN, name="before")
+        gateway.step(2)
+        db.insert("sensors", [(2, "temp"), (3, "pres")])
+        after = gateway.register(self.STATIC_JOIN, name="after")
+        verify_gateway(gateway)
+        while gateway.step():
+            pass
+        return snapshot(before), snapshot(after), gateway, scheduler, after
+
+    def test_static_insert_splits_the_shared_pipeline(self):
+        """A same-signature query registered after a ``Database.insert``
+        probes the new rows, so it must not join a pipeline whose pane
+        results were joined against the old ones."""
+        shared = self._run_across_insert(True)
+        private = self._run_across_insert(False)
+        assert shared[:2] == private[:2]
+        assert shared[0] != shared[1]  # the insert is visible to "after" only
+        _, _, gateway, scheduler, after = shared
+        # two materialisations, two pipelines per tier — in the registry
+        # and in the scheduler's accounting alike
+        assert gateway.mqo.pipeline_count == 4
+        pipelines = scheduler.load_report().pipeline_refs
+        assert len(pipelines) == 2 and set(pipelines.values()) == {1}
+        # the structural prediction no longer names the stale peer
+        assert not [d for d in after.diagnostics if d.code == "ANA030"]
+        gateway.deregister("before")
+        gateway.deregister("after")
+        verify_gateway(gateway)
+        assert gateway.mqo.pipeline_count == 0
+        assert scheduler.total_load() == pytest.approx(0.0)
+
+    def test_same_static_version_still_shares(self):
+        """No write between the registrations: one pipeline, as before."""
+        engine = build_engine(measurement_rows(60, n_sensors=4))
+        gateway = GatewayServer(engine)
+        gateway.register(self.STATIC_JOIN, name="a")
+        gateway.step(2)
+        peer = gateway.register(self.STATIC_JOIN, name="b")
+        assert gateway.mqo.pipeline_count == 2  # relation + aggregate tier
+        assert any(d.code == "ANA030" for d in peer.diagnostics)
+        while gateway.step():
+            pass
+        assert gateway.mqo.stats.partial_hits > 0
+
 
 class TestSiemensDifferential:
     """All 20 deployment diagnostic tasks, registered concurrently."""
@@ -587,15 +648,16 @@ class TestRegistrationCost:
                 f" timeSlidingWindow(S, {r}, {s}) AS w"
                 f" WHERE w.val > {40 + (i % 2)} GROUP BY w.sid",
                 name=f"q{i}",
+                strict=bool(i % 3),  # the advisory and the full analysis
             )
         # The sharing index gives each registration constant analysis
         # work: one signature per plan — check_sharing, bind and
         # index_plan all read the stored ``plan.signature`` — and one CQ
-        # encoding each for check_sharing and index_plan.  The pre-index
-        # peer scan re-derived every live query's signature and CQ per
-        # registration (~n^2/2).
+        # encoding, made by the gateway and handed to both check_sharing
+        # and index_plan.  The pre-index peer scan re-derived every live
+        # query's signature and CQ per registration (~n^2/2).
         assert calls["signature"] == n
-        assert calls["cq"] <= 2 * n
+        assert calls["cq"] == n
         # And the diagnostics still fire: later same-grid queries see
         # their sharing peers through the index.
         last = gateway.query("q10")

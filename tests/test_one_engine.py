@@ -8,26 +8,43 @@
   node is a three-field record.
 * The engine forgets a deregistered query: no runtime outlives its
   ``close()`` (a ``shards=2`` engine kept every one until PR 15).
-* The facades forward engine options to the one constructor.
+* The facades forward engine options to the one constructor, and the
+  constructor refuses option values it does not have.
+* ``deploy()`` returns the one deployment object, an
+  ``OptiquePlatform``, with everything ``benchmarks/ledger/`` drives.
 """
 
+import asyncio
 import gc
+import re
 import weakref
+from pathlib import Path
 
 import pytest
 
 from cqgen import SCHEMA, build_engine, measurement_rows, snapshot, static_db
+import repro
 from repro.analysis import verify_gateway
+from repro.errors import InvalidOption, ReproError
 from repro.exastream import (
     GatewayServer,
     IncrementalMode,
     Scheduler,
     StreamEngine,
+    durability,
     plan_sql,
 )
 from repro.exastream.sharded import fork_available
-from repro.optique import OptiquePlatform
-from repro.siemens import FleetConfig, deploy, diagnostic_catalog, generate_fleet
+from repro.optique import AsyncSession, OptiquePlatform, Session
+from repro.siemens import (
+    FleetConfig,
+    build_siemens_mappings,
+    build_siemens_ontology,
+    deploy,
+    diagnostic_catalog,
+    generate_fleet,
+    standard_macros,
+)
 from repro.streams import ListSource, Stream, StreamSource
 
 STREAMS = {
@@ -340,6 +357,24 @@ class TestFacadesForwardEngineOptions:
             with pytest.raises(TypeError):
                 StreamEngine(shards=2, **{dropped: 8})
 
+    @pytest.mark.parametrize("build", [StreamEngine, OptiquePlatform, deploy])
+    def test_a_misspelt_value_is_an_invalid_option(self, build):
+        # "frok" used to be accepted and silently ran the shards serially
+        for value in ("frok", "process", ""):
+            with pytest.raises(InvalidOption, match="parallel") as refused:
+                build(shards=2, parallel=value)
+            assert isinstance(refused.value, ValueError)
+            assert isinstance(refused.value, ReproError)
+        with pytest.raises(InvalidOption, match="shard"):
+            build(shards=0)
+
+    @pytest.mark.parametrize("value", [None, "serial"])
+    def test_both_serial_spellings_run_in_process(self, value):
+        engine = build_engine(streams=STREAMS, shards=2, parallel=value)
+        runtime = engine.bind(plan_sql(PLANS["pane"][0], engine, name="q"))
+        assert runtime.parallel == "serial"
+        runtime.close()
+
     def test_bind_takes_no_layout_keywords(self):
         engine = build_engine(streams=STREAMS, shards=2)
         plan = plan_sql(PLANS["pane"][0], engine, name="q")
@@ -348,3 +383,142 @@ class TestFacadesForwardEngineOptions:
         with pytest.raises(TypeError):
             next(engine.run_continuous(plan, shards=2, parallel="fork"))
         assert engine.shared_reader_count == 0
+
+
+class TestOneDeploymentObject:
+    """``deploy()`` is "construct an ``OptiquePlatform``, attach the
+    fleet" — the surface ``benchmarks/ledger/`` drives, pinned here so a
+    refactor cannot break the benchmark silently."""
+
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        return generate_fleet(
+            FleetConfig(turbines=2, plants=1, correlated_pairs=1)
+        )
+
+    def test_deploy_returns_a_ready_platform(self, fleet):
+        dep = deploy(fleet=fleet, stream_duration=5)
+        assert type(dep) is OptiquePlatform
+        assert dep.fleet is fleet
+        assert isinstance(dep.engine, StreamEngine)
+        assert isinstance(dep.gateway, GatewayServer)
+        assert dep.gateway.engine is dep.engine
+        assert dep.gateway.scheduler is dep.engine.scheduler is dep.scheduler
+        # the translator is built inside deploy(): registration (the
+        # ledger's register_total_ms) never pays for its construction
+        built = dep._translator
+        assert built is not None and dep.translator is built
+        # primary keys come off the attached schemas
+        assert dep.primary_keys == {
+            "countries": ("country_id",),
+            "plants": ("plant_id",),
+            "turbines": ("tid",),
+            "assemblies": ("aid",),
+            "sensors": ("sid",),
+            "weather": ("plant_id", "day"),
+            "EQUIP": ("EQ_NO",),
+            "MEASPOINT": ("MP_NO",),
+            "service_events": ("event_id",),
+            "operating_hours": ("tid", "year"),
+        }
+
+    def test_sessions_share_the_platform(self, fleet):
+        dep = deploy(fleet=fleet, stream_duration=5)
+        session = dep.session(sink_capacity=8)
+        assert type(session) is Session and session.sink_capacity == 8
+        assert dep.session(sink_capacity=None).sink_capacity is None
+        streaming = dep.async_session(name="viewer")
+        assert type(streaming) is AsyncSession and streaming.name == "viewer"
+        for opened in (session, streaming):
+            assert opened.gateway is dep.gateway
+            assert opened.translator is dep.translator
+            assert opened.dashboard is dep.dashboard
+        with pytest.raises(TypeError, match="sink_capcity"):
+            dep.session(sink_capcity=8)
+
+    def test_platform_runs_and_observes_through_one_object(self, fleet):
+        dep = deploy(fleet=fleet, stream_duration=10)
+        handle = dep.session().submit(
+            diagnostic_catalog()[1].starql, name="t2", max_windows=3
+        )
+        assert dep.step() == 1
+        assert asyncio.run(dep.serve()) == 2
+        assert handle.windows_executed == 3
+        snapshot_ = dep.metrics_snapshot()
+        assert snapshot_.value("query_windows_total", query="t2") == 3
+        assert "t2" in dep.monitor().render()
+
+    def test_recover_onto_a_replacement_platform(self, fleet, tmp_path):
+        tasks = diagnostic_catalog()[:3]
+
+        def registered(dep):
+            session = dep.session(sink_capacity=None)
+            return [
+                session.submit(task.starql, name=f"t{task.task_id}")
+                for task in tasks
+            ]
+
+        oracle = deploy(fleet=fleet, stream_duration=10)
+        expected = registered(oracle)
+        while oracle.step():
+            pass
+        dep = deploy(fleet=fleet, stream_duration=10)
+        registered(dep)
+        manager = durability.CheckpointManager(dep.gateway, tmp_path, interval=2)
+        dep.step(4)
+        manager.close()
+        replacement = deploy(fleet=fleet, stream_duration=10)
+        restart = replacement.session()
+        for task in tasks:  # re-installs the macro UDFs recovery binds
+            restart.prepare(task.starql)
+        gateway = durability.recover(
+            tmp_path, replacement.engine,
+            scheduler=replacement.gateway.scheduler,
+        )
+        assert gateway is not None and gateway.engine is replacement.engine
+        while gateway.step():
+            pass
+        verify_gateway(gateway)
+        for handle in expected:
+            assert snapshot(gateway.query(handle.name)) == snapshot(
+                handle.registered
+            )
+
+    def test_deploy_renders_the_sql_a_hand_assembled_platform_renders(
+        self, fleet
+    ):
+        dep = deploy(fleet=fleet, stream_duration=5)
+        platform = OptiquePlatform(
+            build_siemens_ontology(), build_siemens_mappings()
+        )
+        platform.attach_database("plant", fleet.plant_db)
+        platform.attach_database("legacy", fleet.legacy_db)
+        platform.attach_database("history", fleet.history_db)
+        platform.register_stream(
+            fleet.measurement_source(fleet.sensor_ids[:4], duration_seconds=5)
+        )
+        platform.register_stream(fleet.event_source(duration_seconds=5))
+        platform.macros = standard_macros()
+        catalog = diagnostic_catalog()
+        assert len(catalog) == 20
+        for task in catalog:
+            ours = dep.translator.translate_text(task.starql)
+            theirs = platform.translator.translate_text(task.starql)
+            assert ours.sql == theirs.sql, task.name
+            assert ours.fleet_size == theirs.fleet_size
+            assert len(ours.enriched) == len(theirs.enriched)
+
+    def test_one_place_wires_a_deployment(self):
+        """``OptiquePlatform.__init__`` builds the gateway of a new
+        deployment, ``restore_gateway`` that of a recovered one; nothing
+        else in ``src/`` constructs one."""
+        src = Path(repro.__file__).parent
+        sites = sorted(
+            str(path.relative_to(src))
+            for path in src.rglob("*.py")
+            for _ in re.finditer(r"(?<![\w`])GatewayServer\(", path.read_text())
+        )
+        assert sites == [
+            "exastream/durability/snapshot.py",
+            "optique/platform.py",
+        ]

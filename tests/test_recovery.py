@@ -119,6 +119,45 @@ class TestCrashRecoveryDifferential:
             )
             assert got == base
 
+    def test_bounded_sink_tail_survives_a_late_crash(self, tmp_path):
+        """A crash one pulse before the end, recovered from an epoch a
+        few windows back: the bounded sink's retained tail and its
+        accepted/dropped books end where the uninterrupted run's do."""
+        tail = 8
+
+        def gateway_with_query():
+            gateway = GatewayServer(build_engine(rows=ROWS))
+            return gateway, gateway.register(
+                SQLS[2], name="q", sink_capacity=tail
+            )
+
+        gateway, query = gateway_with_query()
+        while gateway.step():
+            pass
+        total = query.next_window
+        assert query.sink.dropped == total - tail > 0
+        base = snapshot(query), query.sink.accepted, query.sink.dropped
+
+        gateway, _ = gateway_with_query()
+        CheckpointManager(
+            gateway,
+            tmp_path,
+            interval=5,
+            faults=FaultInjector(crash_after_pulses=total - 1),
+        )
+        with pytest.raises(SimulatedCrash):
+            while gateway.step():
+                pass
+        recovered = recover(tmp_path, build_engine(rows=ROWS))
+        assert recovered is not None
+        query = recovered.query("q")
+        assert total - 5 <= query.next_window < total  # a bounded replay
+        while recovered.step():
+            pass
+        assert (
+            snapshot(query), query.sink.accepted, query.sink.dropped
+        ) == base
+
     def test_random_join_cq_crash_recovery(self, tmp_path):
         rng = random.Random(7)
         streams = {
@@ -157,12 +196,11 @@ class TestSiemensRecovery:
 
         def fresh():
             deployment = deploy()
-            names = []
-            for task in catalog:
-                registered, _ = deployment.register_task(
-                    task.starql, name=task.name
-                )
-                names.append(registered.name)
+            session = deployment.session(sink_capacity=None)
+            names = [
+                session.submit(task.starql, name=task.name).name
+                for task in catalog
+            ]
             return deployment, names
 
         deployment, names = fresh()

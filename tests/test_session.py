@@ -4,14 +4,6 @@ shared-reader release on deregister."""
 
 import pytest
 
-# These modules predate (and deliberately cover) the deprecated batch
-# wrappers -- run(max_windows=/on_result=/keep_results=) compat stays
-# tested without warning noise in tier-1 output.
-pytestmark = pytest.mark.filterwarnings(
-    r"ignore:.*run\(\) is deprecated:DeprecationWarning"
-)
-
-
 from repro.exastream import (
     BoundedResultSink,
     GatewayServer,
@@ -324,6 +316,28 @@ class TestSessionAPI:
             pass
         assert h1.windows_executed == h2.windows_executed == 4
         assert h1.state is QueryState.COMPLETED
+
+    def test_eight_handles_over_one_prepared_query(self, deployment):
+        """Stepped fairly, polled exactly once each, translated once."""
+        session = deployment.session(sink_capacity=16)
+        prepared = session.prepare(diagnostic_catalog()[0].starql)
+        handles = [session.submit(prepared, name=f"h{i}") for i in range(8)]
+        polled = [[] for _ in handles]
+        while session.step(1):
+            executed = [h.windows_executed for h in handles]
+            assert max(executed) - min(executed) <= 1  # step() fairness
+            for handle, seen in zip(handles, polled):
+                seen.extend(r.window_id for r in handle.poll(max_results=4))
+        for handle, seen in zip(handles, polled):
+            seen.extend(r.window_id for r in handle.poll())
+            # every result delivered exactly once, in order, none dropped
+            assert seen == list(range(handle.windows_executed))
+            assert handle.sink.dropped == 0
+        assert handles[0].windows_executed > 16  # more than a sink holds
+        # 8 submissions reuse one prepared query without consulting the
+        # translation cache again
+        assert deployment.translator.cache_misses == 1
+        assert deployment.translator.cache_hits == 0
 
     def test_poll_bounded_and_incremental(self, deployment):
         session = deployment.session(sink_capacity=4)

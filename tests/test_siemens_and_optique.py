@@ -2,14 +2,6 @@
 
 import pytest
 
-# These modules predate (and deliberately cover) the deprecated batch
-# wrappers -- run(max_windows=/on_result=/keep_results=) compat stays
-# tested without warning noise in tier-1 output.
-pytestmark = pytest.mark.filterwarnings(
-    r"ignore:.*run\(\) is deprecated:DeprecationWarning"
-)
-
-
 from repro.optique import OptiquePlatform
 from repro.rdf import Namespace
 from repro.siemens import (
@@ -119,23 +111,25 @@ class TestCatalog:
             assert query.windows, task.name
 
     def test_all_translate_and_register(self, deployment):
+        session = deployment.session()
         for task in diagnostic_catalog():
-            registered, translation = deployment.register_task(
-                task.starql, name=f"t{task.task_id}"
-            )
-            assert translation.fleet_size >= 1, task.name
+            handle = session.submit(task.starql, name=f"t{task.task_id}")
+            assert handle.prepared.fleet_size >= 1, task.name
         assert len(deployment.gateway.queries) == 20
 
     def test_fig1_task_fires_on_ramp_sensor(self, small_fleet):
         dep = deploy(fleet=small_fleet, stream_duration=25)
-        task1 = diagnostic_catalog()[0]
-        registered, translation = dep.register_task(task1.starql, name="fig1")
-        dep.run(max_windows=20)
-        alerted = set()
-        for result in registered.results():
-            for row in result.rows:
-                triple = translation.construct.triples_for(row)[0]
-                alerted.add(triple[0].value.rsplit("/", 1)[-1])
+        session = dep.session(sink_capacity=None)  # keep every window
+        handle = session.submit(
+            diagnostic_catalog()[0].starql, name="fig1", max_windows=20
+        )
+        while session.step():
+            pass
+        assert handle.windows_executed == 20
+        assert len(handle.sink) == 20  # the unbounded sink dropped nothing
+        alerted = {
+            triple[0].value.rsplit("/", 1)[-1] for triple in handle.alerts()
+        }
         streamed_ramps = {
             s for s in small_fleet.ramp_sensors if s in _streamed(dep)
         }
@@ -143,16 +137,30 @@ class TestCatalog:
 
     def test_dashboard_collects(self, small_fleet):
         dep = deploy(fleet=small_fleet, stream_duration=25)
+        session = dep.session()
         for task in diagnostic_catalog()[:3]:
-            dep.register_task(task.starql, name=f"d{task.task_id}")
-        dash = Dashboard()
-        while dep.gateway.step(on_result=dash.observe, window_limit=8):
+            session.submit(task.starql, name=f"d{task.task_id}", max_windows=8)
+        while session.step():
             pass
+        # every session handle is attached to the deployment's dashboard
+        dash = dep.dashboard
         assert len(dash.panels) == 3
         rendered = dash.render()
         assert "total alerts" in rendered
         for panel in dash.panels:
-            assert panel.windows_seen > 0
+            assert 0 < panel.windows_seen <= 8
+
+    def test_standalone_dashboard_subscribes_per_query(self, small_fleet):
+        dep = deploy(fleet=small_fleet, stream_duration=25)
+        handle = dep.session().submit(
+            diagnostic_catalog()[0].starql, name="solo", max_windows=5
+        )
+        dash = Dashboard()
+        panel = dash.subscribe(handle)
+        while dep.step():
+            pass
+        assert panel.windows_seen == 5
+        assert dep.dashboard.panel("solo").windows_seen == 5
 
 
 def _streamed(dep):
@@ -190,13 +198,14 @@ class TestOptiquePlatform:
 
         platform.register_macro(MONOTONIC_MACRO)
         platform.register_macro(FAILURE_MACRO)
-        task = platform.register_task(
-            diagnostic_catalog()[0].starql, name="fig1"
+        session = platform.session(sink_capacity=None)
+        task = session.submit(
+            diagnostic_catalog()[0].starql, name="fig1", max_windows=18
         )
-        platform.run(max_windows=18)
-        assert task.fleet_size >= 1
-        assert platform.dashboard.panel("fig1").windows_seen > 0
-        assert platform.total_fleet_size() >= 1
+        while platform.step():
+            pass
+        assert task.prepared.fleet_size >= 1
+        assert platform.dashboard.panel("fig1").windows_seen == 18
         # the ramp sensor raises an alert through the full platform stack
         alerts = task.alerts()
         assert any(

@@ -5,14 +5,6 @@ import random
 
 import pytest
 
-# These modules predate (and deliberately cover) the deprecated batch
-# wrappers -- run(max_windows=/on_result=/keep_results=) compat stays
-# tested without warning noise in tier-1 output.
-pytestmark = pytest.mark.filterwarnings(
-    r"ignore:.*run\(\) is deprecated:DeprecationWarning"
-)
-
-
 from repro.exastream import GatewayServer, StreamEngine
 from repro.mappings import (
     ColumnSpec,
