@@ -9,13 +9,14 @@ plan; translation failures become diagnostics instead of exceptions, so
 the CLI and ``Session.lint`` can report *all* queries of a document.
 
 Analysis is read-only with respect to execution: the only plan state it
-touches are the memoized classification fields (``incremental``,
-``mqo_signature``) that registration computes anyway.
+touches is the memoized ``mqo_signature`` that registration computes
+anyway.
 """
 
 from __future__ import annotations
 
-from ..errors import QueryNotFound
+from ..errors import QueryNotFound, ReproError
+from ..exastream.planner import plan_sql
 from ..starql.ast import (
     AggregateComparison,
     BoolOp,
@@ -94,14 +95,36 @@ def check_statics(plan, engine, gateway, report: AnalysisReport) -> None:
         )
 
 
-def check_translation(translation, report: AnalysisReport) -> None:
+def check_translation(translation, engine, report: AnalysisReport) -> None:
     """What the translate leg produced (INFO, ANA061): UCQ disjuncts
-    after enrichment and SQL blocks after unfolding."""
+    after enrichment and SQL blocks after unfolding — and (ERROR,
+    ANA008) an emitted SQL(+) text that does not plan back to the
+    translation's plan: the text is the program, so the translator and
+    the planner drifting apart is a defect, not a display glitch."""
     report.add(
         "ANA061",
         Severity.INFO,
         f"translation: {len(translation.enriched)} UCQ disjunct(s) after "
         f"enrichment, {translation.fleet_size} SQL block(s) after unfolding",
+    )
+    plan = translation.plan
+    try:
+        replanned = plan_sql(
+            translation.sql, engine, name=plan.name, start=plan.start
+        )
+    except ReproError as exc:
+        problem = f"does not plan ({exc})"
+    else:
+        if replanned == plan:
+            return
+        problem = "plans to a different plan than the translation carries"
+    report.add(
+        "ANA008",
+        Severity.ERROR,
+        f"the emitted SQL(+) {problem}: {translation.sql}",
+        hint="STARQL2SQL(+) and the SQL(+) planner/printer disagree; "
+        "registering the STARQL query and its SQL(+) text would run "
+        "different programs",
     )
 
 
@@ -284,7 +307,7 @@ def analyze_starql(
         result.plan, engine, gateway=gateway, name=report.query
     )
     report.diagnostics.extend(plan_report.diagnostics)
-    check_translation(result, report)
+    check_translation(result, engine, report)
     return report
 
 

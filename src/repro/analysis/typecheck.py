@@ -16,7 +16,7 @@ analyzer never rejects a reference the runtime would accept.
 
 from __future__ import annotations
 
-from ..exastream.plan import as_equi_join
+from ..exastream.plan import as_equi_join, expr_columns
 from ..relational import SQLType
 from ..sql import (
     BinOp,
@@ -235,19 +235,6 @@ def _static_output_types(static, engine) -> dict[str, SQLType | None]:
 # -- checks -------------------------------------------------------------------
 
 
-def _iter_columns(expr: Expr):
-    if isinstance(expr, Col):
-        yield expr
-    elif isinstance(expr, BinOp):
-        yield from _iter_columns(expr.left)
-        yield from _iter_columns(expr.right)
-    elif isinstance(expr, UnaryOp):
-        yield from _iter_columns(expr.operand)
-    elif isinstance(expr, Func):
-        for arg in expr.args:
-            yield from _iter_columns(arg)
-
-
 def _iter_binops(expr: Expr):
     if isinstance(expr, BinOp):
         yield expr
@@ -321,7 +308,7 @@ def check_types(plan, engine, report: AnalysisReport) -> TypeEnv:
             contexts.append((item.expr, False, f"projection {item.name!r}"))
 
     for expr, having, where in contexts:
-        for column in _iter_columns(expr):
+        for column in expr_columns(expr):
             found, _ = env.resolve(column.table, column.name, having)
             if not found:
                 qualified = (

@@ -1,8 +1,8 @@
 """Window-grid diagnostics: why a plan will (or won't) run incrementally.
 
-The engine classifies every plan as PANE_INCREMENTAL / PANE_JOIN /
-RECOMPUTE at bind time (:func:`repro.exastream.partial_agg
-.analyze_incremental`); this module turns that classification — and the
+The planner classifies every plan as PANE_INCREMENTAL / PANE_JOIN /
+RECOMPUTE (:func:`repro.exastream.partial_agg.analyze_incremental`);
+this module turns that classification — and the
 pane-decomposition arithmetic behind it — into diagnostics a query
 author can act on *before* the query runs: non-decomposable range/slide
 grids, the pane cap, aggregates outside the combinable set, and
@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ..exastream.partial_agg import analyze_incremental
 from ..streams.window import MAX_PANES_PER_WINDOW, pane_plan
 from .diagnostics import AnalysisReport, Severity, find_span
 
@@ -64,7 +63,7 @@ def _explain_non_decomposable(spec) -> tuple[str, str]:
 def check_windows(plan, report: AnalysisReport) -> None:
     """Pane-decomposition and incremental-mode diagnostics for a plan."""
     source = plan.source
-    decision = plan.incremental or analyze_incremental(plan)
+    decision = plan.incremental
 
     for ref in plan.windows:
         spec = ref.spec

@@ -14,13 +14,15 @@ Concrete classes keep their historical builtin bases (``KeyError``,
 
 * :class:`QueryNotFound` — a query name is not registered (gateway
   ``deregister``/``query``, session ``handle``); also a ``KeyError``;
-* :class:`BindError` — a plan's static input could not be bound (its
-  database is not attached, or its SQL failed); carries the query name,
-  the static alias and the SQL text; also a ``KeyError``;
+* :class:`BindError` — an input of a plan could not be bound (a static
+  input's database is not attached or its SQL failed, or the plan names
+  a column an input does not have); carries the query name, the input's
+  alias and its text; also a ``KeyError``;
 * :class:`InvalidOption` — an engine option was given a value the
   engine does not have (``shards=0``, ``parallel="frok"``); raised by
   the one engine constructor, so by ``OptiquePlatform(...)`` and
-  ``deploy(...)`` too; also a ``ValueError``;
+  ``deploy(...)`` too, and by a registration whose ``shards=`` the
+  engine's pool cannot serve; also a ``ValueError``;
 * :class:`SinkOverflow` — a result had to be refused by a bounded
   delivery channel that cannot block (an event-bus subscription whose
   ``block``-policy queue is force-offered); also a ``RuntimeError``;
@@ -93,14 +95,18 @@ class QueryNotFound(ReproError, KeyError):
 
 
 class BindError(ReproError, KeyError):
-    """A static input of a plan could not be bound at registration.
+    """An input of a plan could not be bound at registration.
 
     Raised by ``Engine.bind`` (so by ``GatewayServer.register`` and
-    ``Session.submit``) when the input's database is not attached or
-    its SQL fails; the database's own exception is the ``__cause__``.
-    A failed bind leaves nothing behind: no shared reader, no static
-    relation, no reference count.  Subclasses ``KeyError`` because an
-    unattached database used to surface as a bare one.
+    ``Session.submit``) when a static input's database is not attached
+    or its SQL fails (the database's own exception is the
+    ``__cause__``), or when the plan names a column or function an
+    input — static relation or windowed stream — does not have.
+    ``sql`` is the static input's SQL, or the windowed input's
+    ``stream[range/slide]``.  A failed bind leaves nothing behind: no
+    shared reader, no static relation, no reference count.  Subclasses
+    ``KeyError`` because an unattached database, and an unknown stream
+    column, used to surface as a bare one.
     """
 
     def __init__(self, query: str, alias: str, sql: str, reason: str) -> None:
@@ -108,8 +114,8 @@ class BindError(ReproError, KeyError):
         self.alias = alias
         self.sql = sql
         super().__init__(
-            f"query {query!r}: cannot bind static input {alias!r} "
-            f"({reason}); SQL: {sql}"
+            f"query {query!r}: cannot bind input {alias!r} "
+            f"({reason}); input: {sql}"
         )
 
     def __str__(self) -> str:  # KeyError.__str__ repr()s its arg
@@ -120,7 +126,9 @@ class InvalidOption(ReproError, ValueError):
     """An engine option was given a value the engine does not have.
 
     Raised by the engine constructor before anything is built, so a
-    misspelt value can never select a default silently.
+    misspelt value can never select a default silently — and by
+    ``Engine.resolve_shards`` for a per-registration ``shards=`` below
+    1 or wider than the engine's pool.
     """
 
 

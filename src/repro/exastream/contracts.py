@@ -49,7 +49,7 @@ from ..streams import SharedWindowReader, StreamSource, WindowCache
 from .metrics import EngineMetrics
 from .operators import Relation, StaticTable
 from .plan import ContinuousPlan
-from .sharding import PartitionMode, analyze_partitioning, partitioned_tuples
+from .sharding import PartitionMode, partitioned_tuples
 from .udf import UDFRegistry, builtin_registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -454,14 +454,13 @@ class Engine(ABC):
 
     def resolve_shards(self, plan: ContinuousPlan, shards: int | None) -> int:
         """The layout a ``bind(plan, shards=shards)`` would use."""
-        decision = plan.partitioning or analyze_partitioning(plan, self)
-        if decision.mode is PartitionMode.SINGLETON:
+        if plan.partitioning.mode is PartitionMode.SINGLETON:
             return 1
         n = shards if shards is not None else self.default_shards
         if n < 1:
-            raise ValueError("need at least one shard")
+            raise InvalidOption("need at least one shard")
         if n > self.default_shards:
-            raise ValueError(
+            raise InvalidOption(
                 f"shards={n} exceeds the engine's pool of "
                 f"{self.default_shards} (build the engine with a larger "
                 "shards=)"

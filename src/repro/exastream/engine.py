@@ -60,7 +60,6 @@ from .pane_join_executor import (  # noqa: F401
     # under this module's path; the name must stay importable from here
     _SideState,
 )
-from .partial_agg import analyze_incremental
 from .plan import (
     AggregateSpec,
     ContinuousPlan,
@@ -68,7 +67,7 @@ from .plan import (
     as_equi_join,
     expr_aliases,
 )
-from .sharding import analyze_partitioning, canonical_row_key, make_shard_plan
+from .sharding import canonical_row_key, make_shard_plan
 from .udf import UDFRegistry
 
 __all__ = ["WindowResult", "BoundedResultSink", "StreamEngine", "PlanRuntime"]
@@ -283,27 +282,41 @@ class PlanRuntime(WindowExecutor):
 
     def _open(self) -> None:
         """Second half of binding, once the readers and statics are in
-        place: filter the statics, choose the tier, declare demand."""
-        # Static relations are invariant: apply their pushdown filters
-        # once at bind time (this also covers the indexed join_probe
-        # path, which bypasses the per-window load).  The filtered table
-        # is this binding's own; the shared one is never written.
-        for ref in self.plan.statics:
-            static = self.statics[ref.alias]
+        place: resolve what the plan names, filter the statics, choose
+        the tier, declare demand."""
+        # Every column a computed column, a pushed filter or an equi-join
+        # key names must exist in its input — a plan that names one that
+        # does not is refused here, not at its first window.  Compiling
+        # the window side against an empty batch is that check (and the
+        # closures are the ones the windows will use).  Static relations
+        # are invariant: their pushdown filters apply once, now (this
+        # also covers the indexed join_probe path, which bypasses the
+        # per-window load).  The filtered table is this binding's own;
+        # the shared one is never written.
+        for ref in (*self.plan.windows, *self.plan.statics):
+            static = self.statics.get(ref.alias)
             try:
-                filtered = self._push_filters(
-                    ref.alias, static.relation, record=False
+                relation = self._push_filters(
+                    ref.alias,
+                    self._load_batch(ref, []) if static is None
+                    else static.relation,
+                    record=False,
                 )
+                for a, a_column, b, b_column in self._equi:
+                    if a == ref.alias:
+                        relation.index_of(f"{a}.{a_column}")
+                    if b == ref.alias:
+                        relation.index_of(f"{b}.{b_column}")
             except (KeyError, ValueError) as exc:  # unknown column / UDF
                 # (args[0]: a KeyError's str() is the repr of its message)
                 raise BindError(
-                    self.plan.name, ref.alias, ref.sql, exc.args[0]
+                    self.plan.name, ref.alias,
+                    ref.reader_key if static is None else ref.sql,
+                    exc.args[0],
                 ) from exc
-            if filtered is not static.relation:
-                self.statics[ref.alias] = StaticTable(filtered)
+            if static is not None and relation is not static.relation:
+                self.statics[ref.alias] = StaticTable(relation)
         decision = self.plan.incremental
-        if decision is None:
-            decision = self.plan.incremental = analyze_incremental(self.plan)
         if self.incremental_enabled and decision.is_pane_join:
             self.tier = PaneJoinExecutor(self, decision)
         elif self.incremental_enabled and decision.is_incremental:
@@ -877,8 +890,6 @@ class StreamEngine(Engine):
         layout (the plan verbatim over full streams); else one leaf
         runtime per shard scope of the layout, each over its partitioned
         readers, under a coordinating ``ShardedPlanRuntime``."""
-        if plan.partitioning is None:
-            plan.partitioning = analyze_partitioning(plan, self)
         decision = plan.partitioning
         n = self.resolve_shards(plan, shards)
         if n == 1:

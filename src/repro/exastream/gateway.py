@@ -284,8 +284,11 @@ class GatewayServer:
         so the same prepared plan can be submitted repeatedly.
 
         ``shards`` requests data-parallel execution across that many
-        shards; the engine refuses layouts wider than its pool (a plain
-        :class:`~repro.exastream.engine.StreamEngine` has a pool of 1).
+        shards; the engine refuses (:class:`~repro.errors.InvalidOption`)
+        a width below 1 or wider than its pool — the ``shards=`` it was
+        built with, 1 by default.  A plan naming a column no input has
+        is refused too (:class:`~repro.errors.BindError`), with nothing
+        left bound.
 
         ``strict`` runs the full static analyzer before binding any
         resources and raises

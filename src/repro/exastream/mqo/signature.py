@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ...sql import BinOp, Col, Expr, Func, Lit, Star, UnaryOp
-from ..partial_agg import COMBINABLE, analyze_incremental, decompose_calls
+from ..partial_agg import COMBINABLE, decompose_calls
 from ..plan import ContinuousPlan, expr_aliases
 
 __all__ = [
@@ -306,11 +306,7 @@ def plan_signature(plan: ContinuousPlan) -> PlanSignature | None:
         # pipes — emitting sides for it would subscribe dead pipelines
         # and make the scheduler account its scans as shared while each
         # query in fact re-scans privately.
-        decision = plan.incremental
-        if decision is None:
-            decision = analyze_incremental(plan)
-            plan.incremental = decision
-        if decision.is_pane_join:
+        if plan.incremental.is_pane_join:
             sides = (_side_signature(plan, 0), _side_signature(plan, 1))
 
     return PlanSignature(relation_key, aggregate_key, alias_map, sides)

@@ -1,8 +1,9 @@
 """Continuous-query plans: the engine's intermediate representation.
 
-A :class:`ContinuousPlan` is what the STARQL2SQL(+) translator emits for
-execution (alongside the SQL(+) text for display), and what the SQL(+)
-planner produces from parsed gateway queries.  It is a window-driven
+A :class:`ContinuousPlan` is what the SQL(+) planner
+(:func:`~repro.exastream.planner.plan_select`, the one place plans are
+built) produces from a parsed query — the STARQL2SQL(+) translator's
+emitted SQL(+) and gateway text alike.  It is a window-driven
 SELECT-PROJECT-JOIN-AGGREGATE block:
 
 * one or more *windowed streams* (all share the window/pulse grid),
@@ -14,6 +15,7 @@ SELECT-PROJECT-JOIN-AGGREGATE block:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -34,25 +36,29 @@ __all__ = [
     "OutputColumn",
     "ContinuousPlan",
     "PaneJoinSpec",
+    "expr_columns",
     "expr_aliases",
     "as_equi_join",
 ]
 
 
+def expr_columns(expr: Expr) -> Iterator[Col]:
+    """Every column reference inside an expression."""
+    if isinstance(expr, Col):
+        yield expr
+    elif isinstance(expr, BinOp):
+        yield from expr_columns(expr.left)
+        yield from expr_columns(expr.right)
+    elif isinstance(expr, UnaryOp):
+        yield from expr_columns(expr.operand)
+    elif isinstance(expr, Func):
+        for arg in expr.args:
+            yield from expr_columns(arg)
+
+
 def expr_aliases(expr: Expr) -> set[str]:
     """All table aliases a predicate references."""
-    if isinstance(expr, Col):
-        return {expr.table} if expr.table else set()
-    if isinstance(expr, BinOp):
-        return expr_aliases(expr.left) | expr_aliases(expr.right)
-    if isinstance(expr, UnaryOp):
-        return expr_aliases(expr.operand)
-    if isinstance(expr, Func):
-        out: set[str] = set()
-        for arg in expr.args:
-            out |= expr_aliases(arg)
-        return out
-    return set()
+    return {column.table for column in expr_columns(expr) if column.table}
 
 
 def as_equi_join(expr: Expr) -> tuple[str, str, str, str] | None:
@@ -165,14 +171,13 @@ class ContinuousPlan:
     start: float | None = None  # PULSE START anchor
     distinct: bool = False
     #: sharding classification (operators marked partitionable vs
-    #: merge-requiring); ``None`` means "not analyzed yet" — the sharded
-    #: engine analyzes lazily at bind time.
+    #: merge-requiring), set by the planner
     partitioning: ShardingDecision | None = field(
         default=None, compare=False, repr=False
     )
     #: incremental-execution classification (PANE-INCREMENTAL vs
-    #: RECOMPUTE); ``None`` means "not analyzed yet" — runtimes analyze
-    #: lazily at bind time.
+    #: RECOMPUTE), set by the planner; an adaptive engine's costing may
+    #: demote it at registration
     incremental: IncrementalDecision | None = field(
         default=None, compare=False, repr=False
     )
@@ -190,15 +195,6 @@ class ContinuousPlan:
     #: :class:`repro.exastream.estimator.PlanChoice`.  Advisory plus
     #: the applied tier decision; never read by the executor itself.
     choice: PlanChoice | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.windows:
-            raise ValueError("a continuous plan needs at least one stream")
-        aliases = [w.alias for w in self.windows] + [s.alias for s in self.statics]
-        if len(set(aliases)) != len(aliases):
-            raise ValueError("duplicate aliases in plan")
-        if self.aggregate is None and not self.projection:
-            raise ValueError("plan needs a projection or an aggregation")
 
     @property
     def signature(self) -> PlanSignature | None:

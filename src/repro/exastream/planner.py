@@ -1,4 +1,8 @@
-"""The SQL(+) query planner: parsed gateway text -> continuous plans.
+"""The SQL(+) query planner: a parsed SELECT block -> a continuous plan.
+
+Every :class:`~repro.exastream.plan.ContinuousPlan` is built here:
+gateway text arrives through :func:`plan_sql`, and the STARQL2SQL(+)
+translator hands :func:`plan_select` the SQL(+) query it emits.
 
 "The system's query planner is responsible for choosing an optimal plan
 depending on the query, the available stream/static data sources, and the
@@ -8,7 +12,11 @@ execution environment."  Planning decisions made here:
   windowed stream scans that share the engine's window cache;
 * bare tables are located in the attached static databases and read once;
 * WHERE conjunctions split into equi-join predicates vs residual filters
-  (the runtime pushes single-source filters below joins); for plans
+  (the runtime pushes single-source filters below joins); an equality
+  between an expression over one windowed stream and a column of
+  another input (``('http://…/sensor/' || w.sid) = st.sensor``) becomes
+  a computed column of that window plus an equi-join, so it runs as a
+  hash join rather than a filter over a cross product; for plans
   joining two windowed streams the direct stream-stream equi-keys are
   carried to the runtimes (``ContinuousPlan.stream_join_keys`` →
   :class:`~repro.exastream.plan.PaneJoinSpec`) so the symmetric-hash
@@ -60,6 +68,8 @@ from .plan import (
     OutputColumn,
     StaticRef,
     WindowedStreamRef,
+    as_equi_join,
+    expr_columns,
 )
 from .sharding import analyze_partitioning
 
@@ -77,22 +87,32 @@ class PlanningError(ReproError, ValueError):
 
 
 def plan_sql(
-    text: str, engine: StreamEngine, name: str | None = None
+    text: str,
+    engine: StreamEngine,
+    name: str | None = None,
+    start: float | None = None,
 ) -> ContinuousPlan:
-    """Parse and plan SQL(+) text against an engine's catalogs."""
+    """Parse and plan SQL(+) text against an engine's catalogs.
+
+    ``start`` is the pulse anchor (STARQL's ``PULSE ... START``), which
+    SQL(+) has no spelling for.
+    """
     query = parse_sql(text)
     if not isinstance(query, SelectQuery):
         raise PlanningError("continuous queries must be single SELECT blocks")
-    plan = plan_select(query, engine, name=name)
+    plan = plan_select(query, engine, name=name, start=start)
     plan.source = text
     return plan
 
 
 def plan_select(
-    query: SelectQuery, engine: StreamEngine, name: str | None = None
+    query: SelectQuery,
+    engine: StreamEngine,
+    name: str | None = None,
+    start: float | None = None,
 ) -> ContinuousPlan:
     """Plan a parsed SELECT block as a :class:`ContinuousPlan`."""
-    windows: list[WindowedStreamRef] = []
+    scans: list[tuple[str, WindowSpec, str]] = []  # stream, grid, alias
     statics: list[StaticRef] = []
     conditions: list[Expr] = list(query.where)
 
@@ -116,14 +136,11 @@ def plan_select(
                 raise PlanningError("first window argument must be a stream name")
             if not isinstance(range_arg, Lit) or not isinstance(slide_arg, Lit):
                 raise PlanningError("window range/slide must be literals")
-            alias = table.alias or stream_arg.name
-            windows.append(
-                WindowedStreamRef(
-                    stream=stream_arg.name,
-                    spec=WindowSpec(float(range_arg.value), float(slide_arg.value)),
-                    alias=alias,
-                )
-            )
+            scans.append((
+                stream_arg.name,
+                WindowSpec(float(range_arg.value), float(slide_arg.value)),
+                table.alias or stream_arg.name,
+            ))
             return
         if isinstance(table, BaseTable):
             source = engine.locate_table(table.name)
@@ -157,16 +174,29 @@ def plan_select(
 
     for item in query.from_:
         visit(item)
-    if not windows:
+    if not scans:
         raise PlanningError("a continuous query needs at least one stream window")
+    aliases = [alias for _, _, alias in scans] + [s.alias for s in statics]
+    if len(set(aliases)) != len(aliases):
+        raise PlanningError(f"duplicate FROM aliases in {aliases}")
 
+    #: window alias -> lifted key expression -> its computed column
+    lifted: dict[str, dict[Expr, str]] = {alias: {} for _, _, alias in scans}
     join_predicates: list[Expr] = []
     filters: list[Expr] = []
     for predicate in conditions:
-        if _is_equi_join(predicate):
+        predicate = _lift_key(predicate, lifted)
+        if as_equi_join(predicate) is not None:
             join_predicates.append(predicate)
         else:
             filters.append(predicate)
+    windows = [
+        WindowedStreamRef(stream, spec, alias, tuple(
+            OutputColumn(expr, column)
+            for expr, column in lifted[alias].items()
+        ))
+        for stream, spec, alias in scans
+    ]
 
     aggregate = _plan_aggregation(query, engine)
     projection: list[OutputColumn] = []
@@ -189,6 +219,7 @@ def plan_select(
         filters=filters,
         projection=projection,
         aggregate=aggregate,
+        start=start,
         distinct=query.distinct,
     )
     # Mark operators partitionable vs merge-requiring at plan time, so
@@ -265,16 +296,34 @@ def _collect_tables(table: TableExpr, out: list[str]) -> None:
                 _collect_tables(item, out)
 
 
-def _is_equi_join(expr: Expr) -> bool:
-    return (
-        isinstance(expr, BinOp)
-        and expr.op == "="
-        and isinstance(expr.left, Col)
-        and isinstance(expr.right, Col)
-        and expr.left.table is not None
-        and expr.right.table is not None
-        and expr.left.table != expr.right.table
-    )
+def _lift_key(predicate: Expr, lifted: dict[str, dict[Expr, str]]) -> Expr:
+    """``<expression over one windowed alias> = other.column`` (either
+    way round) as the equi-join ``alias.#n = other.column``.
+
+    ``#n`` is a computed column of that window, recorded in ``lifted``
+    (one per distinct expression; the name is not a SQL(+) identifier,
+    so it cannot shadow a stream column).  Any other predicate comes
+    back unchanged.
+    """
+    if not (isinstance(predicate, BinOp) and predicate.op == "="):
+        return predicate
+    for expr, column in (
+        (predicate.left, predicate.right), (predicate.right, predicate.left)
+    ):
+        if isinstance(expr, Col) or not isinstance(column, Col):
+            continue
+        tables = {c.table for c in expr_columns(expr)}
+        if len(tables) != 1 or column.table in tables | {None}:
+            continue
+        (alias,) = tables
+        if alias not in lifted:  # not a windowed stream
+            continue
+        names = lifted[alias]
+        key = Col(alias, names.setdefault(expr, f"#{len(names)}"))
+        if expr is predicate.left:
+            return BinOp("=", key, column)
+        return BinOp("=", column, key)
+    return predicate
 
 
 def _contains_aggregate(expr: Expr, engine: StreamEngine) -> bool:

@@ -64,6 +64,7 @@ class PreparedQuery:
 
     @property
     def sql(self) -> str:
+        """The SQL(+) program the engine runs for this query."""
         return self.translation.sql
 
 
@@ -259,7 +260,7 @@ class Session:
             gateway=self.gateway,
             name=name,
         )
-        check_translation(query.translation, report)
+        check_translation(query.translation, self.gateway.engine, report)
         return report
 
     def lint(self, query: PreparedQuery | str, name=None) -> list:

@@ -1,4 +1,4 @@
-"""STARQL2SQL(+): enrichment, unfolding and plan generation.
+"""STARQL2SQL(+): enrichment, unfolding and SQL(+) generation.
 
 This is OPTIQUE's full three-stage evaluation pipeline for one STARQL
 query:
@@ -8,10 +8,15 @@ query:
 2. **unfolding** — the enriched UCQ is translated through the mappings
    into a *fleet* of SQL blocks over the static sources (the paper's
    "fleet with a large number of low-level data queries");
-3. **execution plan** — HAVING macros/aggregates are compiled to sequence
-   UDFs, their attributes resolved through *stream* mappings, and the
-   whole query becomes one :class:`~repro.exastream.plan.ContinuousPlan`
-   plus printable SQL(+) text.
+3. **SQL(+) generation** — HAVING macros/aggregates are compiled to
+   sequence UDFs, their attributes resolved through *stream* mappings,
+   and the whole query becomes one SQL(+) ``SELECT`` block: windowed
+   streams joined to the unfolded static block on the subject-IRI
+   template, grouped by the WHERE bindings.  That query is the
+   translator's one artefact: the SQL(+) planner
+   (:func:`~repro.exastream.planner.plan_select`) turns it into the
+   :class:`~repro.exastream.plan.ContinuousPlan` the engine runs, and
+   :attr:`TranslationResult.sql` is its printed text.
 
 The output also carries a :class:`ConstructTemplate` that turns result
 rows back into RDF triples for the CONSTRUCTed output stream.
@@ -28,14 +33,8 @@ from typing import Any
 
 from ..errors import ReproError
 from ..exastream.engine import StreamEngine
-from ..exastream.plan import (
-    AggregateCall,
-    AggregateSpec,
-    ContinuousPlan,
-    OutputColumn,
-    StaticRef,
-    WindowedStreamRef,
-)
+from ..exastream.plan import ContinuousPlan
+from ..exastream.planner import plan_select
 from ..mappings import (
     ColumnSpec,
     MappingAssertion,
@@ -59,10 +58,10 @@ from ..sql import (
     SelectQuery,
     SubSelect,
     TableFunction,
+    UnaryOp,
     UnionQuery,
     print_query,
 )
-from ..streams import WindowSpec
 from .ast import (
     AggregateComparison,
     BoolOp,
@@ -127,6 +126,8 @@ class TranslationResult:
     """Everything produced for one STARQL query."""
 
     plan: ContinuousPlan
+    #: the SQL(+) program ``plan`` was planned from; planning this text
+    #: (``plan_sql(sql, engine, start=plan.start)``) gives ``plan`` again
     sql: str
     fleet_size: int
     enriched: UnionOfConjunctiveQueries
@@ -224,7 +225,7 @@ class STARQLTranslator:
     def translate(
         self, query: STARQLQuery, name: str | None = None
     ) -> TranslationResult:
-        """Run enrichment + unfolding and build the continuous plan."""
+        """Run enrichment + unfolding, emit the SQL(+) query and plan it."""
         answer_vars = query.where_variables()
         if not answer_vars:
             raise TranslationError("WHERE pattern binds no variables")
@@ -251,45 +252,33 @@ class STARQLTranslator:
                 f"WHERE unfolds across multiple static sources {sources}; "
                 "deploy a federated view first"
             )
-        static_source = next(iter(sources))
 
-        static_alias = "st"
         # UNION (distinct) across blocks: redundant disjuncts must not
         # duplicate binding rows, or COUNT-style aggregates would inflate.
-        if len(static_disjuncts) == 1:
-            static_sql = print_query(static_disjuncts[0].select)
-        else:
-            static_sql = print_query(
-                UnionQuery(
-                    tuple(d.select for d in static_disjuncts), all=False
-                )
-            )
+        static = SubSelect(
+            static_disjuncts[0].select
+            if len(static_disjuncts) == 1
+            else UnionQuery(
+                tuple(d.select for d in static_disjuncts), all=False
+            ),
+            "st",
+        )
         unfolding = UnfoldingResult(static_disjuncts, unfolding.answer_variables)
-        output_names = [
-            f"v{i}_{v.name}" for i, v in enumerate(unfolding.answer_variables)
-        ]
         var_column: dict[Variable, str] = {
-            v: n for v, n in zip(unfolding.answer_variables, output_names)
+            v: f"v{i}_{v.name}"
+            for i, v in enumerate(unfolding.answer_variables)
         }
 
-        spec = WindowSpec(
-            query.windows[0].range_seconds, query.windows[0].slide_seconds
-        )
-        pulse_start = query.pulse.start_seconds if query.pulse else None
-
-        builder = _PlanBuilder(
-            translator=self,
-            query=query,
-            spec=spec,
-            static_alias=static_alias,
-            static_source=static_source,
-            static_sql=static_sql,
-            var_column=var_column,
-            pulse_start=pulse_start,
-        )
+        builder = _QueryBuilder(self, query, static, var_column)
         if query.having is not None:
             builder.add_having(query.having)
-        plan = builder.build(name or f"starql_{next(_translator_counter)}")
+        select = builder.build()
+        plan = plan_select(
+            select,
+            self.engine,
+            name=name or f"starql_{next(_translator_counter)}",
+            start=query.pulse.start_seconds if query.pulse else None,
+        )
         plan.source = query.text
 
         constructors = dict(unfolding.disjuncts[0].constructors)
@@ -310,75 +299,15 @@ class STARQLTranslator:
             constructors=constructors,
         )
 
-        sql_text = self._render_sql(plan, static_sql)
         return TranslationResult(
             plan=plan,
-            sql=sql_text,
+            sql=print_query(select),
             fleet_size=unfolding.fleet_size,
             enriched=enriched,
             unfolding=unfolding,
             construct=construct,
             starql=query,
         )
-
-    # -- SQL(+) rendering -------------------------------------------------------
-
-    def _render_sql(self, plan: ContinuousPlan, static_sql: str) -> str:
-        from ..sql import parse_sql
-
-        from_items: list = []
-        for window in plan.windows:
-            from_items.append(
-                TableFunction(
-                    "timeSlidingWindow",
-                    (
-                        BaseTable(window.stream),
-                        Lit(window.spec.range_seconds),
-                        Lit(window.spec.slide_seconds),
-                    ),
-                    alias=window.alias,
-                )
-            )
-        for static in plan.statics:
-            from_items.append(SubSelect(parse_sql(static.sql), static.alias))
-
-        if plan.aggregate is not None:
-            select_items = [
-                SelectItem(expr, name)
-                for expr, name in zip(
-                    plan.aggregate.group_by, plan.aggregate.group_names
-                )
-            ]
-            for call in plan.aggregate.calls:
-                if call.argument is not None:
-                    args: tuple = (call.argument,)
-                else:
-                    args = tuple(
-                        Col(*actual.split(".", 1))
-                        if "." in actual
-                        else Col(None, actual)
-                        for _, actual in call.argument_columns
-                    )
-                select_items.append(
-                    SelectItem(Func(call.function, args), call.output_name)
-                )
-            rendered = SelectQuery(
-                select=tuple(select_items),
-                from_=tuple(from_items),
-                where=tuple(plan.join_predicates + plan.filters),
-                group_by=plan.aggregate.group_by,
-                having=plan.aggregate.having,
-            )
-        else:
-            rendered = SelectQuery(
-                select=tuple(
-                    SelectItem(c.expr, c.name) for c in plan.projection
-                ),
-                from_=tuple(from_items),
-                where=tuple(plan.join_predicates + plan.filters),
-                distinct=plan.distinct,
-            )
-        return print_query(rendered)
 
     # -- attribute resolution -----------------------------------------------------
 
@@ -427,25 +356,22 @@ class STARQLTranslator:
 
 
 # ---------------------------------------------------------------------------
-# Plan assembly
+# SQL(+) assembly
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class _PlanBuilder:
+class _QueryBuilder:
+    """WHERE bindings + HAVING calls -> one SQL(+) ``SELECT`` block."""
+
     translator: STARQLTranslator
     query: STARQLQuery
-    spec: WindowSpec
-    static_alias: str
-    static_source: str
-    static_sql: str
+    static: SubSelect  # the unfolded WHERE block
     var_column: dict[Variable, str]
-    pulse_start: float | None
 
-    _windows: dict[str, WindowedStreamRef] = field(default_factory=dict)
-    _window_computed: dict[str, list[OutputColumn]] = field(default_factory=dict)
+    _windows: dict[str, TableFunction] = field(default_factory=dict)
     _joins: list[Expr] = field(default_factory=list)
-    _calls: list[AggregateCall] = field(default_factory=list)
+    _calls: list[SelectItem] = field(default_factory=list)
     _having: list[Expr] = field(default_factory=list)
     _alias_counter: itertools.count = field(default_factory=lambda: itertools.count(1))
     _call_counter: itertools.count = field(default_factory=lambda: itertools.count(0))
@@ -453,9 +379,13 @@ class _PlanBuilder:
     # -- having translation -------------------------------------------------
 
     def add_having(self, expr: HavingExpr) -> None:
-        """Translate the HAVING clause into calls + predicates."""
-        predicate = self._translate(expr)
-        self._having.append(predicate)
+        """Translate the HAVING clause into calls + predicates (one
+        predicate per top-level conjunct, as SQL(+) text reads back)."""
+        if isinstance(expr, BoolOp) and expr.op == "AND":
+            for operand in expr.operands:
+                self.add_having(operand)
+        else:
+            self._having.append(self._translate(expr))
 
     def _translate(self, expr: HavingExpr) -> Expr:
         if isinstance(expr, MacroCall):
@@ -464,8 +394,6 @@ class _PlanBuilder:
             return self._translate_aggregate(expr)
         if isinstance(expr, BoolOp):
             if expr.op == "NOT":
-                from ..sql import UnaryOp
-
                 return UnaryOp("NOT", self._translate(expr.operands[0]))
             combined = self._translate(expr.operands[0])
             for operand in expr.operands[1:]:
@@ -475,6 +403,17 @@ class _PlanBuilder:
             "top-level HAVING supports macro calls, window aggregates and "
             f"boolean combinations; got {type(expr).__name__}"
         )
+
+    def _call(self, function: str, *columns: Col) -> Col:
+        """Select ``function(columns...)``; the HAVING-side reference to
+        its output."""
+        output = f"cond{len(self._calls)}"
+        self._calls.append(SelectItem(Func(function, columns), output))
+        return Col(None, output)
+
+    def _time_column(self, attribute: _StreamAttribute) -> str:
+        source = self.translator.engine.stream(attribute.stream_table)
+        return source.stream.schema.time_column
 
     def _translate_macro(self, call: MacroCall) -> Expr:
         body = self.translator.macros.expand(call)
@@ -496,8 +435,6 @@ class _PlanBuilder:
                 f"got {streams}"
             )
         alias = self._window_for(resolved[0], subject)
-        source = self.translator.engine.stream(resolved[0].stream_table)
-        ts_column = source.stream.schema.time_column
 
         roles = {r.attribute: f"attr{i}" for i, r in enumerate(resolved)}
         udf_fn = compile_macro(body, subject, roles)
@@ -505,19 +442,17 @@ class _PlanBuilder:
         arg_names = ("ts",) + tuple(roles[r.attribute] for r in resolved)
         self.translator.engine.udfs.register_sequence(udf_name, udf_fn, arg_names)
 
-        columns = [("ts", f"{alias}.{ts_column}")]
-        for r in resolved:
-            columns.append((roles[r.attribute], f"{alias}.{r.value_column}"))
-        output = f"cond{len(self._calls)}"
-        self._calls.append(
-            AggregateCall(udf_name, output, argument_columns=tuple(columns))
+        output = self._call(
+            udf_name,
+            Col(alias, self._time_column(resolved[0])),
+            *(Col(alias, r.value_column) for r in resolved),
         )
-        return BinOp("=", Col(None, output), Lit(True))
+        return BinOp("=", output, Lit(True))
 
     def _translate_aggregate(self, agg: AggregateComparison) -> Expr:
         resolved = self.translator.resolve_stream_attribute(agg.attribute)
         alias = self._window_for(resolved, agg.subject)
-        output = f"cond{len(self._calls)}"
+        value = Col(alias, resolved.value_column)
         if agg.function == "PEARSON":
             if agg.second_subject is None or agg.second_attribute is None:
                 raise TranslationError("PEARSON needs two (var, attribute) pairs")
@@ -525,49 +460,36 @@ class _PlanBuilder:
             alias2 = self._window_for(
                 second, agg.second_subject, force_new=agg.second_subject != agg.subject
             )
-            source = self.translator.engine.stream(resolved.stream_table)
-            ts = source.stream.schema.time_column
             if alias2 != alias:
+                ts = self._time_column(resolved)
                 self._joins.append(
                     BinOp("=", Col(alias, ts), Col(alias2, ts))
                 )
-            self._calls.append(
-                AggregateCall(
-                    "PEARSON",
-                    output,
-                    argument_columns=(
-                        ("x", f"{alias}.{resolved.value_column}"),
-                        ("y", f"{alias2}.{second.value_column}"),
-                    ),
-                )
+            output = self._call(
+                "PEARSON", value, Col(alias2, second.value_column)
             )
-        elif agg.function in ("SLOPE", "SPREAD"):
-            source = self.translator.engine.stream(resolved.stream_table)
-            ts = source.stream.schema.time_column
-            columns = [("val", f"{alias}.{resolved.value_column}")]
-            if agg.function == "SLOPE":
-                columns.insert(0, ("ts", f"{alias}.{ts}"))
-            self._calls.append(
-                AggregateCall(
-                    agg.function, output, argument_columns=tuple(columns)
-                )
+        elif agg.function == "SLOPE":
+            output = self._call(
+                "SLOPE", Col(alias, self._time_column(resolved)), value
             )
-        else:
-            self._calls.append(
-                AggregateCall(
-                    agg.function,
-                    output,
-                    argument=Col(alias, resolved.value_column),
-                )
-            )
-        value: Expr
-        if isinstance(agg.value, Literal):
-            value = Lit(agg.value.to_python())
-        else:
+        else:  # SPREAD and the SQL aggregates read the one value column
+            output = self._call(agg.function, value)
+        if not isinstance(agg.value, Literal):
             raise TranslationError("aggregate comparisons need literal bounds")
-        return BinOp(agg.op, Col(None, output), value)
+        return BinOp(agg.op, output, Lit(agg.value.to_python()))
 
     # -- window/stream management ------------------------------------------------
+
+    def _window(self, clause, alias: str) -> TableFunction:
+        return TableFunction(
+            "timeSlidingWindow",
+            (
+                BaseTable(clause.stream),
+                Lit(clause.range_seconds),
+                Lit(clause.slide_seconds),
+            ),
+            alias,
+        )
 
     def _window_for(
         self,
@@ -604,66 +526,42 @@ class _PlanBuilder:
                 f"{window_clause.stream!r}"
             )
 
-        # computed column: the subject IRI built from the template
-        template = attribute.subject_template.template
-        uri_expr = _template_expr(template, alias, attribute.key_columns)
-        computed = OutputColumn(uri_expr, "subject_uri")
-        ref = WindowedStreamRef(
-            stream=attribute.stream_table,
-            spec=WindowSpec(
-                window_clause.range_seconds, window_clause.slide_seconds
-            ),
-            alias=alias,
-            computed=(computed,),
-        )
-        self._windows[key] = ref
+        self._windows[key] = self._window(window_clause, alias)
+        # the subject IRI, built from the stream mapping's template, is
+        # the join key; the planner makes it a computed window column
         self._joins.append(
             BinOp(
                 "=",
-                Col(alias, "subject_uri"),
-                Col(self.static_alias, subject_column),
+                _template_expr(
+                    attribute.subject_template.template,
+                    alias,
+                    attribute.key_columns,
+                ),
+                Col(self.static.alias, subject_column),
             )
         )
         return alias
 
     # -- assembly ----------------------------------------------------------------
 
-    def build(self, name: str) -> ContinuousPlan:
-        if not self._windows:
-            # No HAVING attributes: gate output on the pulse of the first
-            # declared stream (pure static bindings per window).
-            clause = self.query.windows[0]
-            self._windows["__pulse__"] = WindowedStreamRef(
-                stream=clause.stream,
-                spec=WindowSpec(clause.range_seconds, clause.slide_seconds),
-                alias="w0",
-            )
+    def build(self) -> SelectQuery:
+        # No HAVING attributes: gate output on the pulse of the first
+        # declared stream (pure static bindings per window).
+        windows = list(self._windows.values()) or [
+            self._window(self.query.windows[0], "w0")
+        ]
         group_by = tuple(
-            Col(self.static_alias, column)
+            Col(self.static.alias, column)
             for column in self.var_column.values()
         )
-        group_names = tuple(self.var_column.values())
-        aggregate = AggregateSpec(
+        return SelectQuery(
+            select=tuple(
+                SelectItem(expr, expr.name) for expr in group_by
+            ) + tuple(self._calls),
+            from_=(*windows, self.static),
+            where=tuple(self._joins),
             group_by=group_by,
-            group_names=group_names,
-            calls=tuple(self._calls),
             having=tuple(self._having),
-        )
-        return ContinuousPlan(
-            name=name,
-            windows=list(self._windows.values()),
-            statics=[
-                StaticRef(
-                    source=self.static_source,
-                    sql=self.static_sql,
-                    alias=self.static_alias,
-                )
-            ],
-            join_predicates=self._joins,
-            filters=[],
-            projection=[],
-            aggregate=aggregate,
-            start=self.pulse_start,
         )
 
 

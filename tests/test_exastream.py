@@ -509,6 +509,124 @@ class TestPlannerAndGateway:
         assert scheduler.total_load() == pytest.approx(0.0)
 
 
+class TestLiftedExpressionKey:
+    """``<expression over one window> = other.column`` plans as a
+    computed column of that window plus an equi-join — the shape the
+    STARQL translator's subject-IRI join has."""
+
+    FROM = (
+        "FROM timeSlidingWindow(S_Msmt, 4, 2) AS w, "
+        "timeSlidingWindow(S_Msmt, 4, 2) AS v, sensor_info AS s "
+    )
+    KEY = BinOp("+", Col("w", "sid"), Lit(0))
+
+    def plan(self, where):
+        return plan_sql(
+            "SELECT s.assembly AS asm, COUNT(*) AS n " + self.FROM
+            + f"WHERE {where} GROUP BY s.assembly",
+            engine_with_data(),
+        )
+
+    @staticmethod
+    def computed(plan):
+        return {w.alias: [(c.name, c.expr) for c in w.computed]
+                for w in plan.windows}
+
+    def test_both_operand_orders(self):
+        left = self.plan("(w.sid + 0) = s.sid AND v.sid = s.sid")
+        assert self.computed(left) == {"w": [("#0", self.KEY)], "v": []}
+        assert left.join_predicates[0] == BinOp(
+            "=", Col("w", "#0"), Col("s", "sid")
+        )
+        right = self.plan("s.sid = (w.sid + 0) AND v.sid = s.sid")
+        assert self.computed(right) == self.computed(left)
+        assert right.join_predicates[0] == BinOp(
+            "=", Col("s", "sid"), Col("w", "#0")
+        )
+        assert not left.filters and not right.filters
+
+    def test_predicates_sharing_an_expression_share_the_column(self):
+        plan = self.plan(
+            "(w.sid + 0) = s.sid AND v.sid = (w.sid + 0) "
+            "AND (v.sid * 2) = s.sid AND (w.sid - 1) = s.sid"
+        )
+        assert self.computed(plan) == {
+            "w": [("#0", self.KEY),
+                  ("#1", BinOp("-", Col("w", "sid"), Lit(1)))],
+            "v": [("#0", BinOp("*", Col("v", "sid"), Lit(2)))],
+        }
+        assert [str(p.left) + "=" + str(p.right)
+                for p in plan.join_predicates] == [
+            "w.#0=s.sid", "v.sid=w.#0", "v.#0=s.sid", "w.#1=s.sid",
+        ]
+        # a windowed pair joined on the key pairs up through it
+        join = plan.stream_join_keys()
+        assert (join.left_keys, join.right_keys) == (("w.#0",), ("v.sid",))
+
+    def test_what_is_not_lifted_stays_a_filter(self):
+        for where in (
+            "(w.sid + v.sid) = s.sid",  # spans two aliases
+            "(s.sid + 0) = w.sid",      # over a static input
+            "(w.sid + 0) = w.failure",  # one alias on both sides
+            "(w.sid + 0) = 1",          # no other column
+            "(w.sid + 0) > s.sid",      # not an equality
+            "(w.sid + sid) = s.sid",    # an unqualified column
+        ):
+            plan = self.plan(f"{where} AND v.sid = s.sid")
+            assert len(plan.filters) == 1, where
+            assert len(plan.join_predicates) == 1, where
+            assert self.computed(plan) == {"w": [], "v": []}, where
+
+    def test_runs_as_the_equi_join_it_is(self):
+        def rows(where):
+            gateway = GatewayServer(engine_with_data())
+            q = gateway.register(
+                "SELECT s.assembly AS asm, COUNT(*) AS n, SUM(w.val) AS t "
+                "FROM timeSlidingWindow(S_Msmt, 4, 2) AS w, sensor_info AS s "
+                f"WHERE {where} GROUP BY s.assembly",
+                name="q",
+            )
+            assert len(q.plan.join_predicates) == 1 and not q.plan.filters
+            while gateway.step():
+                pass
+            return [(r.window_id, r.rows) for r in q.results()]
+
+        plain = rows("w.sid = s.sid")
+        assert plain and rows("(w.sid + 0) = s.sid") == plain
+        assert rows("s.sid = (w.sid + 0)") == plain
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_pane_join_on_a_lifted_key(self, shards):
+        """The pane tiers key their tables on the computed column as on
+        any other: pane-join and pane-incremental output equals the
+        recompute tier's, at either width."""
+        join = (
+            "SELECT b.sid AS s, COUNT(*) AS n, SUM(a.val + b.val) AS total "
+            "FROM timeSlidingWindow(A, 20, 5) AS a, "
+            "timeSlidingWindow(B, 20, 5) AS b "
+            "WHERE (a.sid + 0) = b.sid GROUP BY b.sid"
+        )
+        static = (
+            "SELECT t.kind AS kind, COUNT(*) AS n, MAX(a.val) AS top "
+            "FROM timeSlidingWindow(A, 20, 5) AS a, sensors AS t "
+            "WHERE t.sid = (a.sid + 0) GROUP BY t.kind"
+        )
+        _, _, engine = assert_join_differential([join, static], shards=shards)
+        plans = [plan_sql(sql, engine) for sql in (join, static)]
+        assert [plan.incremental.mode.name for plan in plans] == [
+            "PANE_JOIN", "PANE_INCREMENTAL",
+        ]
+        assert plans[0].stream_join_keys().left_keys == ("a.#0",)
+
+    def test_duplicate_from_aliases_are_a_planning_error(self):
+        with pytest.raises(PlanningError, match="duplicate FROM aliases"):
+            plan_sql(
+                "SELECT COUNT(*) AS n "
+                "FROM timeSlidingWindow(S_Msmt, 4, 2) AS w, sensor_info AS w",
+                engine_with_data(),
+            )
+
+
 class TestScheduler:
     def plan(self, name="p", range_s=10.0):
         engine = engine_with_data()

@@ -444,16 +444,13 @@ class TestDisorderFallback:
         """A PULSE START anchor ahead of the stream start: the pre-anchor
         tuples land in panes behind the first window and must not break
         the pane path or the output."""
-        from dataclasses import replace
-
         rows = measurement_rows(n_seconds=100)
 
         def run(incremental):
             engine = build_engine(rows, incremental=incremental)
-            plan = plan_sql(AGG_SQL.format(r=20, s=5), engine, name="q")
-            plan = replace(plan, start=30.0)
-            plan.partitioning = None
-            plan.incremental = None
+            plan = plan_sql(
+                AGG_SQL.format(r=20, s=5), engine, name="q", start=30.0
+            )
             return [
                 (r.window_id, r.window_end, tuple(r.columns), tuple(r.rows))
                 for r in engine.run_continuous(plan)

@@ -522,3 +522,26 @@ class TestOneDeploymentObject:
             "exastream/durability/snapshot.py",
             "optique/platform.py",
         ]
+
+    def test_one_place_builds_a_plan(self):
+        """``planner.plan_select`` constructs every ``ContinuousPlan`` —
+        the STARQL translator hands it the SQL(+) query it emits, and
+        ``make_shard_plan`` derives a shard plan with ``replace`` — so
+        every plan reaches the engine classified, and the classifiers
+        are called from the planner (and the cost model) only."""
+        src = Path(repro.__file__).parent
+
+        def sites(pattern):
+            return sorted({
+                str(path.relative_to(src))
+                for path in src.rglob("*.py")
+                if re.search(pattern, path.read_text())
+            })
+
+        assert sites(r"(?<![\w`])ContinuousPlan\(") == ["exastream/planner.py"]
+        assert sites(r"(?<!def )\banalyze_incremental\(") == [
+            "exastream/estimator/cost.py", "exastream/planner.py",
+        ]
+        assert sites(r"(?<!def )\banalyze_partitioning\(") == ["exastream/planner.py"]
+        translator = (src / "starql/translator.py").read_text()
+        assert "parse_sql" not in translator and "_render_sql" not in translator

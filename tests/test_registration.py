@@ -14,7 +14,7 @@ import pytest
 
 from cqgen import build_engine, measurement_rows, snapshot
 from repro.analysis import verify_gateway
-from repro.errors import BindError, ReproError
+from repro.errors import BindError, InvalidOption, ReproError
 from repro.exastream import GatewayServer, Scheduler, plan_sql
 from repro.exastream.durability import CheckpointManager, recover
 from repro.mappings import (
@@ -343,6 +343,58 @@ def test_bind_failing_after_the_mqo_subscription_leaks_nothing(
     gateway.deregister("live")
     assert engine_state(gateway)["reader_refs"] == {}
     verify_gateway(gateway)
+
+
+#: stream-side names no input has: a pushed filter, a scalar function,
+#: a lifted key expression and an equi-join key.  Each registered fine
+#: and raised a bare ``KeyError``/``ValueError`` out of the first
+#: ``gateway.step()``, so a healthy query registered after it starved.
+UNKNOWN_STREAM_NAMES = [
+    "s.nosuch > 3",
+    "NOSUCH(s.val) = 1",
+    "(s.nosuch || 'x') = t.kind",
+    "s.nosuch = t.sid",
+]
+
+
+@pytest.mark.parametrize("audit", [False, True])
+@pytest.mark.parametrize("condition", UNKNOWN_STREAM_NAMES)
+@pytest.mark.parametrize("shards", [1, 2])
+def test_unknown_stream_column_is_a_bind_error_at_register(
+    shards, condition, audit, monkeypatch
+):
+    if audit:
+        monkeypatch.setenv("REPRO_AUDIT", "1")
+    gateway = GatewayServer(build_engine(list(ROWS), shards=2))
+    live = gateway.register(JOIN_T, name="live", shards=shards)
+    gateway.step(2)
+    before = engine_state(gateway)
+    bad = JOIN_T.replace("GROUP BY", f"AND {condition} GROUP BY")
+    with pytest.raises(BindError) as info:
+        gateway.register(bad, name="bad", shards=shards)
+    assert isinstance(info.value, ReproError)
+    assert (info.value.query, info.value.alias) == ("bad", "s")
+    assert info.value.sql == "S[10.0/5.0]" and "nosuch" in str(info.value).lower()
+    assert isinstance(info.value.__cause__, (KeyError, ValueError))
+    assert engine_state(gateway) == before
+    verify_gateway(gateway)
+    # a healthy query registered after the refused one delivers
+    late = gateway.register(JOIN_U, name="late", shards=shards)
+    drain(gateway)
+    assert snapshot(live) == solo(JOIN_T, shards)
+    assert snapshot(late) == solo(JOIN_U, shards)
+
+
+@pytest.mark.parametrize("shards, message", [
+    (0, "at least one shard"), (-1, "at least one shard"), (3, "pool of 2"),
+])
+def test_refused_registration_width_is_an_invalid_option(shards, message):
+    gateway = GatewayServer(build_engine(list(ROWS), shards=2))
+    with pytest.raises(InvalidOption, match=message) as info:
+        gateway.register(JOIN_T, name="q", shards=shards)
+    assert isinstance(info.value, ReproError)
+    assert isinstance(info.value, ValueError)  # what it used to be
+    assert "q" not in gateway and gateway.shared_reader_count == 0
 
 
 # -- what a query takes dies with it -----------------------------------------
