@@ -37,11 +37,12 @@ __all__ = ["analyze_plan", "analyze_starql", "check_translation"]
 
 
 def analyze_plan(
-    plan, engine, gateway=None, name=None, cq=None
+    plan, engine, gateway=None, name=None, cq=None, undecomposed=None
 ) -> AnalysisReport:
     """All plan-level diagnostics for one continuous plan.  ``cq`` is
     the plan's :func:`~repro.analysis.sharing.plan_as_cq` encoding when
-    the caller already made it (registration does)."""
+    the caller already made it (registration does); ``undecomposed`` is
+    the translation's reason for keeping its WHERE pattern whole."""
     report = AnalysisReport(name or plan.name or "<query>")
     check_types(plan, engine, report)
     source = plan.source
@@ -55,19 +56,25 @@ def analyze_plan(
         )
     check_windows(plan, report)
     check_sharing(plan, gateway, report, cq)
-    check_statics(plan, engine, gateway, report)
+    check_statics(plan, engine, gateway, report, undecomposed)
     check_observed(gateway, report)
     check_estimates(plan, gateway, report)
     return report
 
 
-def check_statics(plan, engine, gateway, report: AnalysisReport) -> None:
+def check_statics(
+    plan, engine, gateway, report: AnalysisReport, undecomposed=None
+) -> None:
     """What registering would cost on the static side (INFO, ANA060).
 
     One line per static input: whether the engine's static catalog
     already holds its relation — then registration shares it, rows and
-    indexes included — or registration would run the SQL once.
+    indexes included — or registration would run the SQL once.  A
+    static keyed by two or more windows (WARNING, ANA032) is no
+    window's lookup: it holds combinations of the streamed entities and
+    is probed only after the stream-stream join.
     """
+    partners = plan.static_partners()
     for ref in plan.statics:
         try:
             database = engine.database(ref.source)
@@ -93,18 +100,41 @@ def check_statics(plan, engine, gateway, report: AnalysisReport) -> None:
             f"static input {ref.alias!r} on {ref.source!r}: {status}",
             hint="static relations are shared by (database, SQL text)",
         )
+        if len(partners[ref.alias]) > 1:
+            rows = (
+                "not materialised yet" if table is None
+                else f"{len(table.relation.rows)} rows"
+            )
+            report.add(
+                "ANA032",
+                Severity.WARNING,
+                f"static input {ref.alias!r} is keyed by windows "
+                f"{', '.join(partners[ref.alias])} ({rows}): it is "
+                "materialised as combinations of their entities and probed "
+                "after the stream-stream join; "
+                + (
+                    f"the WHERE pattern stayed one piece because "
+                    f"{undecomposed}"
+                    if undecomposed
+                    else "the SQL(+) text joins one relation to both"
+                ),
+                hint="describe each streamed entity by its own static "
+                "relation, joined on the columns they share",
+            )
 
 
 def check_translation(translation, engine, report: AnalysisReport) -> None:
-    """What the translate leg produced (INFO, ANA061): UCQ disjuncts
-    after enrichment and SQL blocks after unfolding — and (ERROR,
-    ANA008) an emitted SQL(+) text that does not plan back to the
-    translation's plan: the text is the program, so the translator and
-    the planner drifting apart is a defect, not a display glitch."""
+    """What the translate leg produced (INFO, ANA061): WHERE pieces,
+    UCQ disjuncts after enrichment and SQL blocks after unfolding, all
+    pieces together — and (ERROR, ANA008) an emitted SQL(+) text that
+    does not plan back to the translation's plan: the text is the
+    program, so the translator and the planner drifting apart is a
+    defect, not a display glitch."""
     report.add(
         "ANA061",
         Severity.INFO,
-        f"translation: {len(translation.enriched)} UCQ disjunct(s) after "
+        f"translation: {len(translation.enriched)} WHERE piece(s), "
+        f"{sum(map(len, translation.enriched))} UCQ disjunct(s) after "
         f"enrichment, {translation.fleet_size} SQL block(s) after unfolding",
     )
     plan = translation.plan
@@ -304,7 +334,8 @@ def analyze_starql(
         return report
 
     plan_report = analyze_plan(
-        result.plan, engine, gateway=gateway, name=report.query
+        result.plan, engine, gateway=gateway, name=report.query,
+        undecomposed=result.undecomposed,
     )
     report.diagnostics.extend(plan_report.diagnostics)
     check_translation(result, engine, report)

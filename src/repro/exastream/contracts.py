@@ -127,7 +127,12 @@ class StaticCatalog:
     continuous queries: every query, alias, session and shard whose
     plan names the same SQL on the same database shares one row list
     (through :meth:`StaticTable.view`; the lazily built hash indexes
-    stay per view).  The database's write counter is part of
+    stay per view).  A STARQL task arrives as one SQL text per piece of
+    its WHERE pattern — each a relation describing one streamed entity,
+    which the runtime probes as that stream's *lookup*
+    (:meth:`~repro.exastream.plan.ContinuousPlan.lookups`) — so what is
+    held grows with the entities, not with their combinations.  The
+    database's write counter is part of
     the key, so a ``Database.insert`` makes the *next* registration
     materialise afresh while live runtimes keep the rows they bound;
     an entry is dropped when its last runtime closes.

@@ -252,6 +252,16 @@ class PlanRuntime(WindowExecutor):
                 self._equi.append(decomposed)
             else:
                 self._residual.append(predicate)
+        #: window alias -> the static relations probed as it loads (its
+        #: lookups, see :meth:`ContinuousPlan.lookups`), and the statics
+        #: that join after the windows instead
+        self._lookups: dict[str, list[str]] = {}
+        lookups = self.plan.lookups()
+        for static, window in lookups.items():
+            self._lookups.setdefault(window, []).append(static)
+        self._late_statics = [
+            s.alias for s in self.plan.statics if s.alias not in lookups
+        ]
         #: the live pane executor (``None``: every window recomputes)
         self.tier: TierExecutor | None = None
         #: why the tier was retired (``None`` while it is live or when
@@ -650,28 +660,45 @@ class PlanRuntime(WindowExecutor):
             self._record_op(f"filter:{alias}", rows_in, len(relation.rows))
         return relation
 
-    def _load(self, alias: str, batches: dict[str, Relation]) -> Relation:
-        if alias in batches:
-            return self._push_filters(alias, batches[alias])
-        return self.statics[alias].relation  # filtered once at bind time
+    def _unit(self, alias: str) -> set[str]:
+        """``alias`` plus, for a window, the lookups loaded with it."""
+        return {alias, *self._lookups.get(alias, ())}
+
+    def _load(
+        self, alias: str, batches: dict[str, Relation], record: bool = True
+    ) -> Relation:
+        """One FROM item ready to join: a static relation as filtered at
+        bind time, a window batch after its pushed filters and the
+        probes of its lookups — so every stream tuple carries its static
+        context into (and contributes its columns as keys of) whatever
+        joins next, on the recompute, pane and pane-join paths alike."""
+        if alias not in batches:
+            return self.statics[alias].relation
+        relation = self._push_filters(alias, batches[alias], record)
+        lookups = self._lookups.get(alias)
+        if lookups:
+            relation = self._join_rest(relation, {alias}, lookups, batches)
+        return relation
 
     def _join_all(self, batches: dict[str, Relation]) -> Relation:
         """Join the loaded stream batches and every static relation,
         then apply the residual filters."""
-        plan = self.plan
-        pending = [w.alias for w in plan.windows] + [s.alias for s in plan.statics]
-        current = self._load(pending.pop(0), batches)
-        joined = {plan.windows[0].alias}
-        current = self._join_rest(current, joined, pending, batches)
+        pending = [w.alias for w in self.plan.windows] + self._late_statics
+        first = pending.pop(0)
+        current = self._join_rest(
+            self._load(first, batches), self._unit(first), pending, batches
+        )
         return self._apply_residual_filters(current)
 
-    def _join_statics(self, pairs: JoinedRows, joined: set[str]) -> Relation:
-        """Fold the static relations into a pane pair's stream-stream
-        join (not carried out yet: an indexed static probe reads it as
-        it is enumerated), then apply the residual filters."""
-        return self._apply_residual_filters(self._join_rest(
-            pairs, joined, [s.alias for s in self.plan.statics], {}
-        ))
+    def _join_statics(self, pairs: JoinedRows) -> Relation:
+        """Fold the static relations that are no window's lookup into a
+        pane pair's stream-stream join (not carried out yet: an indexed
+        static probe reads it as it is enumerated), then apply the
+        residual filters."""
+        joined = {a for w in self.plan.windows for a in self._unit(w.alias)}
+        return self._apply_residual_filters(
+            self._join_rest(pairs, joined, self._late_statics, {})
+        )
 
     def _join_order(
         self, joined: set[str], pending: list[str]
@@ -680,26 +707,29 @@ class PlanRuntime(WindowExecutor):
         alias, its ``(joined-side keys, alias-side keys)`` and whether
         the step probes a static relation's hash index.  Always the
         first alias an equi-join connects to what is joined so far,
-        else the first alias as a cross join (``None`` keys)."""
+        else the first alias as a cross join (``None`` keys).  A pending
+        window arrives with its lookups (:meth:`_load`), so equalities
+        on their columns are keys of its join too."""
         joined, pending = set(joined), list(pending)
         order = []
         while pending:
             chosen, keys = pending[0], None  # cross join fallback
             for alias in pending:
+                unit = self._unit(alias)
                 left_keys: list[str] = []
                 right_keys: list[str] = []
                 for a, ac, b, bc in self._equi:
-                    if a in joined and b == alias:
+                    if a in joined and b in unit:
                         left_keys.append(f"{a}.{ac}")
                         right_keys.append(f"{b}.{bc}")
-                    elif b in joined and a == alias:
+                    elif b in joined and a in unit:
                         left_keys.append(f"{b}.{bc}")
                         right_keys.append(f"{a}.{ac}")
                 if left_keys:
                     chosen, keys = alias, (left_keys, right_keys)
                     break
             pending.remove(chosen)
-            joined.add(chosen)
+            joined |= self._unit(chosen)
             order.append(
                 (chosen, keys, chosen in self.statics and keys is not None)
             )
@@ -714,10 +744,11 @@ class PlanRuntime(WindowExecutor):
     ) -> Relation:
         """Fold the remaining FROM items into ``current``.
 
-        Shared by the window recompute pipeline and the pane-pair join
-        pipeline: both visit the pending aliases in the identical
-        discovery order with identical keys, so static expansion order —
-        and therefore per-group value order — is the same on every path.
+        The only join routine: a window's lookups (:meth:`_load`), the
+        window recompute pipeline and the pane-pair join pipeline all
+        visit their pending aliases in the identical discovery order
+        with identical keys, so static expansion order — and therefore
+        per-group value order — is the same on every path.
 
         A stream-stream join directly followed by an indexed static
         probe is not materialised: the probe reads the join as it is

@@ -23,10 +23,10 @@ capture **everything** that affects the prefix's output byte-for-byte:
   expressions (they form the group-key tuple) and the ordered partial
   aggregate calls (they index the partial payload tuples);
 * for two-stream join plans: one *side signature* per windowed stream —
-  the side's scan, computed columns and pushed single-alias filters —
-  keying the symmetric-hash pane join's shared per-(side, pane) prefix
-  relations and hash tables, shared across queries joining that stream
-  even when their partner streams differ.
+  the side's scan, computed columns, pushed single-alias filters and
+  static lookups — keying the symmetric-hash pane join's shared
+  per-(side, pane) prefix relations and hash tables, shared across
+  queries joining that stream even when their partner streams differ.
 
 Aliases are normalized away (windowed streams become ``s0``/``s1``,
 statics become ``t0``, ``t1``, … in plan order; each side's own stream
@@ -101,16 +101,20 @@ class SideSignature:
     """The sharing identity of one stream side of a windowed join.
 
     The side prefix is the per-pane work done *before* the stream-stream
-    join: scan, computed columns, and the side's pushed single-alias
-    filters.  Queries with equal side keys produce the identical
-    filtered pane relation — and therefore interchangeable per-pane join
-    hash tables — for that stream, whatever they join it against.
-    ``alias_map`` maps the plan's real side alias to the canonical
-    ``s0``.
+    join: scan, computed columns, the side's pushed single-alias
+    filters and the probes of its static lookups
+    (:meth:`~repro.exastream.plan.ContinuousPlan.lookups`).  Queries
+    with equal side keys produce the identical filtered pane relation —
+    and therefore interchangeable per-pane join hash tables — for that
+    stream, whatever they join it against.  ``alias_map`` maps the
+    plan's real side alias to the canonical ``s0`` and its lookups to
+    ``t0``, ``t1``, …; ``statics`` are the lookups' positions in
+    ``plan.statics``.
     """
 
     key: str
     alias_map: dict[str, str]
+    statics: tuple[int, ...] = ()
 
     def __hash__(self) -> int:  # alias_map is per-plan, not identity
         return hash(self.key)
@@ -165,8 +169,8 @@ class PlanSignature:
         to the static side, so two bindings may share them only when
         they hold the same materialisation — a query registered after a
         ``Database.insert`` probes fresh rows and must not read pane
-        results computed over the old ones.  Side prefixes sit below the
-        static joins and keep their keys.
+        results computed over the old ones.  A side prefix is qualified
+        by the versions of its lookups only.
         """
         if not static_versions:
             return self
@@ -178,35 +182,57 @@ class PlanSignature:
                 None if self.aggregate_key is None
                 else self.aggregate_key + tag
             ),
+            sides=tuple(
+                replace(side, key=side.key + "@" + repr(tuple(
+                    static_versions[i] for i in side.statics
+                ))) if side.statics else side
+                for side in self.sides
+            ),
         )
 
 
 def _side_signature(plan: ContinuousPlan, index: int) -> SideSignature:
     """The canonical per-side prefix key of windowed stream ``index``."""
     window = plan.windows[index]
-    side_map = {window.alias: STREAM_ALIAS}
-    key = repr(
-        (
-            "side",
-            window.stream,
-            (repr(window.spec.range_seconds), repr(window.spec.slide_seconds)),
-            repr(plan.start),
-            tuple(
-                (c.name, canonical_expr(c.expr, side_map))
-                for c in window.computed
-            ),
-            # exactly the filters the runtime pushes below the join:
-            # single-alias conjuncts on this side, canonically sorted
-            tuple(
-                sorted(
-                    canonical_expr(p, side_map)
-                    for p in plan.filters
-                    if expr_aliases(p) == {window.alias}
-                )
-            ),
-        )
+    lookups = plan.lookups()
+    statics = tuple(
+        position for position, static in enumerate(plan.statics)
+        if lookups.get(static.alias) == window.alias
     )
-    return SideSignature(key, side_map)
+    side_map = {window.alias: STREAM_ALIAS}
+    for local, position in enumerate(statics):
+        side_map[plan.statics[position].alias] = f"t{local}"
+
+    def within_side(predicates) -> tuple[str, ...]:
+        # conjuncts over this side's aliases alone, canonically sorted
+        return tuple(sorted(
+            canonical_expr(p, side_map) for p in predicates
+            if (aliases := expr_aliases(p)) and aliases <= set(side_map)
+        ))
+
+    parts = (
+        "side",
+        window.stream,
+        (repr(window.spec.range_seconds), repr(window.spec.slide_seconds)),
+        repr(plan.start),
+        tuple(
+            (c.name, canonical_expr(c.expr, side_map))
+            for c in window.computed
+        ),
+        # exactly the filters the runtime pushes below the join
+        within_side(p for p in plan.filters if len(expr_aliases(p)) == 1),
+    )
+    if statics:
+        # the lookups, in probe order, and the keys they are probed on
+        parts += (
+            tuple(
+                (plan.statics[position].source, plan.statics[position].sql)
+                for position in statics
+            ),
+            within_side(plan.join_predicates),
+        )
+    key = repr(parts)
+    return SideSignature(key, side_map, statics)
 
 
 def plan_signature(plan: ContinuousPlan) -> PlanSignature | None:

@@ -115,8 +115,20 @@ class PaneJoinExecutor(TierExecutor):
         return {"side_rings": self.side_rings, "pair_ring": self.pair_ring}
 
     def restore(self, state: dict) -> None:
-        left, right = state["side_rings"]
-        self.side_rings = (left, right)
+        # A ring written while a side's lookup was still probed per pane
+        # pair holds panes without its columns: those are rebuilt from
+        # the reader's panes.  Pair partials are results and stay.
+        rt = self.runtime
+        rings = []
+        for ref, ring in zip(self.refs, state["side_rings"]):
+            columns = rt._load(
+                ref.alias, {ref.alias: rt._load_batch(ref, [])}, record=False
+            ).columns
+            rings.append({
+                pane: side for pane, side in ring.items()
+                if side.relation.columns[:-1] == columns
+            })
+        self.side_rings = tuple(rings)
         self.pair_ring = state["pair_ring"]
 
     def ring_bounds(self):
@@ -292,7 +304,9 @@ class PaneJoinExecutor(TierExecutor):
         mqo_key: tuple[str, int],
     ) -> _SideState:
         """One side's pane prefix: load -> computed columns -> pushed
-        filters -> arrival-position column (+ lazy join hash tables).
+        filters -> the side's static lookups -> arrival-position column
+        (+ lazy join hash tables).  A pane is enriched once, however
+        many partner panes it is paired with.
 
         The prefix is the shareable unit of the pane join: queries with
         the same side signature reuse the entry — relation, positions and
@@ -306,8 +320,8 @@ class PaneJoinExecutor(TierExecutor):
                 rt.metrics.mqo_relation_hits += 1
                 entry, renamed = cached
                 return _SideState(entry, renamed)
-        relation = rt._push_filters(
-            ref.alias, rt._load_batch(ref, tuples), record=False
+        relation = rt._load(
+            ref.alias, {ref.alias: rt._load_batch(ref, tuples)}, record=False
         )
         relation = Relation(
             relation.columns + [f"{ref.alias}.__pane_pos"],
@@ -352,13 +366,13 @@ class PaneJoinExecutor(TierExecutor):
         symmetric-hash step), enumerating in the current window's
         probe-major order — so each pair's order-sensitive entries come
         out presorted for the window combine.  The pair relation then
-        runs through the *same* static-join and residual-filter
-        operators as the recompute pipeline, so per-row semantics are
-        identical by construction.  Partial state per group: one payload
-        per scalar call, one ``(left_pane, left_pos, right_pane,
-        right_pos, value)`` entry list per order-sensitive call (pane
-        ids baked in so the window combine merges lists with C-level
-        extends).
+        runs through the *same* static-join (for statics that are no
+        side's lookup) and residual-filter operators as the recompute
+        pipeline, so per-row semantics are identical by construction.
+        Partial state per group: one payload per scalar call, one
+        ``(left_pane, left_pos, right_pane, right_pos, value)`` entry
+        list per order-sensitive call (pane ids baked in so the window
+        combine merges lists with C-level extends).
         """
         ctx, rt = self._ctx, self.runtime
         rel_left, rel_right = left.relation, right.relation
@@ -375,13 +389,10 @@ class PaneJoinExecutor(TierExecutor):
             tuple(row[i] for i in key_idx) in index for row in probe.rows
         ):
             return {}  # no pair: no static probe either
-        relation = rt._join_statics(
-            JoinedRows(
-                rel_left.columns, rel_right.columns,
-                index, probe.rows, key_idx, build_is_left=probe_is_right,
-            ),
-            {ctx.join.left_alias, ctx.join.right_alias},
-        )
+        relation = rt._join_statics(JoinedRows(
+            rel_left.columns, rel_right.columns,
+            index, probe.rows, key_idx, build_is_left=probe_is_right,
+        ))
         if not relation.rows:
             return {}
         left_pos = relation.index_of(f"{ctx.join.left_alias}.__pane_pos")

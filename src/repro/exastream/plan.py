@@ -7,7 +7,9 @@ emitted SQL(+) and gateway text alike.  It is a window-driven
 SELECT-PROJECT-JOIN-AGGREGATE block:
 
 * one or more *windowed streams* (all share the window/pulse grid),
-* zero or more *static relations* (SQL evaluated once per deployment),
+* zero or more *static relations* (SQL evaluated once per deployment);
+  one keyed by a single window is that window's *lookup*
+  (:meth:`ContinuousPlan.lookups`),
 * equi-join predicates + residual filters,
 * either a plain projection or a grouped aggregation whose aggregate
   functions may be sequence UDFs (HAVING macros).
@@ -220,19 +222,56 @@ class ContinuousPlan:
         """
         return self.windows[0].spec
 
+    def static_partners(self) -> dict[str, list[str]]:
+        """Static alias -> the window aliases an ``a.x = b.y`` predicate
+        joins it to directly (in ``statics`` / ``windows`` order)."""
+        partners: dict[str, set[str]] = {s.alias: set() for s in self.statics}
+        windows = [w.alias for w in self.windows]
+        for predicate in self.join_predicates:
+            decomposed = as_equi_join(predicate)
+            if decomposed is None:
+                continue
+            a, _, b, _ = decomposed
+            if a in partners and b in windows:
+                partners[a].add(b)
+            if b in partners and a in windows:
+                partners[b].add(a)
+        return {
+            static: [w for w in windows if w in found]
+            for static, found in partners.items()
+        }
+
+    def lookups(self) -> dict[str, str]:
+        """Static alias -> the window alias it is a *lookup* of.
+
+        A static relation keyed by exactly one windowed stream describes
+        that stream's tuples one at a time (a sensor's assembly, a
+        turbine's model): the runtimes probe it as the window loads,
+        before any stream-stream join.  A static keyed by two windows
+        (or by none) is not a lookup and joins after them.
+        """
+        return {
+            static: windows[0]
+            for static, windows in self.static_partners().items()
+            if len(windows) == 1
+        }
+
     def stream_join_keys(self) -> PaneJoinSpec | None:
-        """The direct equi-join keys between this plan's two streams.
+        """The equi-join keys between this plan's two streams.
 
         ``None`` unless the plan joins exactly two windowed streams
-        through at least one direct ``a.x = b.y`` predicate.  Key order
-        mirrors the runtime join pipeline's collection order (iteration
-        over the decomposable join predicates in plan order), which is
-        what makes the symmetric-hash pane join reproduce the recompute
-        hash join exactly.
+        through at least one ``a.x = b.y`` predicate whose sides are the
+        two windows or their :meth:`lookups` (a lookup's columns travel
+        with its window's tuples).  Key order mirrors the runtime join
+        pipeline's collection order (iteration over the decomposable
+        join predicates in plan order), which is what makes the
+        symmetric-hash pane join reproduce the recompute hash join
+        exactly.
         """
         if len(self.windows) != 2:
             return None
         left, right = self.windows[0].alias, self.windows[1].alias
+        side = {left: left, right: right, **self.lookups()}
         left_keys: list[str] = []
         right_keys: list[str] = []
         for predicate in self.join_predicates:
@@ -240,10 +279,10 @@ class ContinuousPlan:
             if decomposed is None:
                 continue
             a, ac, b, bc = decomposed
-            if a == left and b == right:
+            if side.get(a) == left and side.get(b) == right:
                 left_keys.append(f"{a}.{ac}")
                 right_keys.append(f"{b}.{bc}")
-            elif b == left and a == right:
+            elif side.get(b) == left and side.get(a) == right:
                 left_keys.append(f"{b}.{bc}")
                 right_keys.append(f"{a}.{ac}")
         if not left_keys:

@@ -11,7 +11,8 @@ unfolder applies:
 * *template compatibility pruning* — combinations whose IRI templates can
   never produce equal identifiers are dropped before SQL is emitted;
 * *self-join elimination* — two atoms reading the same table joined on its
-  full primary key collapse into one scan;
+  full primary key collapse into one scan, and so does a scan that
+  contributes nothing but columns equated to another scan's;
 * *duplicate-block elimination* — SELECTs identical up to the order of
   their WHERE conjuncts are emitted once.
 
@@ -490,50 +491,57 @@ class Unfolder:
         constraints: list[Expr],
         var_terms: dict[Variable, _SymTerm],
     ) -> tuple[list[_AliasBinding], list[Expr], dict[Variable, _SymTerm]]:
+        """Merge scans of one table (of known primary key) that need
+        not be two.
+
+        Two aliases of the same source collapse when they are joined on
+        the table's full primary key, or when one of them contributes
+        nothing but columns equated to the same columns of the other:
+        under ``SELECT DISTINCT`` the surviving alias's own row is the
+        witness, provided the equated columns are not NULL (a primary
+        key column never is).
+        """
         changed = True
         while changed:
             changed = False
             for i, j in itertools.combinations(range(len(bindings)), 2):
                 a, b = bindings[i], bindings[j]
-                if (
-                    a.base_table is None
-                    or a.signature != b.signature
-                    or a.base_table not in self._primary_keys
-                ):
+                pk = self._primary_keys.get(a.base_table)
+                if a.base_table is None or a.signature != b.signature or not pk:
                     continue
-                pk = self._primary_keys[a.base_table]
-                if not pk:
+                equated = self._equated(a.alias, b.alias, constraints)
+                if set(pk) <= equated:
+                    keep, drop, not_null = a, b, set()
+                elif not equated:
                     continue
-                if self._joined_on_pk(a.alias, b.alias, pk, constraints):
-                    rename = {b.alias: a.alias}
-                    constraints = [
-                        _rename_aliases(c, rename) for c in constraints
-                    ]
-                    constraints = [
-                        c
-                        for c in constraints
-                        if not (
-                            isinstance(c, BinOp)
-                            and c.op == "="
-                            and c.left == c.right
-                        )
-                    ]
-                    var_terms = {
-                        v: _rename_sym(s, rename) for v, s in var_terms.items()
-                    }
-                    bindings = bindings[:j] + bindings[j + 1 :]
-                    changed = True
-                    break
+                elif self._only_reads(b, equated, constraints, var_terms):
+                    keep, drop, not_null = a, b, equated - set(pk)
+                elif self._only_reads(a, equated, constraints, var_terms):
+                    keep, drop, not_null = b, a, equated - set(pk)
+                else:
+                    continue
+                rename = {drop.alias: keep.alias}
+                merged = []
+                for c in constraints:
+                    c = _rename_aliases(c, rename)
+                    if isinstance(c, BinOp) and c.op == "=" and c.left == c.right:
+                        if not (isinstance(c.left, Col) and c.left.name in not_null):
+                            continue
+                        c = BinOp("IS NOT", c.left, Lit(None))
+                    merged.append(c)
+                constraints = merged
+                var_terms = {
+                    v: _rename_sym(s, rename) for v, s in var_terms.items()
+                }
+                bindings = [x for x in bindings if x is not drop]
+                changed = True
+                break
         return bindings, constraints, var_terms
 
     @staticmethod
-    def _joined_on_pk(
-        alias_a: str,
-        alias_b: str,
-        pk: tuple[str, ...],
-        constraints: list[Expr],
-    ) -> bool:
-        joined = set()
+    def _equated(alias_a: str, alias_b: str, constraints: list[Expr]) -> set[str]:
+        """Column names ``c`` with a constraint ``a.c = b.c``."""
+        equated = set()
         for constraint in constraints:
             if not (isinstance(constraint, BinOp) and constraint.op == "="):
                 continue
@@ -541,8 +549,32 @@ class Unfolder:
             if isinstance(left, Col) and isinstance(right, Col):
                 pair = {left.table, right.table}
                 if pair == {alias_a, alias_b} and left.name == right.name:
-                    joined.add(left.name)
-        return set(pk) <= joined
+                    equated.add(left.name)
+        return equated
+
+    @staticmethod
+    def _only_reads(
+        binding: _AliasBinding,
+        columns: set[str],
+        constraints: list[Expr],
+        var_terms: dict[Variable, _SymTerm],
+    ) -> bool:
+        """Whether everything read from ``binding`` — its own source
+        filters aside — is one of ``columns``."""
+        read: list[Expr] = [
+            c for c in constraints if c not in binding.extra_where
+        ]
+        for sym in var_terms.values():
+            if isinstance(sym, _STemplate):
+                read.extend(sym.columns)
+            elif isinstance(sym, _SColumn):
+                read.append(sym.column)
+        return all(
+            column.name in columns
+            for expr in read
+            for column in _columns(expr)
+            if column.table == binding.alias
+        )
 
     # -- rendering ------------------------------------------------------------------
 
@@ -581,6 +613,15 @@ class Unfolder:
         if isinstance(sym, _SColumn):
             return LiteralConstructor(sym.datatype)
         return ConstantConstructor(sym.term)
+
+
+def _columns(expr: Expr):
+    """Every column reference inside a constraint expression."""
+    if isinstance(expr, Col):
+        yield expr
+    elif isinstance(expr, BinOp):
+        yield from _columns(expr.left)
+        yield from _columns(expr.right)
 
 
 def _rename_aliases(expr: Expr, rename: dict[str, str]) -> Expr:

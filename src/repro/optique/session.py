@@ -242,8 +242,9 @@ class Session:
         type errors, unsatisfiable predicates, window-grid behaviour,
         the MQO sharing/subsumption predictions relative to the
         currently registered queries, and what registration would cost:
-        the UCQ/SQL-block counts of the translation and, per static
-        input, whether its relation is already materialised and shared.
+        the piece/UCQ/SQL-block counts of the translation and, per
+        static input, whether its relation is already materialised and
+        shared — or keyed by two windows, and so no window's lookup.
         Accepts raw STARQL text (also covers syntax/reference errors) or
         an already-prepared query.
         """
@@ -259,6 +260,7 @@ class Session:
             self.gateway.engine,
             gateway=self.gateway,
             name=name,
+            undecomposed=query.translation.undecomposed,
         )
         check_translation(query.translation, self.gateway.engine, report)
         return report

@@ -11,12 +11,20 @@ query:
 3. **SQL(+) generation** — HAVING macros/aggregates are compiled to
    sequence UDFs, their attributes resolved through *stream* mappings,
    and the whole query becomes one SQL(+) ``SELECT`` block: windowed
-   streams joined to the unfolded static block on the subject-IRI
+   streams joined to the unfolded static blocks on the subject-IRI
    template, grouped by the WHERE bindings.  That query is the
    translator's one artefact: the SQL(+) planner
    (:func:`~repro.exastream.planner.plan_select`) turns it into the
    :class:`~repro.exastream.plan.ContinuousPlan` the engine runs, and
    :attr:`TranslationResult.sql` is its printed text.
+
+Stages 1 and 2 run once per *piece* of the WHERE pattern
+(:func:`decompose_where`): a pattern that describes two streamed
+entities — each HAVING subject with its own static context — is split
+into one conjunctive query per subject before it is enriched, so what
+is materialised is a per-subject lookup (``st1``, ``st2``, … joined on
+the variables they share) instead of the cross-entity product of the
+whole pattern.  Most patterns have one subject and stay one piece.
 
 The output also carries a :class:`ConstructTemplate` that turns result
 rows back into RDF triples for the CONSTRUCTed output stream.
@@ -28,7 +36,7 @@ import itertools
 import re
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import Any
 
 from ..errors import ReproError
@@ -71,7 +79,13 @@ from .ast import (
 )
 from .macros import MacroRegistry, collect_attributes, compile_macro
 
-__all__ = ["TranslationError", "ConstructTemplate", "TranslationResult", "STARQLTranslator"]
+__all__ = [
+    "TranslationError",
+    "ConstructTemplate",
+    "TranslationResult",
+    "STARQLTranslator",
+    "decompose_where",
+]
 
 _translator_counter = itertools.count(1)
 
@@ -129,11 +143,17 @@ class TranslationResult:
     #: the SQL(+) program ``plan`` was planned from; planning this text
     #: (``plan_sql(sql, engine, start=plan.start)``) gives ``plan`` again
     sql: str
+    #: SQL blocks over the static sources, all pieces together
     fleet_size: int
-    enriched: UnionOfConjunctiveQueries
-    unfolding: UnfoldingResult
+    #: per WHERE piece (see :func:`decompose_where`), in the order of
+    #: ``plan.statics``: the enriched UCQ and its static unfolding
+    enriched: tuple[UnionOfConjunctiveQueries, ...]
+    unfolding: tuple[UnfoldingResult, ...]
     construct: ConstructTemplate
     starql: STARQLQuery
+    #: why a WHERE pattern with two or more stream-bound subjects stayed
+    #: one piece (``None``: it was split, or has fewer than two)
+    undecomposed: str | None = None
 
 
 @dataclass
@@ -230,9 +250,83 @@ class STARQLTranslator:
         if not answer_vars:
             raise TranslationError("WHERE pattern binds no variables")
         cq = ConjunctiveQuery(answer_vars, query.where_atoms, query.where_filters)
+        pieces, undecomposed = decompose_where(
+            cq, _having_subjects(query.having)
+        )
 
-        enriched = self._rewriter.rewrite(cq)
-        unfolding = self._unfolder.unfold(enriched)
+        enriched = tuple(self._rewriter.rewrite(piece) for piece in pieces)
+        unfoldings = tuple(self._unfold_static(ucq) for ucq in enriched)
+        # UNION (distinct) across blocks: redundant disjuncts must not
+        # duplicate binding rows, or COUNT-style aggregates would inflate.
+        statics = [
+            SubSelect(
+                unfolding.disjuncts[0].select
+                if len(unfolding.disjuncts) == 1
+                else UnionQuery(
+                    tuple(d.select for d in unfolding.disjuncts), all=False
+                ),
+                "st" if len(pieces) == 1 else f"st{index}",
+            )
+            for index, unfolding in enumerate(unfoldings, 1)
+        ]
+        # Where each WHERE variable is read from: every piece projects
+        # its own variables as ``v<position>_<name>``; a variable several
+        # pieces share is read from the first and joins the others.
+        var_column: dict[Variable, Col] = {}
+        constructors: dict[Variable, Any] = {}
+        piece_joins: list[Expr] = []
+        for static, unfolding in zip(statics, unfoldings):
+            for position, var in enumerate(unfolding.answer_variables):
+                column = Col(static.alias, f"v{position}_{var.name}")
+                if var in var_column:
+                    piece_joins.append(BinOp("=", var_column[var], column))
+                else:
+                    var_column[var] = column
+                    constructors[var] = unfolding.disjuncts[0].constructors[var]
+        var_column = {var: var_column[var] for var in answer_vars}
+
+        builder = _QueryBuilder(self, query, statics, var_column, piece_joins)
+        if query.having is not None:
+            builder.add_having(query.having)
+        select = builder.build()
+        plan = plan_select(
+            select,
+            self.engine,
+            name=name or f"starql_{next(_translator_counter)}",
+            start=query.pulse.start_seconds if query.pulse else None,
+        )
+        plan.source = query.text
+
+        # the WHERE bindings lead the output row, in ``var_column`` order
+        positions = {var: i for i, var in enumerate(var_column)}
+        slots = {}
+        for var in query.construct_variables():
+            if var not in positions:
+                raise TranslationError(
+                    f"CONSTRUCT variable ?{var.name} is not bound in WHERE"
+                )
+            slots[var] = positions[var]
+        construct = ConstructTemplate(
+            output_stream=query.output_stream,
+            atoms=query.construct_atoms,
+            slots=slots,
+            constructors=constructors,
+        )
+
+        return TranslationResult(
+            plan=plan,
+            sql=print_query(select),
+            fleet_size=sum(u.fleet_size for u in unfoldings),
+            enriched=enriched,
+            unfolding=unfoldings,
+            construct=construct,
+            starql=query,
+            undecomposed=undecomposed,
+        )
+
+    def _unfold_static(self, ucq: UnionOfConjunctiveQueries) -> UnfoldingResult:
+        """The blocks of ``ucq``'s unfolding that read one static source."""
+        unfolding = self._unfolder.unfold(ucq)
         if not unfolding.disjuncts:
             raise TranslationError(
                 "WHERE pattern unfolds to nothing: no mappings for its terms"
@@ -252,62 +346,7 @@ class STARQLTranslator:
                 f"WHERE unfolds across multiple static sources {sources}; "
                 "deploy a federated view first"
             )
-
-        # UNION (distinct) across blocks: redundant disjuncts must not
-        # duplicate binding rows, or COUNT-style aggregates would inflate.
-        static = SubSelect(
-            static_disjuncts[0].select
-            if len(static_disjuncts) == 1
-            else UnionQuery(
-                tuple(d.select for d in static_disjuncts), all=False
-            ),
-            "st",
-        )
-        unfolding = UnfoldingResult(static_disjuncts, unfolding.answer_variables)
-        var_column: dict[Variable, str] = {
-            v: f"v{i}_{v.name}"
-            for i, v in enumerate(unfolding.answer_variables)
-        }
-
-        builder = _QueryBuilder(self, query, static, var_column)
-        if query.having is not None:
-            builder.add_having(query.having)
-        select = builder.build()
-        plan = plan_select(
-            select,
-            self.engine,
-            name=name or f"starql_{next(_translator_counter)}",
-            start=query.pulse.start_seconds if query.pulse else None,
-        )
-        plan.source = query.text
-
-        constructors = dict(unfolding.disjuncts[0].constructors)
-        slots = {}
-        group_names = plan.output_names()
-        for var in query.construct_variables():
-            short = var_column.get(var)
-            if short is None:
-                raise TranslationError(
-                    f"CONSTRUCT variable ?{var.name} is not bound in WHERE"
-                )
-            # output columns are named after the static projection
-            slots[var] = group_names.index(short)
-        construct = ConstructTemplate(
-            output_stream=query.output_stream,
-            atoms=query.construct_atoms,
-            slots=slots,
-            constructors=constructors,
-        )
-
-        return TranslationResult(
-            plan=plan,
-            sql=print_query(select),
-            fleet_size=unfolding.fleet_size,
-            enriched=enriched,
-            unfolding=unfolding,
-            construct=construct,
-            starql=query,
-        )
+        return UnfoldingResult(static_disjuncts, unfolding.answer_variables)
 
     # -- attribute resolution -----------------------------------------------------
 
@@ -356,6 +395,109 @@ class STARQLTranslator:
 
 
 # ---------------------------------------------------------------------------
+# WHERE decomposition
+# ---------------------------------------------------------------------------
+
+
+def _having_subjects(expr: HavingExpr | None) -> Iterator[Variable]:
+    """The WHERE variables a HAVING clause binds to stream windows."""
+    if isinstance(expr, MacroCall):
+        if expr.args and isinstance(expr.args[0], Variable):
+            yield expr.args[0]
+    elif isinstance(expr, AggregateComparison):
+        yield expr.subject
+        if expr.second_subject is not None:
+            yield expr.second_subject
+    elif isinstance(expr, BoolOp):
+        for operand in expr.operands:
+            yield from _having_subjects(operand)
+
+
+def decompose_where(
+    cq: ConjunctiveQuery, subjects: Iterable[Variable]
+) -> tuple[list[ConjunctiveQuery], str | None]:
+    """Split a WHERE pattern into one conjunctive query per subject.
+
+    ``subjects`` are the stream-bound variables (each is joined to its
+    own window).  Every other variable goes to the subject nearest to it
+    in the pattern's variable graph (variables are adjacent when an atom
+    holds both); a variable equally near to several subjects goes to all
+    of them.  An atom lands in every piece that holds all its variables,
+    a filter likewise, and each piece answers the variables of its
+    atoms.  Exact when every variable of ``cq`` is an answer variable —
+    as in a WHERE pattern — because the certain answers of a conjunction
+    of ground atoms are the natural join of its conjuncts' answers:
+    ``cert(q1 AND q2) = cert(q1) JOIN cert(q2)`` on the shared variables.
+
+    Returns ``([cq], None)`` for fewer than two distinct subjects, and
+    ``([cq], reason)`` when the pattern cannot be split: an atom or
+    filter would straddle two pieces, a variable reaches no subject, or
+    a variable is not answered.
+    """
+    subjects = list(dict.fromkeys(subjects))
+    if len(subjects) < 2:
+        return [cq], None
+    adjacent: dict[Variable, set[Variable]] = {v: set() for v in subjects}
+    for atom in cq.atoms:
+        variables = set(atom.variables())
+        for var in variables:
+            adjacent.setdefault(var, set()).update(variables - {var})
+    if set(adjacent) - set(cq.answer_variables):
+        return [cq], "the pattern has variables it does not answer"
+
+    #: variable -> distance from each subject (by piece index) reaching it
+    distance: dict[Variable, dict[int, int]] = {v: {} for v in adjacent}
+    for index, subject in enumerate(subjects):
+        frontier, depth = [subject], 0
+        while frontier:
+            for var in frontier:
+                distance[var][index] = depth
+            depth += 1
+            frontier = [
+                near for var in frontier for near in adjacent[var]
+                if index not in distance[near]
+            ]
+    owners: dict[Variable, set[int]] = {}
+    for var, reached in distance.items():
+        if var in subjects:
+            owners[var] = {subjects.index(var)}
+        elif not reached:
+            return [cq], f"?{var.name} is connected to no HAVING subject"
+        else:
+            nearest = min(reached.values())
+            owners[var] = {i for i, d in reached.items() if d == nearest}
+
+    atoms: list[list] = [[] for _ in subjects]
+    for atom in cq.atoms:
+        home = set(range(len(subjects))).intersection(
+            *(owners[var] for var in atom.variables())
+        )
+        if not home:
+            return [cq], f"{atom} joins the entities of two HAVING subjects"
+        for index in home:
+            atoms[index].append(atom)
+    held = [{v for atom in piece for v in atom.variables()} for piece in atoms]
+    filters: list[list] = [[] for _ in subjects]
+    for filt in cq.filters:
+        home = [
+            index for index, variables in enumerate(held)
+            if set(filt.variables()) <= variables
+        ]
+        if not home:
+            return [cq], f"filter {filt} compares two HAVING subjects' entities"
+        for index in home:
+            filters[index].append(filt)
+    return [
+        ConjunctiveQuery(
+            tuple(v for v in cq.answer_variables if v in held[index]),
+            tuple(atoms[index]),
+            tuple(filters[index]),
+        )
+        for index in range(len(subjects))
+    ], None
+
+
+# ---------------------------------------------------------------------------
 # SQL(+) assembly
 # ---------------------------------------------------------------------------
 
@@ -366,8 +508,9 @@ class _QueryBuilder:
 
     translator: STARQLTranslator
     query: STARQLQuery
-    static: SubSelect  # the unfolded WHERE block
-    var_column: dict[Variable, str]
+    statics: list[SubSelect]  # the unfolded WHERE block, one per piece
+    var_column: dict[Variable, Col]  # WHERE variable -> static column
+    piece_joins: list[Expr]  # equalities on the variables pieces share
 
     _windows: dict[str, TableFunction] = field(default_factory=dict)
     _joins: list[Expr] = field(default_factory=list)
@@ -537,7 +680,7 @@ class _QueryBuilder:
                     alias,
                     attribute.key_columns,
                 ),
-                Col(self.static.alias, subject_column),
+                subject_column,
             )
         )
         return alias
@@ -550,16 +693,14 @@ class _QueryBuilder:
         windows = list(self._windows.values()) or [
             self._window(self.query.windows[0], "w0")
         ]
-        group_by = tuple(
-            Col(self.static.alias, column)
-            for column in self.var_column.values()
-        )
+        group_by = tuple(self.var_column.values())
         return SelectQuery(
             select=tuple(
-                SelectItem(expr, expr.name) for expr in group_by
+                SelectItem(column, f"v{position}_{var.name}")
+                for position, (var, column) in enumerate(self.var_column.items())
             ) + tuple(self._calls),
-            from_=(*windows, self.static),
-            where=tuple(self._joins),
+            from_=(*windows, *self.statics),
+            where=(*self._joins, *self.piece_joins),
             group_by=group_by,
             having=tuple(self._having),
         )

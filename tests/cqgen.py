@@ -13,7 +13,9 @@ pieces they used to copy-paste:
 * seeded random continuous-query generators — single-stream CQs,
   prefix-sharing CQ families, and two-stream join CQs over
   join-compatible templates (both streams carry the shared ``sid`` key,
-  so generated equi-joins always have matching domains).
+  so generated equi-joins always have matching domains);
+* a seeded random STARQL WHERE pattern with a set of HAVING subjects
+  (the input of the translator's ``decompose_where``).
 
 Everything is deterministic under a caller-provided ``random.Random``.
 """
@@ -32,6 +34,8 @@ from repro.exastream.durability import (
     SimulatedCrash,
     recover,
 )
+from repro.queries import ClassAtom, ConjunctiveQuery, Filter, PropertyAtom
+from repro.rdf import Variable
 from repro.relational import Column, Database, Schema, SQLType, Table
 from repro.streams import ListSource, Stream, StreamSchema
 
@@ -53,6 +57,7 @@ __all__ = [
     "random_family",
     "random_join_sql",
     "random_join_family",
+    "random_where_pattern",
 ]
 
 SCHEMA = StreamSchema(
@@ -521,3 +526,38 @@ def random_join_family(rng, spec_a, spec_b=None):
             sql += f" HAVING {calls[0]} > {rng.randint(0, 70)}"
         family.append(sql)
     return family
+
+
+def random_where_pattern(rng, classes, roles, max_variables=5):
+    """A random WHERE pattern and a random set of its variables as HAVING
+    subjects: ``(cq, subjects)``.
+
+    ``classes``/``roles`` are predicate IRIs.  Every variable of the
+    pattern is an answer variable, as in a STARQL WHERE clause; patterns
+    range over chains, stars, cycles and disconnected atoms, with an
+    occasional ``!=`` filter, so some decompose per subject and some
+    have an atom or filter straddling two subjects.
+    """
+    variables = [Variable(f"u{i}") for i in range(rng.randint(1, max_variables))]
+    atoms = [ClassAtom(rng.choice(classes), variables[0])]
+    for i, var in enumerate(variables[1:], 1):
+        if rng.random() < 0.85:  # grow a tree: an edge to an earlier variable
+            pair = [var, rng.choice(variables[:i])]
+            rng.shuffle(pair)
+            atoms.append(PropertyAtom(rng.choice(roles), *pair))
+        else:  # a component of its own
+            atoms.append(ClassAtom(rng.choice(classes), var))
+    for _ in range(rng.randint(0, 2)):  # class atoms, cycles, self-loops
+        if rng.random() < 0.5:
+            atoms.append(ClassAtom(rng.choice(classes), rng.choice(variables)))
+        else:
+            atoms.append(PropertyAtom(
+                rng.choice(roles), rng.choice(variables), rng.choice(variables)
+            ))
+    rng.shuffle(atoms)
+    used = list(dict.fromkeys(v for atom in atoms for v in atom.variables()))
+    filters = ()
+    if len(used) > 1 and rng.random() < 0.25:
+        filters = (Filter("!=", *rng.sample(used, 2)),)
+    subjects = rng.sample(used, min(rng.choice((1, 2, 2, 2, 3)), len(used)))
+    return ConjunctiveQuery(tuple(used), tuple(atoms), filters), subjects

@@ -125,6 +125,50 @@ class TestUnfolding:
         result = unfold_one(cq, pks={})
         assert result.sql().count("sensors") == 2
 
+    def test_self_join_on_an_equated_column_eliminated(self):
+        """``Assembly(a)`` read off ``sensors.aid`` (the saturated range
+        of ``inAssembly``) beside ``inAssembly(x, a)``: the first scan
+        contributes nothing but ``aid``, equated to the second scan's."""
+        import sqlite3
+
+        mc = collection()
+        mc.add(
+            MappingAssertion.for_class(
+                SIE.Assembly, TemplateSpec(ASSEMBLY_T),
+                "SELECT aid FROM sensors", source_name="plant",
+            )
+        )
+        cq = ConjunctiveQuery(
+            (a, x),
+            (ClassAtom(SIE.Assembly, a), PropertyAtom(SIE.inAssembly, x, a)),
+        )
+        result = unfold_one(cq, mc)
+        sql = result.sql()
+        assert sql.count("sensors") == 1
+        # ``aid`` is no key column: the join dropped the NULLs, so must
+        # the single scan
+        assert sql.endswith("WHERE (m1.aid IS NOT NULL)")
+        conn = sqlite3.connect(":memory:")
+        conn.execute("CREATE TABLE sensors (sid INTEGER, aid INTEGER)")
+        conn.executemany(
+            "INSERT INTO sensors VALUES (?, ?)",
+            [(1, 10), (2, 10), (3, 20), (4, None)],
+        )
+        joined = unfold_one(cq, mc, pks={}).sql()
+        assert joined.count("sensors") == 2  # no schema knowledge: kept
+        assert (
+            set(conn.execute(sql)) == set(conn.execute(joined))
+            == {("urn:data/assembly/10", "urn:data/sensor/1"),
+                ("urn:data/assembly/10", "urn:data/sensor/2"),
+                ("urn:data/assembly/20", "urn:data/sensor/3")}
+        )
+        # a scan that contributes a column of its own stays
+        both = ConjunctiveQuery(
+            (a, x, v),
+            (PropertyAtom(SIE.inAssembly, v, a), PropertyAtom(SIE.inAssembly, x, a)),
+        )
+        assert unfold_one(both, mc).sql().count("sensors") == 2
+
     def test_constant_iri_inverted_through_template(self):
         cq = ConjunctiveQuery(
             (x,),

@@ -51,6 +51,19 @@ STATIC_JOIN_SQL = (
 )
 
 
+#: t05's shape with combinable aggregates: each window has its own
+#: lookup (``ta`` describes ``a``'s sensors, ``tb`` describes ``b``'s),
+#: and the lookups' shared column is a key of the stream-stream join
+LOOKUP_JOIN_SQL = (
+    "SELECT ta.kind AS k, a.sid AS s, COUNT(*) AS n, "
+    "SUM(a.val + b.val) AS total, AVG(b.val) AS m, MIN(a.val) AS lo "
+    "FROM timeSlidingWindow(A, {ra}, {sa}) AS a, "
+    "timeSlidingWindow(B, {rb}, {sb}) AS b, sensors AS ta, sensors AS tb "
+    "WHERE a.ts = b.ts AND a.sid = ta.sid AND b.sid = tb.sid "
+    "AND ta.kind = tb.kind AND a.val > 51 GROUP BY ta.kind, a.sid"
+)
+
+
 def join_streams(rows_a=None, rows_b=None):
     if rows_a is None:
         rows_a = measurement_rows(n_seconds=110)
@@ -190,6 +203,111 @@ class TestDifferentialGrids:
             for node in engine.nodes
         ]
         assert all(n > 0 for n in per_shard)
+
+
+class TestLookups:
+    """A static relation keyed by one window is probed as that window's
+    panes load — before the stream-stream join, once per pane."""
+
+    @pytest.mark.parametrize("spec_a,spec_b", [
+        ((20, 5), (20, 5)), ((80, 5), (20, 5)), ((5, 5), (80, 5)),
+    ])
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_one_lookup_per_window(self, spec_a, spec_b, shards):
+        sql = LOOKUP_JOIN_SQL.format(
+            ra=spec_a[0], sa=spec_a[1], rb=spec_b[0], sb=spec_b[1]
+        )
+        engine = build_engine(streams=join_streams())
+        plan = plan_sql(sql, engine, name="j")
+        assert plan.lookups() == {"ta": "a", "tb": "b"}
+        assert plan.stream_join_keys().left_keys == ("a.ts", "ta.kind")
+        assert plan.stream_join_keys().right_keys == ("b.ts", "tb.kind")
+        assert (plan.incremental.mode is IncrementalMode.PANE_JOIN) == (
+            spec_a != (5, 5)
+        )
+        assert_join_differential(sql, shards=shards)
+
+    def test_a_pane_is_enriched_once(self, monkeypatch):
+        from repro.exastream.operators import StaticTable
+        from repro.exastream.pane_join_executor import PaneJoinExecutor
+
+        sides, probes = [], []
+        build_side = PaneJoinExecutor._build_side
+        join_probe = StaticTable.join_probe
+
+        def counted_side(self, *args):
+            sides.append(args)
+            return build_side(self, *args)
+
+        def counted_probe(self, probe, *keys):
+            probes.append(type(probe).__name__)
+            return join_probe(self, probe, *keys)
+
+        monkeypatch.setattr(PaneJoinExecutor, "_build_side", counted_side)
+        monkeypatch.setattr(StaticTable, "join_probe", counted_probe)
+        sql = LOOKUP_JOIN_SQL.format(ra=40, sa=5, rb=40, sb=5)
+        out, _, engine = run_join([sql], join_streams(), True, mqo=False)
+        metrics = engine.metrics.query("q0")
+        assert metrics.windows_pane_join > 10
+        # never once per pane pair, and never a join carried out first
+        assert set(probes) == {"Relation"}
+        recomputed = metrics.windows_processed - metrics.windows_pane_join
+        assert len(probes) == len(sides) + 2 * recomputed
+        assert metrics.pane_pairs_built > 2 * len(sides)
+
+    def test_side_rings_written_before_lookups_are_rebuilt(self):
+        """A checkpoint taken when statics were probed per pane pair
+        holds side panes without their lookups' columns."""
+        from repro.exastream.mqo.runtime import PaneSideEntry
+        from repro.exastream.operators import Relation
+        from repro.exastream.pane_join_executor import _SideState
+
+        sql = LOOKUP_JOIN_SQL.format(ra=40, sa=5, rb=40, sb=5)
+        streams = join_streams()
+        gateway = GatewayServer(build_engine(streams=streams, mqo=False))
+        registered = gateway.register(sql, name="q")
+        for _ in range(6):
+            gateway.step(1)
+        state = registered.runtime.snapshot_state()
+        assert all(state["side_rings"]) and state["pair_ring"]
+        for ring in state["side_rings"]:
+            for pane, side in ring.items():
+                columns = side.relation.columns
+                keep = [
+                    i for i, c in enumerate(columns)
+                    if not c.startswith(("ta.", "tb."))
+                ]
+                assert len(keep) < len(columns)
+                old = Relation(
+                    [columns[i] for i in keep],
+                    [tuple(r[i] for i in keep) for r in side.relation.rows],
+                )
+                ring[pane] = _SideState(PaneSideEntry(old), old)
+        fresh = GatewayServer(build_engine(streams=streams, mqo=False))
+        recovered = fresh.register(sql, name="q")
+        recovered.runtime.restore_state(state)
+        assert recovered.runtime.tier.side_rings == ({}, {})
+        assert recovered.runtime.tier.pair_ring == state["pair_ring"]
+        recovered.next_window = registered.next_window
+        while fresh.step(1):
+            pass
+        (oracle,), _, _ = run_join([sql], streams, False, mqo=False)
+        tail = snapshot(recovered)
+        assert len(tail) > 10 and tail == oracle[len(oracle) - len(tail):]
+
+    def test_sides_with_lookups_are_shared(self):
+        base = LOOKUP_JOIN_SQL.format(ra=20, sa=5, rb=20, sb=5)
+        other = base.replace("COUNT(*) AS n, ", "").replace(
+            "GROUP BY ta.kind, a.sid", "GROUP BY ta.kind, a.sid, b.sid"
+        )
+        pane, gateway, engine = assert_join_differential([base, other])
+        assert gateway.mqo.stats.relation_hits > 0
+        signature = plan_sql(base, engine, name="j").signature
+        assert [side.statics for side in signature.sides] == [(0,), (1,)]
+        # ... under the rows they were probed against
+        assert [
+            side.key.endswith("@(7,)") for side in signature.over((7, 9)).sides
+        ] == [True, False]
 
 
 class TestRandomizedJoins:

@@ -164,8 +164,9 @@ def test_sessions_share_and_match_solo_deployments(shards, static_queries):
     deployment = small_deployment(shards=shards)
     shared, opened = session_results(deployment, tasks, sessions=2)
     distinct = {
-        deployment.translator.translate_text(t.starql).plan.statics[0].sql
+        ref.sql
         for t in tasks
+        for ref in deployment.translator.translate_text(t.starql).plan.statics
     }
     assert sorted(static_queries) == sorted(distinct)
     for task in tasks:
@@ -552,9 +553,12 @@ def test_registration_budget(static_queries, monkeypatch):
         deployment.translator.translate_text(t.starql) for t in tasks
     ]
     assert len(homomorphism_calls) <= 200
-    assert sum(len(t.enriched) for t in translations) == 20
-    distinct = {t.plan.statics[0].sql for t in translations}
-    assert len(distinct) == 16
+    # task 5 describes two streamed sensors: two WHERE pieces, each one
+    # UCQ disjunct and one static relation; every other task is one piece
+    pieces = [ucq for t in translations for ucq in t.enriched]
+    assert len(pieces) == 21 and all(len(ucq) == 1 for ucq in pieces)
+    distinct = {ref.sql for t in translations for ref in t.plan.statics}
+    assert len(distinct) == 17
 
     sessions = [deployment.session(sink_capacity=4) for _ in range(3)]
     for i, session in enumerate(sessions):
@@ -568,3 +572,21 @@ def test_registration_budget(static_queries, monkeypatch):
     for session in sessions + [wide]:
         session.close()
     assert len(deployment.engine.static_catalog) == 0
+
+
+def test_the_catalogs_static_side_is_this_many_rows():
+    """What the 20 tasks hold on the static side, as exact counts: a
+    WHERE pattern unfolded as a cross-entity product again shows up here
+    as rows (task 5 as one block was 37 632 of 38 941 rows in 16
+    relations), not as a timing."""
+    fleet = generate_fleet(FleetConfig(turbines=3, plants=2, seed=7))
+    deployment = deploy(fleet=fleet, stream_duration=5)
+    session = deployment.session(sink_capacity=4)
+    for task in diagnostic_catalog():
+        session.submit(task.starql, name=f"t{task.task_id}")
+    snapshot = deployment.metrics_snapshot()
+    assert snapshot.total("static_relations_materialised_total") == 17
+    assert snapshot.total("static_relations_shared_total") == 4
+    assert snapshot.total("static_relation_rows") == 1981
+    session.close()
+    assert deployment.metrics_snapshot().total("static_relation_rows") == 0

@@ -316,6 +316,107 @@ class TestResidualEquivalenceProperty:
         assert rows_a == rows_b
 
 
+def natural_join(pieces):
+    """The join of lists of ``{variable: value}`` bindings on the
+    variables they share."""
+    joined = [{}]
+    for piece in pieces:
+        joined = [
+            {**bound, **more}
+            for bound in joined
+            for more in piece
+            if all(bound.get(v, x) == x for v, x in more.items())
+        ]
+    return joined
+
+
+class TestWhereDecomposition:
+    """``decompose_where``: per-subject pieces whose certain answers,
+    naturally joined, are the whole pattern's."""
+
+    @staticmethod
+    def answers(conn, onto, mc, query):
+        unfolding = Unfolder(saturate_mappings(mc, onto)).unfold(
+            PerfectRef(existential_subontology(onto)).rewrite(query)
+        )
+        rows = set(conn.execute(unfolding.sql())) if unfolding.sql() else set()
+        return [dict(zip(query.answer_variables, row)) for row in rows]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tboxes(),
+        st.randoms(use_true_random=False),
+        st.sets(st.tuples(st.sampled_from(SMALL_CLASSES), st.integers(0, 2)),
+                max_size=5),
+        st.sets(st.tuples(st.sampled_from(SMALL_ROLES), st.integers(0, 2),
+                          st.integers(0, 2)), max_size=6),
+    )
+    def test_pieces_join_to_the_whole_pattern(self, onto, rng, members, edges):
+        from cqgen import random_where_pattern
+        from repro.starql.translator import decompose_where
+
+        cq, subjects = random_where_pattern(
+            rng, [NS[c] for c in SMALL_CLASSES], [NS[r] for r in SMALL_ROLES]
+        )
+        pieces, reason = decompose_where(cq, subjects)
+        straddled = any(
+            len(set(atom.variables()) & set(subjects)) == 2 for atom in cq.atoms
+        )
+        if len(set(subjects)) < 2:
+            assert (pieces, reason) == ([cq], None)
+        elif straddled:
+            assert pieces == [cq] and reason
+        if len(pieces) == 1:
+            assert pieces == [cq]
+            return
+        assert reason is None and len(pieces) == len(set(subjects))
+        for piece, subject in zip(pieces, dict.fromkeys(subjects)):
+            held = set(piece.answer_variables)
+            assert held & set(subjects) == {subject}
+            assert held == set(piece.body_variables())
+            assert all(set(f.variables()) <= held for f in piece.filters)
+        assert all(
+            any(atom in piece.atoms for piece in pieces) for atom in cq.atoms
+        )
+        assert all(
+            any(f in piece.filters for piece in pieces) for f in cq.filters
+        )
+
+        conn = signature_db(sorted(members), sorted(edges))
+        mc = signature_mappings()
+        joined = natural_join(
+            self.answers(conn, onto, mc, piece) for piece in pieces
+        )
+
+        def rows(bindings):
+            return {tuple(b[v] for v in cq.answer_variables) for b in bindings}
+
+        assert rows(joined) == rows(self.answers(conn, onto, mc, cq))
+
+    def test_equidistant_variables_are_shared(self):
+        # the catalog's task 5: ?t is one step from each sensor's assembly
+        s1, s2, a1, a2, t = map(Variable, ("s1", "s2", "a1", "a2", "t"))
+        cq = ConjunctiveQuery((s1, s2, a1, a2, t), (
+            ClassAtom(NS.A, s1), ClassAtom(NS.A, s2),
+            PropertyAtom(NS.p, s1, a1), PropertyAtom(NS.p, s2, a2),
+            PropertyAtom(NS.q, t, a1), PropertyAtom(NS.q, t, a2),
+        ))
+        from repro.starql.translator import decompose_where
+
+        (one, two), reason = decompose_where(cq, [s1, s2, s1])
+        assert reason is None
+        assert one == ConjunctiveQuery((s1, a1, t), (
+            ClassAtom(NS.A, s1), PropertyAtom(NS.p, s1, a1),
+            PropertyAtom(NS.q, t, a1),
+        ))
+        assert two.answer_variables == (s2, a2, t)
+        # a direct edge between the subjects' entities: one piece, named
+        whole, reason = decompose_where(
+            cq.with_atoms(cq.atoms + (PropertyAtom(NS.p, a1, a2),)), [s1, s2]
+        )
+        assert len(whole) == 1 and "p(?a1, ?a2)" in reason
+
+
 class TestResidualOntology:
     def test_existential_axioms_closed_under_the_hierarchy(self):
         onto = Ontology()
@@ -361,8 +462,11 @@ class TestResidualOntology:
 
 
 #: (rows, sha256 of the sorted row set) of every catalog task's static
-#: SQL on ``FleetConfig(turbines=3, plants=2, seed=7)``, captured from
-#: the translation the copy-every-property-inclusion residual produced
+#: side — the natural join of its WHERE pieces' SQL on the variables
+#: they share, columns in WHERE-variable order — on
+#: ``FleetConfig(turbines=3, plants=2, seed=7)``, captured from the
+#: single-block translation the copy-every-property-inclusion residual
+#: produced
 CATALOG_STATIC_ROWS = {
     1: (336, "61233579fb429ebd"), 2: (72, "3518de1690680c28"),
     3: (9, "cdb6fab9f618e35a"), 4: (48, "1d5f6e3fad91bf54"),
@@ -386,9 +490,20 @@ def test_catalog_static_sql_keeps_its_row_sets():
     deployment = deploy(fleet=fleet, stream_duration=5)
     seen = {}
     for task in diagnostic_catalog():
-        plan = deployment.translator.translate_text(task.starql).plan
-        (ref,) = plan.statics
-        rows = set(deployment.engine.database(ref.source).query(ref.sql))
+        translation = deployment.translator.translate_text(task.starql)
+        bindings = natural_join(
+            [
+                dict(zip(unfolding.answer_variables, row))
+                for row in set(
+                    deployment.engine.database(ref.source).query(ref.sql)
+                )
+            ]
+            for ref, unfolding in zip(
+                translation.plan.statics, translation.unfolding
+            )
+        )
+        variables = translation.starql.where_variables()
+        rows = {tuple(b[v] for v in variables) for b in bindings}
         digest = hashlib.sha256(repr(sorted(rows)).encode()).hexdigest()[:16]
         seen[task.task_id] = (len(rows), digest)
     assert seen == CATALOG_STATIC_ROWS

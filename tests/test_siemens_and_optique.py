@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.exastream import plan_sql
 from repro.optique import OptiquePlatform
 from repro.rdf import Namespace
 from repro.siemens import (
@@ -15,6 +16,7 @@ from repro.siemens import (
     generate_fleet,
 )
 from repro.ontology import check_owl2ql
+from repro.streams import ListSource
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +163,101 @@ class TestCatalog:
             pass
         assert panel.windows_seen == 5
         assert dep.dashboard.panel("solo").windows_seen == 5
+
+
+#: What catalog task 5 translated to while its WHERE pattern was unfolded
+#: as one block: every same-turbine sensor *pair*, keyed by both windows.
+#: Frozen here as the independent oracle of the per-subject decomposition
+#: and of the engine's lookups — and the query that keeps the path of a
+#: static relation keyed by two windows exercised.
+T05_SINGLE_BLOCK = (
+    "SELECT st.v0_s1 AS v0_s1, st.v1_s2 AS v1_s2, st.v2_a1 AS v2_a1, "
+    "st.v3_a2 AS v3_a2, st.v4_t AS v4_t, PEARSON(w1.val, w2.val) AS cond0 "
+    "FROM timeSlidingWindow(S_Msmt, 30.0, 10.0) AS w1, "
+    "timeSlidingWindow(S_Msmt, 30.0, 10.0) AS w2, (SELECT DISTINCT "
+    "('http://siemens.com/data/sensor/' || m0.sid) AS v0_s1, "
+    "('http://siemens.com/data/sensor/' || m1.sid) AS v1_s2, "
+    "('http://siemens.com/data/assembly/' || m0.aid) AS v2_a1, "
+    "('http://siemens.com/data/assembly/' || m1.aid) AS v3_a2, "
+    "('http://siemens.com/data/turbine/' || m4.tid) AS v4_t FROM sensors "
+    "AS m0, sensors AS m1, assemblies AS m4, assemblies AS m5 WHERE "
+    "(m0.aid = m4.aid) AND (m4.tid = m5.tid) AND (m1.aid = m5.aid)) AS st "
+    "WHERE (('http://siemens.com/data/sensor/' || w1.sid) = st.v0_s1) AND "
+    "(('http://siemens.com/data/sensor/' || w2.sid) = st.v1_s2) AND "
+    "(w1.ts = w2.ts) GROUP BY st.v0_s1, st.v1_s2, st.v2_a1, st.v3_a2, "
+    "st.v4_t HAVING (cond0 > 0.9)"
+)
+
+
+class TestDecomposedWhere:
+    @pytest.mark.parametrize("incremental", [True, False])
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_task_5_delivers_what_its_single_block_sql_delivers(
+        self, shards, incremental
+    ):
+        fleet = generate_fleet(FleetConfig(turbines=3, plants=2, seed=7))
+        dep = deploy(
+            fleet=fleet, stream_duration=90,
+            shards=shards, incremental=incremental,
+        )
+        source = dep.engine.stream("S_Msmt")
+        quiet = fleet.correlated[0][0]
+        dep.register_stream(ListSource(source.stream, [
+            row for row in source  # one sensor drops out, then everything
+            if not (row[1] == quiet and 12 <= row[0] < 34)
+            and not 50 <= row[0] < 63
+        ]))
+        session = dep.session(sink_capacity=None)
+        prepared = session.prepare(diagnostic_catalog()[4].starql)
+        assert [s.alias for s in prepared.translation.plan.statics] == [
+            "st1", "st2"
+        ]
+        assert prepared.sql != T05_SINGLE_BLOCK
+        handle = session.submit(prepared, name="t05/starql")
+        oracle = dep.gateway.register(
+            plan_sql(T05_SINGLE_BLOCK, dep.engine, name="t05/sql")
+        )
+        assert oracle.plan.lookups() == {}  # keyed by w1 and w2
+        while dep.step():
+            pass
+        ours, theirs = handle.registered.results(), oracle.results()
+        assert [
+            (r.window_id, r.window_end, r.columns, r.rows) for r in ours
+        ] == [
+            (r.window_id, r.window_end, r.columns, r.rows) for r in theirs
+        ]
+        assert len(ours) >= 6 and sum(len(r.rows) for r in ours) >= 6
+        assert any(not r.rows for r in ours)  # the outage
+
+    def test_a_static_keyed_by_two_windows_is_named(self, deployment):
+        session = deployment.session()
+        report = session.explain(diagnostic_catalog()[4].starql)
+        assert "ANA032" not in {d.code for d in report}
+        assert "2 WHERE piece(s)" in report.render()
+        from repro.analysis import analyze_plan
+
+        plan = plan_sql(T05_SINGLE_BLOCK, deployment.engine, name="t05/sql")
+        (finding,) = [
+            d for d in analyze_plan(plan, deployment.engine)
+            if d.code == "ANA032"
+        ]
+        assert finding.severity.name == "WARNING"
+        assert "'st' is keyed by windows w1, w2" in finding.message
+        assert "not materialised yet" in finding.message
+        registered = deployment.gateway.register(plan)
+        (finding,) = [
+            d for d in analyze_plan(plan, deployment.engine)
+            if d.code == "ANA032"
+        ]
+        rows = len(registered.runtime.statics["st"].relation.rows)
+        assert f"({rows} rows)" in finding.message and rows > 1000
+        deployment.gateway.deregister(registered.name)
+        # ... and so is a WHERE pattern the decomposition must keep whole
+        whole = diagnostic_catalog()[4].starql.replace(
+            "?t sie:hasPart ?a2.", "?t sie:hasPart ?a2. FILTER(?s1 != ?s2)"
+        )
+        (finding,) = [d for d in session.explain(whole) if d.code == "ANA032"]
+        assert "stayed one piece because filter ?s1 != ?s2" in finding.message
 
 
 def _streamed(dep):
