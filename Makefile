@@ -16,11 +16,12 @@ test:
 # The lifecycle suites with the gateway's plan-invariant verifier on:
 # every register / deregister / drained step audits that what the
 # queries hold (readers, demand, statics, MQO subscriptions, scheduler
-# placements) matches what the owners count.
+# placements) matches what the owners count — so an on-demand explain
+# (tests/test_analysis.py) that took a reference fails here too.
 test-audit:
 	REPRO_AUDIT=1 $(PY) -m pytest -x -q tests/test_invariants.py \
 		tests/test_registration.py tests/test_one_engine.py \
-		tests/test_sharded.py tests/test_mqo.py
+		tests/test_sharded.py tests/test_mqo.py tests/test_analysis.py
 
 # The CI coverage gate over the streaming execution core.  CI installs
 # pytest-cov and fails below COV_MIN; locally the target skips

@@ -28,8 +28,7 @@ def _naive_translator(deployment):
         deployment.engine,
         deployment.macros,
         primary_keys=deployment.primary_keys,
-        use_tmappings=False,  # reconfigured below
-    )
+    )  # reconfigured below: unpruned saturated mappings
     translator.saturated = saturate_mappings(
         deployment.mappings, deployment.ontology, prune=False
     )

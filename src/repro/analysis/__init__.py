@@ -1,13 +1,16 @@
-"""Static CQ diagnostics: registration-time analysis + invariant audit.
+"""Static CQ diagnostics: on-demand analysis + invariant audit.
 
 Layer 1 — the **CQ analyzer** (:func:`analyze_plan`,
 :func:`analyze_starql`): type inference against the relational schemas
 and ontology mappings, interval-arithmetic satisfiability of predicate
 sets, join-key compatibility, window-grid/pane diagnostics, and MQO
-sharing predictions.  Findings are structured
+sharing predictions read from the gateway's live pipeline registry.
+Findings are structured
 :class:`~repro.analysis.diagnostics.Diagnostic` objects (severity,
-source span, fix hint) — advisory by default, enforced by
-``register(..., strict=True)``.
+source span, fix hint).  Analysis runs only when asked —
+``Session.explain``, ``python -m repro.analysis`` — and binds nothing;
+registration never runs it.  To refuse a query on error-severity
+findings, explain it, check ``report.has_errors`` and do not submit it.
 
 Layer 2 — the **plan-invariant verifier** (:func:`verify_gateway`):
 debug/audit assertions over live engine state (demand refcount balance,
@@ -24,7 +27,6 @@ from .diagnostics import (
     Diagnostic,
     Severity,
     SourceSpan,
-    StrictAnalysisError,
     find_span,
 )
 from .verifier import InvariantViolation, verify_gateway, verify_runtime
@@ -34,7 +36,6 @@ __all__ = [
     "Diagnostic",
     "Severity",
     "SourceSpan",
-    "StrictAnalysisError",
     "InvariantViolation",
     "analyze_plan",
     "analyze_starql",

@@ -1,4 +1,4 @@
-"""The registration-time CQ analyzer: one entry point per input kind.
+"""The on-demand CQ analyzer: one entry point per input kind.
 
 ``analyze_plan`` runs every plan-level dimension — type inference,
 interval satisfiability, window-grid diagnostics, sharing predictions —
@@ -8,9 +8,9 @@ malformed windows, unmapped attributes) and then analyzes the translated
 plan; translation failures become diagnostics instead of exceptions, so
 the CLI and ``Session.lint`` can report *all* queries of a document.
 
-Analysis is read-only with respect to execution: the only plan state it
-touches is the memoized ``mqo_signature`` that registration computes
-anyway.
+Analysis runs when asked (``Session.explain``, the CLI), never inside
+registration, and binds nothing: the only plan state it touches is the
+memoized ``mqo_signature`` that a bind computes anyway.
 """
 
 from __future__ import annotations
@@ -37,11 +37,10 @@ __all__ = ["analyze_plan", "analyze_starql", "check_translation"]
 
 
 def analyze_plan(
-    plan, engine, gateway=None, name=None, cq=None, undecomposed=None
+    plan, engine, gateway=None, name=None, undecomposed=None
 ) -> AnalysisReport:
-    """All plan-level diagnostics for one continuous plan.  ``cq`` is
-    the plan's :func:`~repro.analysis.sharing.plan_as_cq` encoding when
-    the caller already made it (registration does); ``undecomposed`` is
+    """All plan-level diagnostics for one continuous plan, against
+    ``gateway``'s live queries when one is given.  ``undecomposed`` is
     the translation's reason for keeping its WHERE pattern whole."""
     report = AnalysisReport(name or plan.name or "<query>")
     check_types(plan, engine, report)
@@ -55,7 +54,7 @@ def analyze_plan(
             list(plan.aggregate.having), report, source, "HAVING predicate"
         )
     check_windows(plan, report)
-    check_sharing(plan, gateway, report, cq)
+    check_sharing(plan, gateway, report)
     check_statics(plan, engine, gateway, report, undecomposed)
     check_observed(gateway, report)
     check_estimates(plan, gateway, report)

@@ -6,11 +6,12 @@ span into the query text and an optional fix hint.  Reports group the
 diagnostics of one query and render them ``file:line:col``-style so the
 CLI and CI output stay greppable.
 
-Severities follow the registration contract:
+Severities:
 
 * ``error`` — the query is wrong (it can never produce a row, references
-  unknown columns, or compares incompatible types); ``strict``
-  registration rejects it.
+  unknown columns, or compares incompatible types); a caller that
+  refuses such queries checks :attr:`AnalysisReport.has_errors` before
+  registering.
 * ``warning`` — the query runs but defeats an engine optimization
   (non-pane-decomposable windows, the pane cap, mismatched join grids).
 * ``info`` — advisory observations: predicted MQO sharing, redundant
@@ -22,16 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from ..errors import ReproError
-
-__all__ = [
-    "Severity",
-    "SourceSpan",
-    "Diagnostic",
-    "AnalysisReport",
-    "StrictAnalysisError",
-    "find_span",
-]
+__all__ = ["Severity", "SourceSpan", "Diagnostic", "AnalysisReport", "find_span"]
 
 
 class Severity(str, Enum):
@@ -153,18 +145,3 @@ class AnalysisReport:
         if not ordered:
             return f"{self.query}: no findings"
         return "\n".join(d.render(self.query) for d in ordered)
-
-
-class StrictAnalysisError(ReproError, ValueError):
-    """Raised by strict registration when analysis finds errors.
-
-    Part of the :mod:`repro.errors` family (also re-exported there);
-    keeps its historical ``ValueError`` base for existing guards.
-    """
-
-    def __init__(self, report: AnalysisReport) -> None:
-        self.report = report
-        summary = "; ".join(d.message for d in report.errors)
-        super().__init__(
-            f"query {report.query!r} rejected by static analysis: {summary}"
-        )

@@ -1,19 +1,21 @@
-"""Sharing predictions: what a new query will reuse from the live fleet.
+"""Sharing predictions: what a query would reuse from the live fleet.
 
-Two independent lenses:
+Two independent lenses, both computed on demand (``Session.explain``,
+the CLI) — registration never runs them:
 
-* **Signature sharing** — the MQO runtime shares pipeline prefixes
-  between plans with equal canonical signatures (``plan.signature``,
-  see :func:`repro.exastream.mqo.plan_signature`).  Comparing a new plan's
-  signature against the gateway's registered plans predicts, *before*
-  registration, which live pipeline tiers (relation / aggregate / join
-  side) the query will subscribe to.
+* **Signature sharing** (ANA030) — the MQO runtime shares pipeline
+  prefixes between bindings with equal scoped signatures.  The keys a
+  bind made now would subscribe to are computed exactly as the engine
+  computes them (the engine's default layout, the static relations'
+  current versions, the layout's scope tag) and looked up in the
+  gateway's :class:`~repro.exastream.mqo.SharedPipelineRegistry`: the
+  peers named are the queries that registry actually holds there.
 
-* **Containment subsumption** — signature equality is exact sharing;
-  containment (:func:`repro.queries.containment.is_contained_in`) finds
-  the looser "filter-subsumption" relationships: a new query whose plan
-  is contained in a registered one could in principle be answered by
-  filtering the registered query's output.  The plans are encoded as
+* **Containment subsumption** (ANA031) — signature equality is exact
+  sharing; containment (:func:`repro.queries.containment.is_contained_in`)
+  finds the looser "filter-subsumption" relationships: a query whose
+  plan is contained in a registered one could in principle be answered
+  by filtering the registered query's output.  The plans are encoded as
   conjunctive queries over synthetic predicates (windows, statics,
   equi-joins) so the standard homomorphism check applies.  This is a
   scouting diagnostic only — execution never acts on it.
@@ -21,6 +23,7 @@ Two independent lenses:
 
 from __future__ import annotations
 
+from ..exastream.engine import mqo_scope_tag
 from ..exastream.plan import as_equi_join
 from ..queries.containment import is_contained_in
 from ..queries.cq import Atom, ConjunctiveQuery, Filter
@@ -28,130 +31,78 @@ from ..rdf import IRI, Literal, Variable
 from ..sql import BinOp, Col, Expr, Lit
 from .diagnostics import AnalysisReport, Severity
 
-__all__ = ["check_sharing", "plan_as_cq", "index_plan", "unindex_plan"]
+__all__ = ["check_sharing", "plan_as_cq"]
 
 _CQ_OPS = {"=", "!=", "<", "<=", ">", ">="}
 
-_WINDOW_PREFIX = "urn:cqan:window:"
 
-
-def _signature_entries(gateway, signature):
-    """``(index, key)`` for every sharing index a signature appears in."""
+def _bind_signatures(plan, engine) -> list | None:
+    """The scoped signatures a bind of ``plan`` made now would subscribe
+    under, one per leaf — ``None`` when it would share nothing (an
+    ineligible plan) or be refused (a static database not attached)."""
+    leaf_plan, scopes, _ = engine.layout(plan)
+    signature = leaf_plan.signature
     if signature is None:
-        return []
-    entries = [(gateway._sig_relation, signature.relation_key)]
-    if signature.aggregate_key is not None:
-        entries.append((gateway._sig_aggregate, signature.aggregate_key))
-    entries += [(gateway._sig_side, side.key) for side in signature.sides]
-    return entries
+        return None
+    try:
+        versions = tuple(
+            engine.database(ref.source).version for ref in leaf_plan.statics
+        )
+    except KeyError:
+        return None
+    signature = signature.over(versions)
+    return [signature.scoped(mqo_scope_tag(engine, s)) for s in scopes]
 
 
-def index_plan(gateway, name: str, plan, cq) -> None:
-    """Record a newly registered plan in the gateway's sharing indexes.
-
-    The gateway calls this once per registration (after the advisory
-    analysis, so a plan never indexes itself into its own report),
-    handing over the :func:`plan_as_cq` encoding it made for that
-    analysis.  The indexes turn the per-registration sharing scan from
-    O(live queries) into O(1) dictionary lookups — registering N
-    queries costs N CQ encodings in total instead of O(N²).
-    """
-    for store, key in _signature_entries(gateway, plan.signature):
-        store.setdefault(key, set()).add(name)
-    gateway._cq_by_query[name] = cq
-    if cq is not None:
-        preds = frozenset(atom.predicate.value for atom in cq.atoms)
-        gateway._cq_preds[name] = preds
-        for predicate in preds:
-            if predicate.startswith(_WINDOW_PREFIX):
-                gateway._cq_windex.setdefault(predicate, set()).add(name)
-
-
-def unindex_plan(gateway, name: str, plan) -> None:
-    """Drop a deregistered query from the gateway's sharing indexes."""
-    entries = _signature_entries(gateway, plan.signature)
-    for predicate in gateway._cq_preds.pop(name, ()):
-        if predicate.startswith(_WINDOW_PREFIX):
-            entries.append((gateway._cq_windex, predicate))
-    for store, key in entries:
-        peers = store.get(key)
-        if peers is not None:
-            peers.discard(name)
-            if not peers:
-                del store[key]
-    gateway._cq_by_query.pop(name, None)
-
-
-def _holds_current_statics(registered) -> bool:
-    """Whether a bind made now would take the static rows this query
-    holds (no ``Database.insert`` since it registered) — the condition
-    under which the relation and aggregate tiers are shared, see
-    :meth:`~repro.exastream.mqo.signature.PlanSignature.over`."""
-    return all(
-        version == database.version
-        for database, _, version
-        in registered.runtime.leaf_runtimes[0].static_keys
-    )
-
-
-def _tier_peers(gateway, index, key, live) -> list[str]:
-    """The live queries indexed under a relation/aggregate tier ``key``
-    that a registration made now would actually share that tier with."""
-    return sorted(
-        name for name in index.get(key, ())
-        if name in live and _holds_current_statics(gateway._queries[name])
-    )
-
-
-def check_sharing(plan, gateway, report: AnalysisReport, cq=None) -> None:
+def check_sharing(plan, gateway, report: AnalysisReport) -> None:
     """Predict MQO sharing and containment subsumption against a gateway.
 
-    The signature peers come from O(1) key lookups in the gateway's
-    sharing indexes, and containment candidates are pruned through the
-    window-predicate inverted index.  ``cq`` is the plan's
-    :func:`plan_as_cq` encoding when the caller already made it.
+    ``report.query`` is the analysed name: a registered query is never
+    its own peer.
     """
     if gateway is None:
         return
-    live = {
-        name for name, q in gateway._queries.items() if q.plan is not plan
-    }
-    if not live:
-        return
+    name = report.query
+    signatures = (
+        _bind_signatures(plan, gateway.engine)
+        if gateway.mqo is not None else None
+    )
+    if signatures is not None:
+        subscribers = gateway.mqo.subscribers()
 
-    signature = plan.signature
-    if signature is not None:
-        relation_peers = _tier_peers(
-            gateway, gateway._sig_relation, signature.relation_key, live
+        def peers(keys) -> set[str]:
+            return {
+                peer for key in keys for peer in subscribers.get(key, ())
+            } - {name}
+
+        # each peer is named once, at the deepest tier it shares
+        aggregate_peers = peers(
+            s.aggregate_key for s in signatures if s.aggregate_key is not None
         )
-        aggregate_peers = (
-            _tier_peers(
-                gateway, gateway._sig_aggregate, signature.aggregate_key, live
-            )
-            if signature.aggregate_key is not None
-            else []
+        relation_peers = (
+            peers(s.relation_key for s in signatures) - aggregate_peers
         )
-        side_peers: set[str] = set()
-        for side in signature.sides:
-            side_peers |= gateway._sig_side.get(side.key, set())
-        side_peers &= live
+        side_peers = (
+            peers(side.key for s in signatures for side in s.sides)
+            - aggregate_peers - relation_peers
+        )
         if aggregate_peers:
             report.add(
                 "ANA030",
                 Severity.INFO,
                 "will share a pipeline prefix up to the partial-aggregate "
-                f"tier with {aggregate_peers}",
+                f"tier with {sorted(aggregate_peers)}",
                 hint="per-pane scan, filter, join and partial-aggregation "
                 "work is computed once across these queries",
             )
-        elif relation_peers:
+        if relation_peers:
             report.add(
                 "ANA030",
                 Severity.INFO,
                 "will share the relational pipeline prefix (scan + filters "
-                f"+ static joins) with {relation_peers}",
+                f"+ static joins) with {sorted(relation_peers)}",
             )
-        elif side_peers:
+        if side_peers:
             report.add(
                 "ANA030",
                 Severity.INFO,
@@ -161,30 +112,20 @@ def check_sharing(plan, gateway, report: AnalysisReport, cq=None) -> None:
                 "tables are shared across these queries",
             )
 
-    new_cq = cq if cq is not None else plan_as_cq(plan)
+    new_cq = plan_as_cq(plan)
     if new_cq is None:
         return
-    # Candidate pruning: a homomorphism from a registered query's atoms
-    # into the new one requires every registered predicate to appear in
-    # the new query — in particular its window predicates, so the
-    # inverted window-predicate index bounds the candidates to queries
-    # on a shared stream/grid before the (exponential in the worst case)
-    # homomorphism search runs.
-    new_preds = frozenset(atom.predicate.value for atom in new_cq.atoms)
-    candidates: set[str] = set()
-    for predicate in new_preds:
-        if predicate.startswith(_WINDOW_PREFIX):
-            candidates |= gateway._cq_windex.get(predicate, set())
+    new_preds = {atom.predicate for atom in new_cq.atoms}
     # registration order, like the diagnostics it produces
-    for name in gateway._queries:
-        if (
-            name not in live
-            or name not in candidates
-            or not gateway._cq_preds.get(name, frozenset()) <= new_preds
-        ):
+    for registered in gateway.queries:
+        if registered.name == name or registered.plan is plan:
             continue
-        other_cq = gateway._cq_by_query.get(name)
-        if other_cq is None:
+        other_cq = plan_as_cq(registered.plan)
+        # a homomorphism into the new query needs every predicate of the
+        # registered one to occur in it: a cheap filter before the search
+        if other_cq is None or not {
+            atom.predicate for atom in other_cq.atoms
+        } <= new_preds:
             continue
         contained = is_contained_in(new_cq, other_cq)
         if contained and is_contained_in(other_cq, new_cq):
@@ -195,9 +136,10 @@ def check_sharing(plan, gateway, report: AnalysisReport, cq=None) -> None:
                 Severity.INFO,
                 f"filter-subsumption sharing opportunity: every window's "
                 f"answers are already contained in those of registered "
-                f"query {name!r}",
-                hint=f"the query could be answered by filtering {name!r}'s "
-                "output instead of running its own pipeline",
+                f"query {registered.name!r}",
+                hint=f"the query could be answered by filtering "
+                f"{registered.name!r}'s output instead of running its own "
+                "pipeline",
             )
 
 

@@ -326,36 +326,6 @@ def verify_gateway(gateway) -> None:
                 f"{len(expected_pipeline_refs)} distinct keys)"
             )
 
-    # -- sharing-index consistency ------------------------------------------
-    # The registration-time sharing analysis relies on these indexes
-    # mirroring the live catalog exactly (see repro.analysis.sharing).
-    if set(gateway._cq_by_query) != set(queries):
-        violations.append(
-            f"gateway._cq_by_query indexes {sorted(gateway._cq_by_query)!r}, "
-            f"not the registered queries {sorted(queries)!r}"
-        )
-    for name, registered in queries.items():
-        signature = registered.plan.signature
-        if signature is not None and name not in gateway._sig_relation.get(
-            signature.relation_key, ()
-        ):
-            violations.append(
-                f"query {name!r} is missing from gateway._sig_relation"
-            )
-    for attr in ("_sig_relation", "_sig_aggregate", "_sig_side",
-                 "_cq_windex"):
-        for key, names in getattr(gateway, attr).items():
-            if not names:
-                violations.append(
-                    f"gateway.{attr} holds an empty entry {key[:80]!r}"
-                )
-            for name in names:
-                if name not in queries:
-                    violations.append(
-                        f"gateway.{attr} entry {key[:80]!r} references "
-                        f"unregistered query {name!r}"
-                    )
-
     # -- costed-plan consistency --------------------------------------------
     # The estimator's explain record and the live runtime must agree: a
     # registration-time demotion really planned RECOMPUTE, and a fired

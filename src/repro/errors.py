@@ -26,12 +26,9 @@ Concrete classes keep their historical builtin bases (``KeyError``,
 * :class:`SinkOverflow` — a result had to be refused by a bounded
   delivery channel that cannot block (an event-bus subscription whose
   ``block``-policy queue is force-offered); also a ``RuntimeError``;
-* :class:`~repro.analysis.StrictAnalysisError` — strict registration
-  rejected a query on error-severity static findings; defined in
-  ``repro.analysis`` (it carries the analysis report) but re-parented
-  under :class:`ReproError` and re-exported here;
 * :class:`~repro.analysis.InvariantViolation` — the audit-mode
-  verifier found engine invariants broken; re-exported here;
+  verifier found engine invariants broken; defined in
+  ``repro.analysis`` and re-exported here;
 * :class:`CheckpointCorrupt` — a checkpoint-log segment failed its
   checksum / framing validation (the durability layer normally handles
   this by truncating the torn tail and falling back to the previous
@@ -67,7 +64,6 @@ __all__ = [
     "BindError",
     "InvalidOption",
     "SinkOverflow",
-    "StrictAnalysisError",
     "InvariantViolation",
     "CheckpointCorrupt",
     "RecoveryError",
@@ -164,11 +160,10 @@ class RecoveryError(ReproError):
 
 
 def __getattr__(name: str):
-    # StrictAnalysisError / InvariantViolation live in repro.analysis
-    # (they carry analysis-layer state); re-export lazily to keep this
-    # module import-cycle free.
-    if name in ("StrictAnalysisError", "InvariantViolation"):
+    # InvariantViolation lives in repro.analysis (it carries verifier
+    # state); re-export lazily to keep this module import-cycle free.
+    if name == "InvariantViolation":
         from . import analysis
 
-        return getattr(analysis, name)
+        return analysis.InvariantViolation
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

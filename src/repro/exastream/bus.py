@@ -18,9 +18,10 @@ arrives.
   state) lets every subscriber drain its queue and then end iteration.
 * :class:`Subscription` — one subscriber's bounded queue, an async
   iterator (``async for result in handle`` / ``handle.stream()``).
-  Overflow honours the same two policies as the pull-side
-  :class:`~repro.exastream.engine.BoundedResultSink`: ``drop_oldest``
-  evicts (counting drops), ``block`` back-pressures the *producer* —
+  The queue is a :class:`~repro.exastream.engine.BoundedResultSink`,
+  the pull-side channel's type, so overflow honours the same two
+  policies: ``drop_oldest`` evicts (counting drops, also into the bus's
+  ``results_dropped``), ``block`` back-pressures the *producer* —
   the serve loop defers the query's next window until the subscriber
   drains, exactly like a full ``BLOCK`` sink defers it under
   ``step()``.
@@ -34,7 +35,6 @@ check-then-publish (``Topic.would_block()``), mirroring the sink's
 from __future__ import annotations
 
 import asyncio
-from collections import deque
 from typing import TYPE_CHECKING
 
 from ..errors import SinkOverflow
@@ -64,39 +64,34 @@ class Subscription:
         capacity: int | None = None,
         policy: str = BoundedResultSink.DROP_OLDEST,
     ) -> None:
-        if capacity is not None and capacity < 0:
-            raise ValueError("subscription capacity must be >= 0 (or None)")
-        if policy not in BoundedResultSink.POLICIES:
-            raise ValueError(f"unknown overflow policy {policy!r}")
         self.topic = topic
-        self._capacity = capacity
-        self._policy = policy
-        self._queue: deque[WindowResult] = deque()
+        #: the bounded queue — a query's pull-side sink type, so both
+        #: channels validate and overflow identically
+        self._queue = BoundedResultSink(capacity, policy)
         #: set while items are available or the topic has finished
         self._ready = asyncio.Event()
         self.delivered = 0
-        self.dropped = 0
         self.closed = False
         self._finished = False
 
     @property
     def capacity(self) -> int | None:
-        return self._capacity
+        return self._queue.capacity
 
     @property
     def policy(self) -> str:
-        return self._policy
+        return self._queue.policy
+
+    @property
+    def dropped(self) -> int:
+        return self._queue.dropped
 
     def __len__(self) -> int:
         return len(self._queue)
 
-    @property
-    def is_full(self) -> bool:
-        return self._capacity is not None and len(self._queue) >= self._capacity
-
     def would_block(self) -> bool:
         """True when the producer should defer the next window for us."""
-        return self._policy == BoundedResultSink.BLOCK and self.is_full
+        return self._queue.would_block()
 
     # -- producer side ------------------------------------------------------
 
@@ -104,24 +99,20 @@ class Subscription:
         """Enqueue one result (topic-internal; producers use publish)."""
         if self.closed:
             return
-        if self.is_full:
-            if self._policy == BoundedResultSink.BLOCK:
-                raise SinkOverflow(
-                    f"block-policy subscription on {self.topic.name!r} "
-                    f"offered a result while full (capacity "
-                    f"{self._capacity}); producers must check "
-                    "would_block() and defer the window"
-                )
-            while self._queue and len(self._queue) >= self._capacity:
-                self._queue.popleft()
-                self.dropped += 1
-                self.topic.bus.metrics.results_dropped += 1
-            if self._capacity == 0:
-                self.dropped += 1
-                self.topic.bus.metrics.results_dropped += 1
-                return
-        self._queue.append(result)
-        self._ready.set()
+        queue = self._queue
+        if queue.would_block():
+            raise SinkOverflow(
+                f"block-policy subscription on {self.topic.name!r} "
+                f"offered a result while full (capacity "
+                f"{queue.capacity}); producers must check "
+                "would_block() and defer the window"
+            )
+        dropped = queue.dropped
+        queue.offer(result)
+        if queue.dropped != dropped:
+            self.topic.bus.metrics.results_dropped += queue.dropped - dropped
+        if queue:
+            self._ready.set()
 
     def _finish(self) -> None:
         """No more results will ever be published (query is terminal)."""
@@ -136,7 +127,7 @@ class Subscription:
     async def __anext__(self) -> WindowResult:
         while True:
             if self._queue:
-                item = self._queue.popleft()
+                (item,) = self._queue.poll(1)
                 self.delivered += 1
                 if not self._queue and not self._finished:
                     self._ready.clear()

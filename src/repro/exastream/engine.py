@@ -67,7 +67,7 @@ from .plan import (
     as_equi_join,
     expr_aliases,
 )
-from .sharding import canonical_row_key, make_shard_plan
+from .sharding import CombinerSpec, canonical_row_key, make_shard_plan
 from .udf import UDFRegistry
 
 __all__ = ["WindowResult", "BoundedResultSink", "StreamEngine", "PlanRuntime"]
@@ -131,6 +131,10 @@ class BoundedResultSink:
 
     def __len__(self) -> int:
         return len(self._buffer)
+
+    def __iter__(self):
+        """The retained results, oldest first (non-destructive)."""
+        return iter(self._buffer)
 
     @property
     def is_full(self) -> bool:
@@ -912,19 +916,47 @@ class PlanRuntime(WindowExecutor):
         return udf(members, columns)
 
 
+def mqo_scope_tag(engine: Engine, scope: Scope) -> str | None:
+    """The prefix of the MQO pipeline keys a leaf bound in ``scope``
+    subscribes under (see :meth:`PlanSignature.scoped`).
+
+    Slices of different layouts hold different tuples and must never
+    interchange results, so an engine of several nodes keys sharing per
+    ``(layout, key column, shard)``; a one-node engine has one scope and
+    shares at the registry's root (``None``).
+    """
+    if len(engine.nodes) == 1:
+        return None
+    n, key_column, shard = scope
+    return f"{n}:{key_column or 'none'}:{shard}"
+
+
 class StreamEngine(Engine):
     """The engine: the :class:`~repro.exastream.contracts.Engine`
     registries and catalogs plus the binding of plans to them."""
+
+    def layout(
+        self, plan: ContinuousPlan, shards: int | None = None
+    ) -> tuple[ContinuousPlan, list[Scope], CombinerSpec | None]:
+        """What ``bind(plan, shards=shards)`` binds: the plan each leaf
+        runs, the leaves' scopes, and the combiner merging them
+        (``None`` for a one-node layout, which runs the plan verbatim)."""
+        n = self.resolve_shards(plan, shards)
+        if n == 1:
+            return plan, [PLAIN_SCOPE], None
+        decision = plan.partitioning
+        shard_plan, combiner = make_shard_plan(plan, decision)
+        scopes = [(n, decision.key_column, shard) for shard in range(n)]
+        return shard_plan, scopes, combiner
 
     def _bind(self, plan, shards, mqo, catalog) -> WindowExecutor:
         """A :class:`PlanRuntime` in :data:`PLAIN_SCOPE` for a one-node
         layout (the plan verbatim over full streams); else one leaf
         runtime per shard scope of the layout, each over its partitioned
         readers, under a coordinating ``ShardedPlanRuntime``."""
-        decision = plan.partitioning
-        n = self.resolve_shards(plan, shards)
-        if n == 1:
-            return self.bind_scope(plan, catalog, mqo, PLAIN_SCOPE)
+        leaf_plan, scopes, combiner = self.layout(plan, shards)
+        if len(scopes) == 1:
+            return self.bind_scope(leaf_plan, catalog, mqo, scopes[0])
         # sharded.py builds on this module's PlanRuntime and WindowResult
         from .sharded import ShardedPlanRuntime
 
@@ -932,13 +964,10 @@ class StreamEngine(Engine):
         # layouts route both streams' matching tuples to the same shard
         # and shard slices preserve stream order, so each shard's output
         # — and therefore the merge — is unchanged by the tier.
-        shard_plan, combiner = make_shard_plan(plan, decision)
         leaves: list[PlanRuntime] = []
         try:
-            for shard in range(n):
-                leaves.append(self.bind_scope(
-                    shard_plan, catalog, mqo, (n, decision.key_column, shard)
-                ))
+            for scope in scopes:
+                leaves.append(self.bind_scope(leaf_plan, catalog, mqo, scope))
             runtime = ShardedPlanRuntime(
                 plan=plan,
                 combiner=combiner,
@@ -998,14 +1027,10 @@ class StreamEngine(Engine):
                     f"{ref.alias}.{c}" for c in schema.column_names
                 ]
             if mqo is not None and self.mqo and plan.signature is not None:
-                if len(self.nodes) > 1:
-                    # Slices of different layouts hold different tuples
-                    # and must never interchange results.  (A one-node
-                    # engine has one scope and shares at the registry's
-                    # root.)
-                    n, key_column, shard = scope
-                    mqo = mqo.scoped(f"{n}:{key_column or 'none'}:{shard}")
-                runtime.mqo = mqo.bind(runtime.signature, plan.name)
+                runtime.mqo = mqo.bind(
+                    runtime.signature.scoped(mqo_scope_tag(self, scope)),
+                    plan.name,
+                )
             runtime._open()
         except Exception:
             runtime.close()

@@ -6,6 +6,10 @@ Scheduler module."  Our gateway accepts either SQL(+) text (parsed and
 planned) or ready :class:`~repro.exastream.plan.ContinuousPlan` objects,
 keeps the catalog of registered continuous queries, and drives them over
 *shared* window readers so the wCache benefits apply across queries.
+Registration is plan → bind → place and nothing else: static analysis
+(:mod:`repro.analysis`) runs on demand, through ``Session.explain``, and
+reads what registration recorded — the MQO registry's subscriptions —
+instead of keeping a copy of its own.
 
 Two executors drive the same registered queries:
 
@@ -33,7 +37,7 @@ readers, static relations, MQO subscriptions and worker processes belong
 to the query's runtime, whose ``close()`` gives them back
 (:mod:`repro.exastream.contracts`), and operator placements to the
 scheduler, whose ``remove(name)`` does.  Deregistration is cancel →
-``runtime.close()`` → ``scheduler.remove(name)`` → unindex.
+``runtime.close()`` → ``scheduler.remove(name)``.
 """
 
 from __future__ import annotations
@@ -93,9 +97,6 @@ class RegisteredQuery:
     subscribers: list[Callable[[WindowResult], None]] = field(
         default_factory=list
     )
-    #: advisory registration-time diagnostics (sharing predictions,
-    #: filter-subsumption opportunities); never consulted by execution
-    diagnostics: list = field(default_factory=list)
     #: the owning gateway's event bus (push-side delivery); set at
     #: registration, ``None`` only for hand-built instances
     bus: EventBus | None = field(default=None, repr=False)
@@ -252,18 +253,6 @@ class GatewayServer:
         #: :class:`repro.exastream.durability.CheckpointManager`);
         #: ``on_pulse()`` fires after every executed window
         self.checkpointer = None
-        #: sharing-analysis indexes maintained per registration so the
-        #: advisory ``check_sharing`` pass stops scanning every live
-        #: query (O(N) total across N registrations instead of O(N²)):
-        #: signature-key -> query names, plus each query's cached
-        #: conjunctive-query encoding and its window-predicate index for
-        #: containment candidate pruning.
-        self._sig_relation: dict[str, set[str]] = {}
-        self._sig_aggregate: dict[str, set[str]] = {}
-        self._sig_side: dict[str, set[str]] = {}
-        self._cq_by_query: dict[str, object] = {}
-        self._cq_preds: dict[str, frozenset] = {}
-        self._cq_windex: dict[str, set[str]] = {}
 
     # -- registration ----------------------------------------------------------
 
@@ -275,9 +264,10 @@ class GatewayServer:
         sink_policy: str = BoundedResultSink.DROP_OLDEST,
         window_limit: int | None = None,
         shards: int | None = None,
-        strict: bool = False,
     ) -> RegisteredQuery:
-        """Register SQL(+) text or a prepared plan as a continuous query.
+        """Register SQL(+) text or a prepared plan as a continuous query:
+        plan the text, name it, cost it (adaptive engines), bind it,
+        place it on the scheduler.
 
         An explicit duplicate ``name`` raises; when the name is derived
         from the plan (or auto-generated) a fresh unique name is chosen,
@@ -290,13 +280,9 @@ class GatewayServer:
         is refused too (:class:`~repro.errors.BindError`), with nothing
         left bound.
 
-        ``strict`` runs the full static analyzer before binding any
-        resources and raises
-        :class:`~repro.analysis.StrictAnalysisError` on error-severity
-        findings (unsatisfiable filters, unknown columns, incompatible
-        join keys).  Analysis is advisory otherwise: registration always
-        attaches the cheap sharing/subsumption predictions to
-        :attr:`RegisteredQuery.diagnostics` without affecting execution.
+        Registration does not analyse the query.  To refuse one on
+        error-severity findings before anything binds, analyse it first
+        (``Session.explain(q).has_errors``) and do not register it.
         """
         if isinstance(query, str):
             plan = plan_sql(query, self.engine, name=name)
@@ -319,29 +305,6 @@ class GatewayServer:
         if self.engine.estimator is not None:
             self.engine.estimator.refresh(self.metrics_snapshot())
             costed_plan(plan, self.engine, scheduler=self.scheduler)
-        # Static analysis runs before any resource is bound.  Lazy import:
-        # repro.analysis imports plan/signature modules from this package.
-        from ..analysis import StrictAnalysisError, analyze_plan
-        from ..analysis.diagnostics import AnalysisReport
-        from ..analysis.sharing import check_sharing, index_plan, plan_as_cq
-
-        # encoded once: the sharing check and the sharing indexes both
-        # read it
-        cq = plan_as_cq(plan)
-        if strict:
-            analysis = analyze_plan(
-                plan, self.engine, gateway=self, name=name, cq=cq
-            )
-            if analysis.has_errors:
-                raise StrictAnalysisError(analysis)
-            diagnostics = list(analysis)
-        else:
-            # Advisory path: only the cheap structural predictions
-            # (signature sharing + containment subsumption), no type or
-            # satisfiability passes.
-            advisory = AnalysisReport(name)
-            check_sharing(plan, self, advisory, cq)
-            diagnostics = list(advisory)
         runtime = self.engine.bind(plan, shards=shards, mqo=self.mqo)
         registered = RegisteredQuery(
             name=name,
@@ -349,7 +312,6 @@ class GatewayServer:
             runtime=runtime,
             sink=BoundedResultSink(sink_capacity, sink_policy),
             window_limit=window_limit,
-            diagnostics=diagnostics,
             bus=self.bus,
         )
         choice = plan.choice
@@ -364,7 +326,6 @@ class GatewayServer:
             # materializes.
             registered.guard = ReplanGuard()
         self._queries[name] = registered
-        index_plan(self, name, plan, cq)
         self.bus.wake()  # a parked serve() loop has new work
         if self.scheduler is not None:
             # placed under the identity the runtime shares under: queries
@@ -413,14 +374,11 @@ class GatewayServer:
         """
         if name not in self._queries:
             raise QueryNotFound(name)
-        from ..analysis.sharing import unindex_plan
-
         registered = self._queries.pop(name)
         registered.cancel()
         registered.runtime.close()
         if self.scheduler is not None:
             self.scheduler.remove(name)
-        unindex_plan(self, name, registered.plan)
         if self.audit:
             self._verify()
 

@@ -19,7 +19,6 @@ from .runtime import (
     MQOBinding,
     MQOStats,
     PaneSideEntry,
-    ScopedPipelineRegistry,
     SharedPipeline,
     SharedPipelineRegistry,
 )
@@ -33,7 +32,6 @@ from .signature import (
 __all__ = [
     "MQOBinding",
     "MQOStats",
-    "ScopedPipelineRegistry",
     "SharedPipeline",
     "SharedPipelineRegistry",
     "PaneSideEntry",

@@ -40,14 +40,13 @@ from dataclasses import dataclass, field
 
 from ...obs.registry import CounterField, MetricRegistry, bind_counters
 from ..operators import Relation
-from .signature import PlanSignature, SideSignature
+from .signature import PlanSignature
 
 __all__ = [
     "MQOStats",
     "PaneSideEntry",
     "SharedPipeline",
     "SharedPipelineRegistry",
-    "ScopedPipelineRegistry",
     "MQOBinding",
 ]
 
@@ -288,16 +287,6 @@ class SharedPipelineRegistry:
             del self._pipelines[pipeline.key]
             self.stats.pipelines_released += 1
 
-    def scoped(self, tag: str) -> ScopedPipelineRegistry:
-        """A view whose signature keys are prefixed with ``tag``.
-
-        An engine of several nodes scopes sharing per (partition layout,
-        shard): shard slices of the same stream hold different tuples,
-        so their results must never interchange.  Pipelines still live
-        in the root registry, under the prefixed keys.
-        """
-        return ScopedPipelineRegistry(self, tag)
-
     # -- checkpoint support -------------------------------------------------
 
     def snapshot_pipelines(self) -> dict[str, dict]:
@@ -342,37 +331,6 @@ class SharedPipelineRegistry:
             for query, frontier in state["frontiers"].items():
                 if query in pipeline.frontiers:
                     pipeline.frontiers[query] = dict(frontier)
-
-
-class ScopedPipelineRegistry:
-    """Key-prefixing facade over a root registry (see ``scoped``)."""
-
-    def __init__(self, root: SharedPipelineRegistry, tag: str) -> None:
-        self._root = root
-        self._tag = tag
-
-    @property
-    def stats(self) -> MQOStats:
-        return self._root.stats
-
-    def bind(self, signature: PlanSignature, query: str) -> MQOBinding:
-        scoped = PlanSignature(
-            relation_key=f"{self._tag}::{signature.relation_key}",
-            aggregate_key=(
-                None
-                if signature.aggregate_key is None
-                else f"{self._tag}::{signature.aggregate_key}"
-            ),
-            alias_map=signature.alias_map,
-            sides=tuple(
-                SideSignature(f"{self._tag}::{side.key}", side.alias_map)
-                for side in signature.sides
-            ),
-        )
-        return self._root.bind(scoped, query)
-
-    def scoped(self, tag: str) -> ScopedPipelineRegistry:
-        return ScopedPipelineRegistry(self._root, f"{self._tag}::{tag}")
 
 
 @dataclass

@@ -190,6 +190,25 @@ class PlanSignature:
             ),
         )
 
+    def scoped(self, tag: str | None) -> PlanSignature:
+        """This identity within one sharing scope: every pipeline key
+        prefixed with ``tag`` (see
+        :func:`repro.exastream.engine.mqo_scope_tag`; ``None``, a
+        one-node engine's only scope, is the identity itself)."""
+        if tag is None:
+            return self
+        return replace(
+            self,
+            relation_key=f"{tag}::{self.relation_key}",
+            aggregate_key=(
+                None if self.aggregate_key is None
+                else f"{tag}::{self.aggregate_key}"
+            ),
+            sides=tuple(
+                replace(side, key=f"{tag}::{side.key}") for side in self.sides
+            ),
+        )
+
 
 def _side_signature(plan: ContinuousPlan, index: int) -> SideSignature:
     """The canonical per-side prefix key of windowed stream ``index``."""

@@ -240,13 +240,21 @@ class Session:
         Returns an :class:`~repro.analysis.AnalysisReport` of everything
         the analyzer can establish against this session's deployment:
         type errors, unsatisfiable predicates, window-grid behaviour,
-        the MQO sharing/subsumption predictions relative to the
-        currently registered queries, and what registration would cost:
-        the piece/UCQ/SQL-block counts of the translation and, per
-        static input, whether its relation is already materialised and
-        shared — or keyed by two windows, and so no window's lookup.
-        Accepts raw STARQL text (also covers syntax/reference errors) or
-        an already-prepared query.
+        the MQO pipelines a registration made now would share (read
+        from the gateway's registry) and its filter-subsumption
+        relations to the registered queries, and what registration
+        would cost: the piece/UCQ/SQL-block counts of the translation
+        and, per static input, whether its relation is already
+        materialised and shared — or keyed by two windows, and so no
+        window's lookup.  Accepts raw STARQL text (also covers
+        syntax/reference errors) or an already-prepared query; ``name``
+        is the name analysed (a registered query is never its own
+        sharing peer).
+
+        Nothing is bound: readers, static relations, MQO subscriptions
+        and scheduler placements are as they were.  To refuse a query
+        with error-severity findings, check ``report.has_errors`` and do
+        not :meth:`submit` it.
         """
         from ..analysis import analyze_plan, analyze_starql
         from ..analysis.analyzer import check_translation
@@ -288,7 +296,6 @@ class Session:
         sink_capacity=_INHERIT,
         overflow=_INHERIT,
         shards: int | None = None,
-        strict: bool = False,
     ) -> QueryHandle:
         """Register a prepared query (or raw STARQL text) for execution.
 
@@ -296,9 +303,8 @@ class Session:
         can back many concurrently registered handles.  ``shards=N``
         requests data-parallel execution on a sharded deployment; the
         default inherits the engine's configuration (plain engines run
-        single-shard).  ``strict=True`` rejects the query (raising
-        :class:`~repro.analysis.StrictAnalysisError`) when the static
-        analyzer finds error-severity defects.
+        single-shard).  Submission does not analyse the query; see
+        :meth:`explain`.
         """
         if isinstance(query, str):
             query = self.prepare(query)
@@ -314,7 +320,6 @@ class Session:
             sink_policy=overflow,
             window_limit=max_windows,
             shards=shards,
-            strict=strict,
         )
         handle = QueryHandle(self, query, registered)
         self._handles[handle.name] = handle

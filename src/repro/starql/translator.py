@@ -51,6 +51,7 @@ from ..mappings import (
     Unfolder,
     UnfoldingResult,
 )
+from ..mappings.saturation import existential_subontology, saturate_mappings
 from ..ontology import Ontology
 from ..queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from ..rdf import IRI, Literal, Term, Variable
@@ -177,27 +178,17 @@ class STARQLTranslator:
         engine: StreamEngine,
         macros: MacroRegistry | None = None,
         primary_keys: dict[str, tuple[str, ...]] | None = None,
-        use_tmappings: bool = True,
     ) -> None:
         self.ontology = ontology
         self.mappings = mappings
         self.engine = engine
         self.macros = macros or MacroRegistry()
-        if use_tmappings:
-            # Ontop-style compilation: the class/role hierarchy is folded
-            # into the mappings; the rewriter handles only the residual
-            # existential axioms.  This avoids PerfectRef's exponential
-            # UCQ blowup on multi-atom WHERE clauses over large TBoxes.
-            from ..mappings.saturation import (
-                existential_subontology,
-                saturate_mappings,
-            )
-
-            self.saturated = saturate_mappings(mappings, ontology)
-            self._rewriter = PerfectRef(existential_subontology(ontology))
-        else:
-            self.saturated = mappings
-            self._rewriter = PerfectRef(ontology)
+        # Ontop-style compilation: the class/role hierarchy is folded
+        # into the mappings; the rewriter handles only the residual
+        # existential axioms.  This avoids PerfectRef's exponential UCQ
+        # blowup on multi-atom WHERE clauses over large TBoxes.
+        self.saturated = saturate_mappings(mappings, ontology)
+        self._rewriter = PerfectRef(existential_subontology(ontology))
         self._unfolder = Unfolder(self.saturated, primary_keys)
         self._text_cache: OrderedDict[str, TranslationResult] = OrderedDict()
         self.cache_hits = 0

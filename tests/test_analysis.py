@@ -1,19 +1,24 @@
 """Static CQ analyzer tests: seeded defects, zero false positives on the
-Siemens suite, strict registration, the session API and the CLI."""
+Siemens suite, refusing before binding (explain, then submit), sharing
+diagnostics read from the MQO registry, the session API and the CLI."""
+
+import ast
+import re
 
 import pytest
 
 from repro.analysis import (
     AnalysisReport,
     Severity,
-    StrictAnalysisError,
     analyze_plan,
     analyze_starql,
     find_span,
+    verify_gateway,
 )
 from repro.analysis.__main__ import main as analysis_cli
-from repro.exastream import GatewayServer
-from repro.siemens import deploy, diagnostic_catalog
+from repro.exastream import GatewayServer, Scheduler
+from repro.exastream.planner import plan_sql
+from repro.siemens import FleetConfig, deploy, diagnostic_catalog, generate_fleet
 
 from cqgen import build_engine
 
@@ -30,12 +35,52 @@ def fresh_gateway():
     return GatewayServer(build_engine(list(ROWS)))
 
 
-def analyze_sql(sql, gateway=None):
+def analyze_sql(sql, gateway=None, name=None):
     gateway = gateway or fresh_gateway()
-    from repro.exastream.planner import plan_sql
-
     plan = plan_sql(sql, gateway.engine)
+    return analyze_plan(plan, gateway.engine, gateway=gateway, name=name)
+
+
+def explain_registered(gateway, name):
+    """The on-demand report for a registered query, under its name."""
+    plan = gateway.query(name).plan
     return analyze_plan(plan, gateway.engine, gateway=gateway)
+
+
+def ana030_peers(report):
+    """Every query name the report's ANA030 lines promise sharing with."""
+    peers = set()
+    for diagnostic in report:
+        if diagnostic.code == "ANA030":
+            match = re.search(r"with (\[.*\])$", diagnostic.message)
+            peers |= set(ast.literal_eval(match.group(1)))
+    return peers
+
+
+def bound_state(gateway):
+    """What a bind takes: MQO subscriptions, reader and static
+    references, scheduler placements."""
+    engine = gateway.engine
+    scheduler = gateway.scheduler
+    return (
+        gateway.mqo.subscribers() if gateway.mqo is not None else None,
+        engine.catalog.refs,
+        engine.static_catalog.refs,
+        scheduler.load_report() if scheduler is not None else None,
+        [q.name for q in gateway.queries],
+    )
+
+
+GROUPED = (
+    "SELECT s.sid AS sid, COUNT(*) AS n "
+    "FROM timeSlidingWindow(S, 10, 2) AS s GROUP BY s.sid"
+)
+STATIC_JOIN = (
+    "SELECT m.kind AS kind, COUNT(*) AS n "
+    "FROM timeSlidingWindow(S, 10, 2) AS s, "
+    "(SELECT sid, kind FROM sensors) AS m "
+    "WHERE s.sid = m.sid GROUP BY m.kind"
+)
 
 
 class TestSeededDefects:
@@ -196,27 +241,34 @@ class TestNoFalsePositives:
 
 
 class TestStrictRegistration:
+    """Refusing a query before anything binds: analyse it on demand,
+    check ``has_errors``, and do not register it.  Registration itself
+    never analyses."""
+
     def test_strict_rejects_and_binds_nothing(self):
-        gateway = fresh_gateway()
-        with pytest.raises(StrictAnalysisError) as info:
-            gateway.register(
-                "SELECT s.val AS v FROM timeSlidingWindow(S, 10, 2) AS s "
-                "WHERE s.val > 5 AND s.val < 3",
-                name="doomed",
-                strict=True,
-            )
-        assert info.value.report.has_errors
+        engine = build_engine(list(ROWS))
+        gateway = GatewayServer(engine, scheduler=Scheduler(2))
+        gateway.register(STATIC_JOIN, name="live")
+        before = bound_state(gateway)
+        report = analyze_sql(
+            STATIC_JOIN.replace(
+                "GROUP BY", "AND s.val > 5 AND s.val < 3 GROUP BY"
+            ),
+            gateway,
+            name="doomed",
+        )
+        assert report.has_errors
+        # the whole analysis ran against the live deployment — sharing,
+        # subsumption, static catalog — and took nothing from it
+        assert {"ANA010", "ANA031", "ANA060"} <= {d.code for d in report}
+        assert bound_state(gateway) == before
         assert "doomed" not in gateway
-        assert gateway.shared_reader_count == 0
-        assert not gateway.engine.catalog.refs
+        verify_gateway(gateway)
 
     def test_strict_accepts_clean_query(self):
         gateway = fresh_gateway()
-        registered = gateway.register(
-            "SELECT s.sid AS sid, COUNT(*) AS n "
-            "FROM timeSlidingWindow(S, 10, 2) AS s GROUP BY s.sid",
-            strict=True,
-        )
+        assert not analyze_sql(GROUPED, gateway).has_errors
+        registered = gateway.register(GROUPED)
         assert registered.active
 
     def test_default_registration_is_advisory(self):
@@ -226,39 +278,109 @@ class TestStrictRegistration:
             "WHERE s.val > 5 AND s.val < 3"
         )
         assert registered.active  # runs (and yields nothing) as before
+        assert not hasattr(registered, "diagnostics")
 
 
 class TestRegistrationDiagnostics:
+    """ANA030/ANA031 computed on demand against the live gateway."""
+
     def test_sharing_prediction(self):
         gateway = fresh_gateway()
+        gateway.register(GROUPED, name="base")
         gateway.register(
-            "SELECT s.sid AS sid, COUNT(*) AS n "
-            "FROM timeSlidingWindow(S, 10, 2) AS s GROUP BY s.sid",
-            name="base",
-        )
-        peer = gateway.register(
             "SELECT s.sid AS sid, AVG(s.val) AS a "
             "FROM timeSlidingWindow(S, 10, 2) AS s GROUP BY s.sid",
             name="peer",
         )
-        codes = {d.code for d in peer.diagnostics}
+        report = explain_registered(gateway, "peer")
+        codes = {d.code for d in report}
         assert "ANA030" in codes
-        assert any("base" in d.message for d in peer.diagnostics)
+        assert any("base" in d.message for d in report)
+        assert ana030_peers(report) == {"base"}
+
+    def test_no_sharing_predicted_without_mqo(self):
+        """An ``mqo=False`` engine shares nothing, so nothing is
+        promised — not even between two registrations of one text."""
+        gateway = GatewayServer(build_engine(list(ROWS), mqo=False))
+        gateway.register(GROUPED, name="a")
+        gateway.register(GROUPED, name="b")
+        report = explain_registered(gateway, "b")
+        assert not [d for d in report if d.code == "ANA030"]
+
+    def test_no_sharing_predicted_across_layouts(self):
+        """A ``shards=1`` and a ``shards=2`` registration of one text
+        live in separate pipelines; ANA030 says what the registry
+        holds."""
+        gateway = GatewayServer(build_engine(list(ROWS), shards=2))
+        gateway.register(GROUPED, name="one", shards=1)
+        gateway.register(GROUPED, name="two", shards=2)
+        subscribers = gateway.mqo.subscribers()
+        assert not [
+            key for key, names in subscribers.items()
+            if {"one", "two"} <= set(names)
+        ]
+        report = explain_registered(gateway, "two")
+        assert not [d for d in report if d.code == "ANA030"]
+        # a third registration in the default (two-shard) layout does
+        # share with "two", and only with it
+        gateway.register(GROUPED, name="three")
+        assert ana030_peers(explain_registered(gateway, "three")) == {"two"}
+
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        return generate_fleet(FleetConfig(turbines=3, plants=2))
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_ana030_names_exactly_the_registry_peers(self, fleet, shards):
+        """The 20 catalog tasks registered twice: for every query, the
+        peers ANA030 names are exactly the other subscribers of its
+        pipelines in the MQO registry."""
+        dep = deploy(fleet=fleet, stream_duration=5, shards=shards)
+        sessions = [dep.session(), dep.session()]
+        handles = [
+            session.submit(task.starql)
+            for session in sessions
+            for task in diagnostic_catalog()
+        ]
+        subscribers = dep.gateway.mqo.subscribers()
+        shared = 0
+        for handle in handles:
+            expected = {
+                peer
+                for names in subscribers.values() if handle.name in names
+                for peer in names
+            } - {handle.name}
+            report = sessions[0].explain(handle.prepared, name=handle.name)
+            assert ana030_peers(report) == expected, handle.name
+            shared += bool(expected)
+        assert shared == len(handles)  # every task has its twin
+        for session in sessions:
+            session.close()
+
+    def test_no_ana030_without_mqo(self, fleet):
+        dep = deploy(fleet=fleet, stream_duration=5, mqo=False)
+        session = dep.session()
+        handles = [
+            session.submit(task.starql)
+            for _ in range(2)
+            for task in diagnostic_catalog()
+        ]
+        for handle in handles:
+            report = session.explain(handle.prepared, name=handle.name)
+            assert not [d for d in report if d.code == "ANA030"]
+        session.close()
 
     def test_filter_subsumption_opportunity(self):
         gateway = fresh_gateway()
+        gateway.register(GROUPED, name="broad")
         gateway.register(
-            "SELECT s.sid AS sid, COUNT(*) AS n "
-            "FROM timeSlidingWindow(S, 10, 2) AS s GROUP BY s.sid",
-            name="broad",
-        )
-        narrow = gateway.register(
             "SELECT s.sid AS sid, COUNT(*) AS n "
             "FROM timeSlidingWindow(S, 10, 2) AS s "
             "WHERE s.val > 2 GROUP BY s.sid",
             name="narrow",
         )
-        subsumed = [d for d in narrow.diagnostics if d.code == "ANA031"]
+        report = explain_registered(gateway, "narrow")
+        subsumed = [d for d in report if d.code == "ANA031"]
         assert len(subsumed) == 1
         assert subsumed[0].severity is Severity.INFO
         assert "broad" in subsumed[0].message
@@ -274,12 +396,9 @@ class TestRegistrationDiagnostics:
             "WHERE s.val > 2 GROUP BY s.sid",
             name="narrow",
         )
-        broad = gateway.register(
-            "SELECT s.sid AS sid, COUNT(*) AS n "
-            "FROM timeSlidingWindow(S, 10, 2) AS s GROUP BY s.sid",
-            name="broad",
-        )
-        assert not [d for d in broad.diagnostics if d.code == "ANA031"]
+        gateway.register(GROUPED, name="broad")
+        report = explain_registered(gateway, "broad")
+        assert not [d for d in report if d.code == "ANA031"]
 
 
 class TestSessionAPI:
@@ -307,10 +426,17 @@ class TestSessionAPI:
             session.close()
 
     def test_strict_submit(self):
+        """explain → ``has_errors`` → submit; the explain bound nothing."""
         deployment = siemens()
         session = deployment.session()
         try:
-            handle = session.submit(task_text(0), strict=True)
+            live = session.submit(task_text(1))
+            before = bound_state(deployment.gateway)
+            report = session.explain(task_text(1), name="candidate")
+            assert bound_state(deployment.gateway) == before
+            assert not report.has_errors
+            assert live.name in ana030_peers(report)
+            handle = session.submit(task_text(1), name="candidate")
             assert handle.registered.active
         finally:
             session.close()
@@ -326,18 +452,24 @@ class TestByteIdentity:
             "WHERE s.val > 1 GROUP BY s.sid",
         ]
 
-        def run(audit, strict):
+        def run(audit, explain):
             if audit:
                 monkeypatch.setenv("REPRO_AUDIT", "1")
             else:
                 monkeypatch.delenv("REPRO_AUDIT", raising=False)
             gateway = fresh_gateway()
-            handles = [
-                gateway.register(sql, name=f"q{i}", strict=strict)
-                for i, sql in enumerate(sqls)
-            ]
+            handles = []
+            for i, sql in enumerate(sqls):
+                if explain:
+                    assert not analyze_sql(sql, gateway).has_errors
+                handles.append(gateway.register(sql, name=f"q{i}"))
+                if explain:
+                    explain_registered(gateway, f"q{i}")
             while gateway.step():
                 pass
+            if explain:
+                for handle in handles:
+                    explain_registered(gateway, handle.name)
             out = [
                 [(r.window_id, tuple(map(tuple, r.rows))) for r in h.results()]
                 for h in handles
@@ -346,9 +478,9 @@ class TestByteIdentity:
                 gateway.deregister(handle.name)
             return out
 
-        baseline = run(audit=False, strict=False)
-        assert run(audit=True, strict=False) == baseline
-        assert run(audit=True, strict=True) == baseline
+        baseline = run(audit=False, explain=False)
+        assert run(audit=True, explain=False) == baseline
+        assert run(audit=True, explain=True) == baseline
 
 
 class TestCLI:

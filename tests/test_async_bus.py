@@ -621,12 +621,11 @@ class TestErrorsHierarchy:
         assert issubclass(SinkOverflow, RuntimeError)
 
     def test_analysis_errors_reparented_and_reexported(self):
-        from repro.analysis import InvariantViolation, StrictAnalysisError
+        from repro.analysis import InvariantViolation
 
-        assert errors.StrictAnalysisError is StrictAnalysisError
         assert errors.InvariantViolation is InvariantViolation
-        assert issubclass(StrictAnalysisError, ReproError)
-        assert issubclass(StrictAnalysisError, ValueError)  # compat base
+        with pytest.raises(AttributeError):  # strict registration is gone
+            errors.StrictAnalysisError
         assert issubclass(InvariantViolation, ReproError)
         assert issubclass(InvariantViolation, AssertionError)  # compat base
 

@@ -15,7 +15,7 @@ import pytest
 
 import cqgen
 from cqgen import SCHEMA, build_engine, random_family, snapshot
-from repro.analysis import verify_gateway
+from repro.analysis import analyze_plan, verify_gateway
 from repro.exastream import (
     GatewayServer,
     Scheduler,
@@ -348,8 +348,9 @@ class TestMidFlight:
         assert gateway.mqo.pipeline_count == 4
         pipelines = scheduler.load_report().pipeline_refs
         assert len(pipelines) == 2 and set(pipelines.values()) == {1}
-        # the structural prediction no longer names the stale peer
-        assert not [d for d in after.diagnostics if d.code == "ANA030"]
+        # the sharing prediction does not name the stale peer
+        report = analyze_plan(after.plan, gateway.engine, gateway=gateway)
+        assert not [d for d in report if d.code == "ANA030"]
         gateway.deregister("before")
         gateway.deregister("after")
         verify_gateway(gateway)
@@ -364,7 +365,8 @@ class TestMidFlight:
         gateway.step(2)
         peer = gateway.register(self.STATIC_JOIN, name="b")
         assert gateway.mqo.pipeline_count == 2  # relation + aggregate tier
-        assert any(d.code == "ANA030" for d in peer.diagnostics)
+        report = analyze_plan(peer.plan, engine, gateway=gateway)
+        assert any(d.code == "ANA030" for d in report)
         while gateway.step():
             pass
         assert gateway.mqo.stats.partial_hits > 0
@@ -621,23 +623,31 @@ class TestRegistrationCost:
     """Registering the Nth query must not rescan the N-1 live ones."""
 
     def test_sharing_analysis_is_linear_in_registrations(self, monkeypatch):
+        import repro.analysis as analysis
+        import repro.analysis.analyzer as analyzer
         import repro.analysis.sharing as sharing
         import repro.exastream.mqo.signature as signature
 
-        calls = {"signature": 0, "cq": 0}
-        real_sig, real_cq = signature.plan_signature, sharing.plan_as_cq
+        calls = dict.fromkeys(("signature", "cq", "sharing", "analyze"), 0)
 
-        def counted_sig(plan):
-            calls["signature"] += 1
-            return real_sig(plan)
-
-        def counted_cq(plan):
-            calls["cq"] += 1
-            return real_cq(plan)
+        def counted(key, real):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+            return wrapper
 
         # ``plan.signature`` resolves the function through its module
-        monkeypatch.setattr(signature, "plan_signature", counted_sig)
-        monkeypatch.setattr(sharing, "plan_as_cq", counted_cq)
+        for module, attr, key in (
+            (signature, "plan_signature", "signature"),
+            (sharing, "plan_as_cq", "cq"),
+            (sharing, "check_sharing", "sharing"),
+            (analyzer, "check_sharing", "sharing"),
+            (analyzer, "analyze_plan", "analyze"),
+            (analysis, "analyze_plan", "analyze"),
+        ):
+            monkeypatch.setattr(
+                module, attr, counted(key, getattr(module, attr))
+            )
 
         n = 12
         gateway = GatewayServer(build_engine())
@@ -648,17 +658,14 @@ class TestRegistrationCost:
                 f" timeSlidingWindow(S, {r}, {s}) AS w"
                 f" WHERE w.val > {40 + (i % 2)} GROUP BY w.sid",
                 name=f"q{i}",
-                strict=bool(i % 3),  # the advisory and the full analysis
             )
-        # The sharing index gives each registration constant analysis
-        # work: one signature per plan — check_sharing, bind and
-        # index_plan all read the stored ``plan.signature`` — and one CQ
-        # encoding, made by the gateway and handed to both check_sharing
-        # and index_plan.  The pre-index peer scan re-derived every live
-        # query's signature and CQ per registration (~n^2/2).
-        assert calls["signature"] == n
-        assert calls["cq"] == n
-        # And the diagnostics still fire: later same-grid queries see
-        # their sharing peers through the index.
+        # Registration analyses nothing: one signature per plan — the
+        # bind computes it, the scheduler and the runtime read the
+        # stored ``plan.signature`` — and no CQ encoding, no sharing
+        # check, no analysis.
+        assert calls == {"signature": n, "cq": 0, "sharing": 0, "analyze": 0}
+        # The diagnostics still fire, on demand: a later same-grid
+        # query's sharing peers come from the MQO registry.
         last = gateway.query("q10")
-        assert any(d.code == "ANA030" for d in last.diagnostics)
+        report = analysis.analyze_plan(last.plan, gateway.engine, gateway=gateway)
+        assert any(d.code == "ANA030" for d in report)

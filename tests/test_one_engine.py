@@ -14,6 +14,7 @@
   ``OptiquePlatform``, with everything ``benchmarks/ledger/`` drives.
 """
 
+import ast
 import asyncio
 import gc
 import re
@@ -545,3 +546,29 @@ class TestOneDeploymentObject:
         assert sites(r"(?<!def )\banalyze_partitioning\(") == ["exastream/planner.py"]
         translator = (src / "starql/translator.py").read_text()
         assert "parse_sql" not in translator and "_render_sql" not in translator
+
+    def test_registration_does_not_analyse(self):
+        """Registration is plan → bind → place: the gateway takes
+        nothing from ``repro.analysis`` but the audit-mode verifier, and
+        the MQO scope tag is spelled in one place."""
+        src = Path(repro.__file__).parent
+        tree = ast.parse((src / "exastream/gateway.py").read_text())
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and "analysis" in (node.module or "").split(".")
+            for alias in node.names
+        }
+        assert imported == {"verify_gateway"}
+        assert not [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            and any("analysis" in alias.name for alias in node.names)
+        ]
+        tags = sorted(
+            str(path.relative_to(src))
+            for path in src.rglob("*.py")
+            if "key_column or 'none'" in path.read_text()
+        )
+        assert tags == ["exastream/engine.py"]
