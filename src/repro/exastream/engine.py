@@ -26,6 +26,7 @@ it slices, or a cost-based ``demote()`` — is retired through the single
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -50,7 +51,7 @@ from .operators import (
     JoinedRows,
     Relation,
     StaticTable,
-    compile_expr,
+    compile_kernel,
     hash_join_rows,
 )
 from .pane_executor import PaneExecutor, PartialContext, TierExecutor
@@ -71,6 +72,15 @@ from .sharding import CombinerSpec, canonical_row_key, make_shard_plan
 from .udf import UDFRegistry
 
 __all__ = ["WindowResult", "BoundedResultSink", "StreamEngine", "PlanRuntime"]
+
+#: the SQL aggregates over a non-empty, None-filtered value list
+_FOLDS: dict[str, Callable[[list], Any]] = {
+    "COUNT": len,
+    "SUM": sum,
+    "AVG": lambda values: sum(values) / len(values),
+    "MIN": min,
+    "MAX": max,
+}
 
 
 @dataclass
@@ -233,9 +243,10 @@ class PlanRuntime(WindowExecutor):
 
     def __post_init__(self) -> None:
         self._bind_obs()
-        #: compiled expression closures keyed by (expr identity, relation
-        #: schema) — expressions are plan-owned, so one binding compiles
-        #: each (expr, schema) pair exactly once across all windows.
+        #: generated kernels (and resolved sequence UDFs) keyed by step —
+        #: its plan-owned expressions' identities — and input schema, so
+        #: one binding builds each (step, schema) pair once across all
+        #: windows
         self._compiled: dict[tuple, Any] = {}
         # Join pipeline shape is per-plan, not per-window: decompose
         # equi-joins and split the filter pushdown once.
@@ -302,7 +313,7 @@ class PlanRuntime(WindowExecutor):
         # key names must exist in its input — a plan that names one that
         # does not is refused here, not at its first window.  Compiling
         # the window side against an empty batch is that check (and the
-        # closures are the ones the windows will use).  Static relations
+        # kernels are the ones the windows will use).  Static relations
         # are invariant: their pushdown filters apply once, now (this
         # also covers the indexed join_probe path, which bypasses the
         # per-window load).  The filtered table is this binding's own;
@@ -458,7 +469,7 @@ class PlanRuntime(WindowExecutor):
         tier ended (if it did), and which readers this binding currently
         holds demand references on (by reader key).
 
-        Compiled closures and the executors' lazy contexts are *not*
+        Generated kernels and the executors' lazy contexts are *not*
         state — they rebuild deterministically on first use after
         :meth:`restore_state`.
         """
@@ -508,13 +519,15 @@ class PlanRuntime(WindowExecutor):
 
     # -- instrumentation ----------------------------------------------------
 
-    def _compile(self, expr: Expr, relation: Relation):
-        """Memoized :func:`compile_expr` for this binding."""
-        key = (id(expr), tuple(relation.columns))
+    def _kernel(self, kind: str, exprs: Sequence[Expr], relation: Relation):
+        """This binding's ``kind`` kernel of ``exprs`` over
+        ``relation``'s layout (:func:`compile_kernel`), built once."""
+        key = (kind, tuple(map(id, exprs)), tuple(relation.columns))
         fn = self._compiled.get(key)
         if fn is None:
-            fn = compile_expr(expr, relation, self.udfs)
-            self._compiled[key] = fn
+            fn = self._compiled[key] = compile_kernel(
+                kind, exprs, relation, self.udfs
+            )
         return fn
 
     def _record_op(self, operator: str, rows_in: int, rows_out: int) -> None:
@@ -640,12 +653,13 @@ class PlanRuntime(WindowExecutor):
         relation = Relation(self.stream_columns[ref.alias], tuples)
         if not ref.computed:
             return relation
-        fns = [self._compile(c.expr, relation) for c in ref.computed]
+        extend = self._kernel(
+            "extend", [c.expr for c in ref.computed], relation
+        )
         columns = relation.columns + [
             f"{ref.alias}.{c.name}" for c in ref.computed
         ]
-        rows = [row + tuple(fn(row) for fn in fns) for row in tuples]
-        return Relation(columns, rows)
+        return Relation(columns, extend(tuples))
 
     def _push_filters(
         self, alias: str, relation: Relation, record: bool = True
@@ -654,15 +668,10 @@ class PlanRuntime(WindowExecutor):
         predicates = self._single_alias.get(alias)
         if not predicates:
             return relation
-        rows_in = len(relation.rows)
-        for predicate in predicates:
-            fn = self._compile(predicate, relation)
-            relation = Relation(
-                relation.columns, [r for r in relation.rows if fn(r)]
-            )
+        rows = self._kernel("filter", predicates, relation)(relation.rows)
         if record and self._detailed:
-            self._record_op(f"filter:{alias}", rows_in, len(relation.rows))
-        return relation
+            self._record_op(f"filter:{alias}", len(relation.rows), len(rows))
+        return Relation(relation.columns, rows)
 
     def _unit(self, alias: str) -> set[str]:
         """``alias`` plus, for a window, the lookups loaded with it."""
@@ -791,8 +800,7 @@ class PlanRuntime(WindowExecutor):
     def _apply_residual_filters(self, relation: Relation) -> Relation:
         if not self._residual:
             return relation
-        fns = [self._compile(p, relation) for p in self._residual]
-        rows = [r for r in relation.rows if all(fn(r) for fn in fns)]
+        rows = self._kernel("filter", self._residual, relation)(relation.rows)
         if self._detailed:
             self._record_op("residual", len(relation.rows), len(rows))
         return Relation(relation.columns, rows)
@@ -823,20 +831,17 @@ class PlanRuntime(WindowExecutor):
     def _group_rows(
         self, group_by: tuple[Expr, ...], relation: Relation
     ) -> dict[tuple, list[tuple]]:
-        group_fns = [self._compile(e, relation) for e in group_by]
-        groups: dict[tuple, list[tuple]] = {}
-        for row in relation.rows:
-            groups.setdefault(tuple(fn(row) for fn in group_fns), []).append(row)
-        return groups
+        return self._kernel("group", group_by, relation)(relation.rows)
 
     def _group_members(
         self, ctx: PartialContext, relation: Relation
     ) -> tuple[dict[tuple, list[tuple]], list]:
         """A pane (or pane-pair) relation's rows by group key, plus each
-        partial call's compiled argument (``None``: ``COUNT(*)``)."""
+        partial call's ``members -> None-filtered argument values``
+        kernel (``None``: ``COUNT(*)``)."""
         return self._group_rows(ctx.group_by, relation), [
             None if call.argument is None
-            else self._compile(call.argument, relation)
+            else self._kernel("values", (call.argument,), relation)
             for call in ctx.partial_calls
         ]
 
@@ -847,8 +852,9 @@ class PlanRuntime(WindowExecutor):
         if plan.aggregate is not None:
             rows, columns = self._aggregate(relation, plan.aggregate)
         else:
-            fns = [self._compile(c.expr, relation) for c in plan.projection]
-            rows = [tuple(fn(row) for fn in fns) for row in relation.rows]
+            rows = self._kernel(
+                "project", [c.expr for c in plan.projection], relation
+            )(relation.rows)
             columns = [c.name for c in plan.projection]
         if plan.distinct:
             rows = list(dict.fromkeys(rows))
@@ -858,17 +864,17 @@ class PlanRuntime(WindowExecutor):
         self, relation: Relation, spec: AggregateSpec
     ) -> tuple[list[tuple], list[str]]:
         out_columns = list(spec.group_names) + [c.output_name for c in spec.calls]
+        groups = self._group_rows(spec.group_by, relation)
         out_rows: list[tuple] = []
-        for key, members in self._group_rows(spec.group_by, relation).items():
-            values: list[Any] = list(key)
-            for call in spec.calls:
-                values.append(self._aggregate_call(call, members, relation))
-            out_rows.append(tuple(values))
-
+        if groups:
+            calls = [self._aggregate_call(c, relation) for c in spec.calls]
+            out_rows = [
+                (*key, *[call(members) for call in calls])
+                for key, members in groups.items()
+            ]
         result = Relation(out_columns, out_rows)
         if spec.having:
-            fns = [self._compile(p, result) for p in spec.having]
-            result.rows = [r for r in result.rows if all(fn(r) for fn in fns)]
+            result.rows = self._kernel("filter", spec.having, result)(out_rows)
         # Canonical group order: aggregate output is deterministic under
         # any tuple arrival order and any shard count (the sharded merge
         # relies on both sides agreeing on this order).
@@ -879,29 +885,27 @@ class PlanRuntime(WindowExecutor):
         return sorted(result.rows, key=canonical_row_key), out_columns
 
     def _aggregate_call(
-        self, call, members: list[tuple], relation: Relation
-    ) -> Any:
+        self, call, relation: Relation
+    ) -> Callable[[list[tuple]], Any]:
+        """``members -> value`` of one aggregate call over ``relation``'s
+        layout, resolved once per window rather than once per group."""
         name = call.function.upper()
-        if name in ("COUNT", "SUM", "AVG", "MIN", "MAX"):
+        fold = _FOLDS.get(name)
+        if fold is not None:
             if call.argument is None:
                 if name != "COUNT":
                     raise ValueError(f"{name} requires an argument")
-                return len(members)
-            fn = self._compile(call.argument, relation)
-            values = [v for v in (fn(m) for m in members) if v is not None]
-            if name == "COUNT":
-                return len(values)
-            if not values:
-                return None
-            if name == "SUM":
-                return sum(values)
-            if name == "AVG":
-                return sum(values) / len(values)
-            if name == "MIN":
-                return min(values)
-            return max(values)
+                return len
+            values_of = self._kernel("values", (call.argument,), relation)
+            empty = 0 if name == "COUNT" else None
+
+            def aggregate(members: list[tuple]) -> Any:
+                values = values_of(members)
+                return fold(values) if values else empty
+
+            return aggregate
         # A sequence UDF and its {role: column index} are resolved once
-        # per (call, schema), like :meth:`_compile` — not once per group.
+        # per (call, schema), like :meth:`_kernel`.
         key = (id(call), tuple(relation.columns))
         resolved = self._compiled.get(key)
         if resolved is None:
@@ -913,7 +917,7 @@ class PlanRuntime(WindowExecutor):
                 for expected, actual in call.argument_columns
             })
         udf, columns = resolved
-        return udf(members, columns)
+        return lambda members: udf(members, columns)
 
 
 def mqo_scope_tag(engine: Engine, scope: Scope) -> str | None:

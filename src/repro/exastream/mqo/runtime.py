@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ...obs.registry import CounterField, MetricRegistry, bind_counters
-from ..operators import Relation
+from ..operators import Relation, key_getter
 from .signature import PlanSignature
 
 __all__ = [
@@ -88,10 +88,9 @@ class PaneSideEntry:
         index = self._indexes.get(positions)
         if index is None:
             index = {}
+            row_key = key_getter(positions)
             for row in self.relation.rows:
-                index.setdefault(
-                    tuple(row[i] for i in positions), []
-                ).append(row)
+                index.setdefault(row_key(row), []).append(row)
             self._indexes[positions] = index
         return index
 

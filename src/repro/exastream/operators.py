@@ -1,16 +1,24 @@
-"""Physical operator layer: compiled expressions, relations and joins.
+"""Physical operator layer: generated kernels, relations and joins.
 
 The per-node Stream Engine executes window-at-a-time dataflows over plain
-Python tuples.  Scalar expressions from the SQL(+) AST are *compiled* to
-closures once per plan (not interpreted per tuple), and scalar UDF chains
-are fused (:func:`repro.exastream.udf.fuse`).
+Python tuples.  Every per-row step of a plan — computed columns, a
+conjunction of filters, a projection, group keys, an aggregate's argument
+values, a scalar expression — is *generated* as Python source once per
+(step, input layout) by :func:`compile_kernel` and compiled once per
+source text (:func:`kernel_factory`, the one source-keyed cache), never
+interpreted per tuple.  Scalar-UDF chains inline as nested calls
+(``k0(k1(row[3]))``), the fusion the paper's tracing JIT performs.  A
+kernel's ``.source`` is its generated text.  Hash-table keys come from
+one arity-specialised :func:`key_getter`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
+from operator import itemgetter
 from collections.abc import Callable, Iterator, Sequence
 from typing import Any
 
@@ -20,6 +28,9 @@ from .udf import UDFRegistry
 __all__ = [
     "Relation",
     "compile_expr",
+    "compile_kernel",
+    "kernel_factory",
+    "key_getter",
     "JoinedRows",
     "hash_join_rows",
     "hash_join",
@@ -65,22 +76,227 @@ class Relation:
 RowFn = Callable[[tuple], Any]
 
 
-_ARITHMETIC: dict[str, Callable[[Any, Any], Any]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "%": lambda a, b: a % b,
-    "||": lambda a, b: str(a) + str(b),
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a is not None and b is not None and a < b,
-    "<=": lambda a, b: a is not None and b is not None and a <= b,
-    ">": lambda a, b: a is not None and b is not None and a > b,
-    ">=": lambda a, b: a is not None and b is not None and a >= b,
-    "AND": lambda a, b: bool(a) and bool(b),
-    "OR": lambda a, b: bool(a) or bool(b),
+# ---------------------------------------------------------------------------
+# Kernels: per-row steps generated as Python source
+# ---------------------------------------------------------------------------
+#
+# A kernel is one generated function for one pipeline step over one input
+# layout.  Its source is a factory ``_make(k0, k1, ...)`` returning the
+# step's function; columns are spelled as integer positions (``row[3]``)
+# and every other value from the query — literals, LIKE regexes, IN sets,
+# scalar-UDF functions — is a factory argument ``k<n>``.  The text thus
+# depends on the expression's shape and the layout only, never on what a
+# user wrote, and one compiled factory serves every query of that shape.
+
+#: the function each kernel kind's factory returns (``{0}``: the single
+#: expression, ``{tuple}``: all expressions as a tuple, ``{conj}``: all
+#: expressions as one conjunction)
+_BODIES = {
+    # row -> value
+    "value": "def run(row):\n        return {0}",
+    # rows -> rows with the computed columns appended
+    "extend": "def run(rows):\n        return [row + {tuple} for row in rows]",
+    # rows -> the rows every predicate holds for
+    "filter": "def run(rows):\n        return [row for row in rows if {conj}]",
+    # rows -> projected rows
+    "project": "def run(rows):\n        return [{tuple} for row in rows]",
+    # rows -> {key: rows}, keys and rows in arrival order
+    "group": (
+        "def run(rows):\n"
+        "        groups = {{}}\n"
+        "        get = groups.get\n"
+        "        for row in rows:\n"
+        "            key = {tuple}\n"
+        "            members = get(key)\n"
+        "            if members is None:\n"
+        "                groups[key] = [row]\n"
+        "            else:\n"
+        "                members.append(row)\n"
+        "        return groups"
+    ),
+    # rows -> the expression's values, None dropped
+    "values": (
+        "def run(rows):\n"
+        "        return [v for row in rows if (v := {0}) is not None]"
+    ),
 }
+
+#: binary operators spelled as themselves (``=`` as ``==``); the ordering
+#: comparisons are None-guarded, AND/OR and ``||`` have their own forms
+_INFIX = {
+    "+": "+", "-": "-", "*": "*", "/": "/", "%": "%", "=": "==", "!=": "!=",
+    "<": "<", "<=": "<=", ">": ">", ">=": ">=",
+}
+
+
+class _Codegen:
+    """Python source text for expressions over ``row``.
+
+    Semantics are SQL(+)'s as the engine has always run them: operands
+    evaluate left to right, and both operands of AND, OR and an ordering
+    comparison are evaluated whatever the first one gave; AND/OR return
+    ``bool``; an ordering comparison with a NULL side is ``False``; ``=``
+    and ``!=`` are Python's; ``a || b`` is ``str(a) + str(b)``.
+    """
+
+    def __init__(self, relation: Relation, registry: UDFRegistry | None):
+        self.relation = relation
+        self.registry = registry
+        self.constants: list[Any] = []
+        self.temps = 0
+
+    def const(self, value: Any) -> str:
+        self.constants.append(value)
+        return f"k{len(self.constants) - 1}"
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps - 1}"
+
+    def expr(self, expr: Expr) -> str:
+        """``expr`` as an atom: a name, a subscript, a call or a
+        parenthesised expression."""
+        if isinstance(expr, Lit):
+            return "None" if expr.value is None else self.const(expr.value)
+        if isinstance(expr, Col):
+            name = f"{expr.table}.{expr.name}" if expr.table else expr.name
+            return f"row[{self.relation.index_of(name)}]"
+        if isinstance(expr, UnaryOp):
+            if expr.op == "NOT":
+                return f"(not {self.expr(expr.operand)})"
+            if expr.op == "-":
+                return f"(-{self.expr(expr.operand)})"
+            raise ValueError(f"unsupported unary operator {expr.op!r}")
+        if isinstance(expr, BinOp):
+            return self.binop(expr)
+        if isinstance(expr, Func):
+            return self.func(expr)
+        if isinstance(expr, Star):
+            raise ValueError("* is not a scalar expression")
+        raise TypeError(f"cannot compile expression {expr!r}")
+
+    def binop(self, expr: BinOp) -> str:
+        op = expr.op
+        if op in ("IS", "IS NOT"):
+            return f"({self.expr(expr.left)} {op.lower()} None)"
+        if op == "LIKE":
+            left = self.expr(expr.left)
+            pattern = expr.right
+            if not isinstance(pattern, Lit) or not isinstance(pattern.value, str):
+                raise ValueError("LIKE requires a string literal pattern")
+            regex = self.const(re.compile(
+                re.escape(pattern.value).replace("%", ".*").replace("_", ".")
+            ))
+            value = self.temp()
+            return (
+                f"(({value} := {left}) is not None"
+                f" and {regex}.fullmatch(str({value})) is not None)"
+            )
+        if op not in _INFIX and op not in ("AND", "OR", "||"):
+            raise ValueError(f"unsupported operator {op!r}")
+        if op in ("<", "<=", ">", ">="):
+            return self.ordering(_INFIX[op], expr.left, expr.right)
+        if op in ("AND", "OR"):
+            # a chain of one connective is one call: every operand is
+            # evaluated, left to right, before any is tested
+            operands = ", ".join(map(self.expr, self.chain(op, expr)))
+            return f"{'all' if op == 'AND' else 'any'}(({operands},))"
+        left, right = self.expr(expr.left), self.expr(expr.right)
+        if op == "||":
+            return f"(str({left}) + str({right}))"
+        return f"({left} {_INFIX[op]} {right})"
+
+    def chain(self, op: str, expr: Expr) -> list[Expr]:
+        if isinstance(expr, BinOp) and expr.op == op:
+            return [*self.chain(op, expr.left), *self.chain(op, expr.right)]
+        return [expr]
+
+    def ordering(self, op: str, left: Expr, right: Expr) -> str:
+        """``a <op> b``, ``False`` when either side is None."""
+        # per operand: its first use, its later uses, whether it is
+        # tested for None (a non-NULL literal never is)
+        operands = []
+        for operand in (left, right):
+            if isinstance(operand, Lit) and operand.value is not None:
+                name = self.const(operand.value)
+                operands.append((name, name, False))
+            elif isinstance(operand, (Col, Lit)):
+                text = self.expr(operand)
+                operands.append((text, text, True))
+            else:
+                text, name = self.expr(operand), self.temp()
+                operands.append((f"({name} := {text})", name, True))
+        (l_first, l_later, l_test), (r_first, r_later, r_test) = operands
+        if l_test and r_first != r_later:
+            # the right side must run even when the left one is None
+            return (
+                f"(False if ({l_first} is None) | ({r_first} is None)"
+                f" else {l_later} {op} {r_later})"
+            )
+        tests = [f"{first} is not None" for first, _, test in operands if test]
+        left_text = l_later if l_test else l_first
+        right_text = r_later if r_test else r_first
+        return f"({' and '.join([*tests, f'{left_text} {op} {right_text}'])})"
+
+    def func(self, expr: Func) -> str:
+        if expr.name == "IN_LIST":
+            target = self.expr(expr.args[0])
+            values = []
+            for arg in expr.args[1:]:
+                if not isinstance(arg, Lit):
+                    raise ValueError("IN list must contain literals")
+                values.append(arg.value)
+            return f"({target} in {self.const(set(values))})"
+        udf = self.registry.scalar(expr.name) if self.registry else None
+        if udf is None:
+            raise ValueError(f"unknown scalar function {expr.name!r}")
+        fn = self.const(udf.fn)
+        return f"{fn}({', '.join(self.expr(a) for a in expr.args)})"
+
+
+@lru_cache(maxsize=256)
+def kernel_factory(source: str) -> Callable[..., Callable]:
+    """The compiled ``_make`` of a kernel's source text — memoised on
+    the text, so a shape seen before costs no ``compile()``
+    (``kernel_factory.cache_info().misses`` counts the compiles)."""
+    namespace: dict[str, Any] = {}
+    exec(compile(source, "<generated kernel>", "exec"), namespace)
+    return namespace["_make"]
+
+
+def compile_kernel(
+    kind: str,
+    exprs: Sequence[Expr],
+    relation: Relation,
+    registry: UDFRegistry | None = None,
+) -> Callable:
+    """Generate, compile (once per source text) and instantiate the
+    ``kind`` kernel (see ``_BODIES``) of ``exprs`` over ``relation``'s
+    layout.  The returned function's ``.source`` is the generated text.
+
+    A column ``relation`` does not have raises ``KeyError``; an unknown
+    function or operator ``ValueError`` — at generation, not per row.
+    """
+    gen = _Codegen(relation, registry)
+    try:
+        texts = [gen.expr(e) for e in exprs]
+        body = _BODIES[kind].format(
+            *texts,
+            tuple=f"({', '.join(texts)},)" if texts else "()",
+            conj=" and ".join(texts),
+        )
+        params = ", ".join(f"k{i}" for i in range(len(gen.constants)))
+        source = f"def _make({params}):\n    {body}\n    return run\n"
+        factory = kernel_factory(source)
+    except (RecursionError, SyntaxError) as exc:
+        # CPython caps nesting depth; any other syntax error is a bug
+        # in the generator
+        if isinstance(exc, SyntaxError) and "too many" not in exc.msg:
+            raise
+        raise ValueError(f"expression nests too deeply to compile: {exc}") from exc
+    kernel = factory(*gen.constants)
+    kernel.source = source
+    return kernel
 
 
 def compile_expr(
@@ -88,72 +304,24 @@ def compile_expr(
     relation: Relation,
     registry: UDFRegistry | None = None,
 ) -> RowFn:
-    """Compile a scalar expression into a ``row -> value`` closure.
+    """Compile a scalar expression into a ``row -> value`` kernel.
 
     Aggregate functions are *not* handled here (see the engine's
     aggregation stage); scalar UDFs resolve through ``registry``.
     """
-    if isinstance(expr, Lit):
-        value = expr.value
-        return lambda row: value
-    if isinstance(expr, Col):
-        name = f"{expr.table}.{expr.name}" if expr.table else expr.name
-        index = relation.index_of(name)
-        return lambda row: row[index]
-    if isinstance(expr, UnaryOp):
-        inner = compile_expr(expr.operand, relation, registry)
-        if expr.op == "NOT":
-            return lambda row: not inner(row)
-        if expr.op == "-":
-            return lambda row: -inner(row)
-        raise ValueError(f"unsupported unary operator {expr.op!r}")
-    if isinstance(expr, BinOp):
-        if expr.op == "IS":
-            inner = compile_expr(expr.left, relation, registry)
-            return lambda row: inner(row) is None
-        if expr.op == "IS NOT":
-            inner = compile_expr(expr.left, relation, registry)
-            return lambda row: inner(row) is not None
-        if expr.op == "LIKE":
-            left = compile_expr(expr.left, relation, registry)
-            pattern = expr.right
-            if not isinstance(pattern, Lit) or not isinstance(pattern.value, str):
-                raise ValueError("LIKE requires a string literal pattern")
-            regex = re.compile(
-                re.escape(pattern.value).replace("%", ".*").replace("_", ".")
-            )
-            return lambda row: (
-                left(row) is not None and regex.fullmatch(str(left(row))) is not None
-            )
-        op = _ARITHMETIC.get(expr.op)
-        if op is None:
-            raise ValueError(f"unsupported operator {expr.op!r}")
-        left = compile_expr(expr.left, relation, registry)
-        right = compile_expr(expr.right, relation, registry)
-        return lambda row: op(left(row), right(row))
-    if isinstance(expr, Func):
-        if expr.name == "IN_LIST":
-            target = compile_expr(expr.args[0], relation, registry)
-            values = []
-            for arg in expr.args[1:]:
-                if not isinstance(arg, Lit):
-                    raise ValueError("IN list must contain literals")
-                values.append(arg.value)
-            candidates = set(values)
-            return lambda row: target(row) in candidates
-        if registry is not None:
-            udf = registry.scalar(expr.name)
-            if udf is not None:
-                compiled = [compile_expr(a, relation, registry) for a in expr.args]
-                fn = udf.fn
-                if len(compiled) == 1:
-                    single = compiled[0]
-                    return lambda row: fn(single(row))
-                return lambda row: fn(*[c(row) for c in compiled])
-        raise ValueError(f"unknown scalar function {expr.name!r}")
-    if isinstance(expr, Star):
-        raise ValueError("* is not a scalar expression")
-    raise TypeError(f"cannot compile expression {expr!r}")
+    return compile_kernel("value", (expr,), relation, registry)
+
+
+def key_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """``row -> tuple(row[i] for i in positions)``, specialised by arity
+    and C-level throughout (one key column is a one-wide slice): the
+    join, index and probe key of every hash table on the row path."""
+    if len(positions) == 1:
+        (only,) = positions
+        return itemgetter(slice(only, only + 1))
+    if not positions:
+        return itemgetter(slice(0, 0))
+    return itemgetter(*positions)
 
 
 class JoinedRows:
@@ -199,20 +367,15 @@ class JoinedRows:
 
     def materialise(self) -> Relation:
         """Carry the join out into a :class:`Relation`."""
-        lookup = self._table.get
-        probe_idx = self._probe_idx
-        build_is_left = self._build_is_left
-        rows = self._header.rows
-        for row in self._probe_rows:
-            matches = lookup(tuple(row[i] for i in probe_idx))
-            if not matches:
-                continue
-            if build_is_left:
-                for match in matches:
-                    rows.append(match + row)
-            else:
-                for match in matches:
-                    rows.append(row + match)
+        probe_rows = self._probe_rows
+        found = zip(probe_rows, map(
+            self._table.get, map(key_getter(self._probe_idx), probe_rows)
+        ))
+        if self._build_is_left:
+            rows = [m + row for row, matches in found if matches for m in matches]
+        else:
+            rows = [row + m for row, matches in found if matches for m in matches]
+        self._header.rows = rows
         self._enumerated = len(rows)
         return self._header
 
@@ -245,17 +408,18 @@ class JoinedRows:
             (left_part, right_part) if build_is_left
             else (right_part, left_part)
         )
+        build_key = key_getter(build_part)
         keyed = {
-            key: [(tuple(row[i] for i in build_part), row) for row in rows]
+            key: [(build_key(row), row) for row in rows]
             for key, rows in self._table.items()
         }
-        probe_idx = self._probe_idx
+        probe_key, tail_key = key_getter(self._probe_idx), key_getter(probe_part)
         for row in self._probe_rows:
-            matches = keyed.get(tuple(row[i] for i in probe_idx))
+            matches = keyed.get(probe_key(row))
             if not matches:
                 continue
             self._enumerated += len(matches)
-            tail = tuple(row[i] for i in probe_part)
+            tail = tail_key(row)
             if build_is_left:
                 for head, match in matches:
                     found = lookup(head + tail)
@@ -286,10 +450,10 @@ def hash_join_rows(
     build_keys, probe_keys = (
         (left_keys, right_keys) if build_is_left else (right_keys, left_keys)
     )
-    build_idx = [build.index_of(k) for k in build_keys]
+    build_key = key_getter([build.index_of(k) for k in build_keys])
     table: dict[tuple, list[tuple]] = {}
     for row in build.rows:
-        table.setdefault(tuple(row[i] for i in build_idx), []).append(row)
+        table.setdefault(build_key(row), []).append(row)
     return JoinedRows(
         left.columns,
         right.columns,
@@ -355,8 +519,9 @@ class StaticTable:
         index = self._indexes.get(key)
         if index is None:
             index = {}
+            row_key = key_getter(key)
             for row in self.relation.rows:
-                index.setdefault(tuple(row[i] for i in key), []).append(row)
+                index.setdefault(row_key(row), []).append(row)
             self._indexes[key] = index
         return index
 
@@ -377,14 +542,11 @@ class StaticTable:
                 for match in matches:
                     rows.append(row + match)
         else:
-            index = self.index_for(static_keys)
-            probe_idx = [probe.index_of(k) for k in probe_keys]
-            for row in probe.rows:
-                matches = index.get(tuple(row[i] for i in probe_idx))
-                if not matches:
-                    continue
-                for match in matches:
-                    rows.append(row + match)
+            probe_key = key_getter([probe.index_of(k) for k in probe_keys])
+            found = zip(probe.rows, map(
+                self.index_for(static_keys).get, map(probe_key, probe.rows)
+            ))
+            rows = [row + m for row, matches in found if matches for m in matches]
         return Relation(probe.columns + self.relation.columns, rows)
 
 

@@ -204,7 +204,7 @@ class PaneExecutor(TierExecutor):
         groups, argument_fns = rt._group_members(ctx, relation)
         state: dict[tuple, tuple] = {}
         for key, members in groups.items():
-            # Partials sharing an argument closure (AVG's SUM + COUNT
+            # Partials sharing an argument kernel (AVG's SUM + COUNT
             # both read the same expression) share one evaluated,
             # None-filtered value list per group.
             evaluated: dict[int, list] = {}
@@ -215,8 +215,7 @@ class PaneExecutor(TierExecutor):
                     continue
                 values = evaluated.get(id(fn))
                 if values is None:
-                    values = [v for m in members if (v := fn(m)) is not None]
-                    evaluated[id(fn)] = values
+                    values = evaluated[id(fn)] = fn(members)
                 payloads.append(factory.build(values))
             state[key] = tuple(payloads)
         return state
@@ -243,5 +242,5 @@ class PaneExecutor(TierExecutor):
         ]
         return finalize_rows(
             out_rows, ctx.combiner, self.runtime.udfs,
-            compiler=self.runtime._compile,
+            kernels=self.runtime._kernel,
         )

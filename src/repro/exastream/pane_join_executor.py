@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Any
 
 from .mqo.runtime import PaneSideEntry
-from .operators import JoinedRows, Relation
+from .operators import JoinedRows, Relation, key_getter
 from .pane_executor import PartialContext, TierExecutor
 from .partial_agg import finalize_rows
 from .plan import WindowedStreamRef
@@ -284,7 +284,7 @@ class PaneJoinExecutor(TierExecutor):
             out_rows.append(ctx.final_row(key, partial))
         return finalize_rows(
             out_rows, ctx.combiner, self.runtime.udfs,
-            compiler=self.runtime._compile,
+            kernels=self.runtime._kernel,
         )
 
     def _side_pane(
@@ -385,9 +385,8 @@ class PaneJoinExecutor(TierExecutor):
             index = right.entry.index_for(ctx.join.right_keys, rel_right)
             probe, probe_keys = rel_left, ctx.join.left_keys
         key_idx = [probe.index_of(c) for c in probe_keys]
-        if not any(
-            tuple(row[i] for i in key_idx) in index for row in probe.rows
-        ):
+        probe_key = key_getter(key_idx)
+        if not any(probe_key(row) in index for row in probe.rows):
             return {}  # no pair: no static probe either
         relation = rt._join_statics(JoinedRows(
             rel_left.columns, rel_right.columns,
@@ -398,16 +397,23 @@ class PaneJoinExecutor(TierExecutor):
         left_pos = relation.index_of(f"{ctx.join.left_alias}.__pane_pos")
         right_pos = relation.index_of(f"{ctx.join.right_alias}.__pane_pos")
         groups, argument_fns = rt._group_members(ctx, relation)
+        # an ordered entry carries its row's pane positions, so it reads
+        # the argument per row
+        row_fns = [
+            rt._kernel("value", (call.argument,), relation)
+            if kind == "ordered" else None
+            for kind, call in zip(ctx.kinds, ctx.partial_calls)
+        ]
         state: dict[tuple, tuple] = {}
         for key, members in groups.items():
-            # Partials sharing an argument closure (AVG's SUM + COUNT)
+            # Partials sharing an argument kernel (AVG's SUM + COUNT)
             # share one evaluated, None-filtered pass per group.
             entry_lists: dict[int, list] = {}
             value_lists: dict[int, list] = {}
             scalars: list[Any] = []
             ordered: list[list] = []
-            for kind, factory, fn in zip(
-                ctx.kinds, ctx.factories, argument_fns
+            for kind, factory, fn, value in zip(
+                ctx.kinds, ctx.factories, argument_fns, row_fns
             ):
                 if kind == "ordered":
                     entries = entry_lists.get(id(fn))
@@ -415,7 +421,7 @@ class PaneJoinExecutor(TierExecutor):
                         entries = [
                             (left_id, m[left_pos], right_id, m[right_pos], v)
                             for m in members
-                            if (v := fn(m)) is not None
+                            if (v := value(m)) is not None
                         ]
                         entry_lists[id(fn)] = entries
                     ordered.append(entries)
@@ -429,9 +435,7 @@ class PaneJoinExecutor(TierExecutor):
                     if entries is not None:  # AVG: reuse the SUM pass
                         values = [entry[4] for entry in entries]
                     else:
-                        values = [
-                            v for m in members if (v := fn(m)) is not None
-                        ]
+                        values = fn(members)
                     value_lists[id(fn)] = values
                 scalars.append(factory.build(values))
             state[key] = (tuple(scalars), tuple(ordered))

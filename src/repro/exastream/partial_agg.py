@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any
 
 from ..sql import Expr
 from ..streams import PanePlan, pane_plan
-from .operators import Relation, compile_expr
+from .operators import Relation, compile_kernel
 from .plan import AggregateCall, ContinuousPlan, PaneJoinSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -173,23 +173,23 @@ def finalize_rows(
     rows: list[tuple],
     combiner: CombinerSpec,
     udfs: UDFRegistry | None = None,
-    compiler=None,
+    kernels=None,
 ) -> list[tuple]:
     """The shared post-combine tail: HAVING, canonical order, DISTINCT.
 
     Applies the same steps, in the same order, as the engine's
     full-recompute aggregation stage, so combined output is
-    indistinguishable from single-pass output.  ``compiler`` lets a
-    runtime substitute its memoized ``(expr, relation) -> closure``
-    compiler for the plain one.
+    indistinguishable from single-pass output.  ``kernels`` lets a
+    runtime substitute its memoised ``(kind, exprs, relation) ->
+    kernel`` builder for :func:`compile_kernel`.
     """
     if combiner.having:
         relation = Relation(list(combiner.out_columns), rows)
-        if compiler is None:
-            fns = [compile_expr(p, relation, udfs) for p in combiner.having]
+        if kernels is None:
+            having = compile_kernel("filter", combiner.having, relation, udfs)
         else:
-            fns = [compiler(p, relation) for p in combiner.having]
-        rows = [r for r in rows if all(fn(r) for fn in fns)]
+            having = kernels("filter", combiner.having, relation)
+        rows = having(rows)
     rows.sort(key=canonical_row_key)
     if combiner.distinct:
         rows = list(dict.fromkeys(rows))

@@ -145,7 +145,7 @@ def _shard_server(conn, runtime: PlanRuntime) -> None:
 class ForkShardWorker:
     """One shard in a forked OS process (real data-parallel execution).
 
-    The fork inherits the bound runtime — plans, compiled closures,
+    The fork inherits the bound runtime — plans, generated kernels,
     partitioned data and UDFs cross without pickling; only window
     results come back over the pipe.
     """

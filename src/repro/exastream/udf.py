@@ -1,4 +1,4 @@
-"""User Defined Functions and trace-style operator fusion.
+"""User Defined Functions.
 
 EXASTREAM "natively supports User Defined Functions (UDFs) with arbitrary
 user code [and] blends the execution of UDFs together with relational
@@ -12,15 +12,15 @@ We reproduce the two UDF kinds the paper uses:
   window — the mechanism behind STARQL's HAVING macros
   (``MONOTONIC.HAVING``) and the LSH/Pearson correlation tasks.
 
-:func:`fuse` is our stand-in for trace JIT-compilation: a chain of scalar
-stages collapses into one Python closure, removing per-stage dispatch
-exactly as tracing removes interpreter context switches (benchmark E12).
+The fusion the paper gets from tracing happens in the engine's generated
+kernels (:func:`repro.exastream.operators.compile_kernel`): a chain of
+scalar UDFs inlines there as nested calls in one compiled function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from typing import Any
 
 import numpy as np
@@ -29,7 +29,6 @@ __all__ = [
     "ScalarUDF",
     "SequenceUDF",
     "UDFRegistry",
-    "fuse",
     "builtin_registry",
 ]
 
@@ -96,28 +95,6 @@ class UDFRegistry:
 
     def names(self) -> set[str]:
         return set(self._scalar) | set(self._sequence)
-
-
-def fuse(stages: Sequence[Callable[[Any], Any]]) -> Callable[[Any], Any]:
-    """Collapse a chain of unary stages into a single closure.
-
-    ``fuse([f, g, h])(x) == h(g(f(x)))`` with no intermediate dispatch
-    list — the loop is unrolled at fusion time, mirroring how the JIT
-    keeps only the relevant execution trace.
-    """
-    if not stages:
-        return lambda value: value
-    if len(stages) == 1:
-        return stages[0]
-    if len(stages) == 2:
-        f0, f1 = stages
-        return lambda value: f1(f0(value))
-    if len(stages) == 3:
-        g0, g1, g2 = stages
-        return lambda value: g2(g1(g0(value)))
-    head = fuse(stages[:3])
-    tail = fuse(stages[3:])
-    return lambda value: tail(head(value))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Tests for the EXASTREAM engine: operators, planner, gateway, scheduler,
-UDFs, fusion and the cluster simulator."""
+UDFs, UDF-chain kernels and the cluster simulator."""
 
 import hashlib
 import random
@@ -18,7 +18,6 @@ from repro.exastream import (
     builtin_registry,
     calibrate,
     compile_expr,
-    fuse,
     hash_join,
     hash_join_rows,
     nested_loop_join,
@@ -121,6 +120,23 @@ class TestRelationAndExpr:
         registry = builtin_registry()
         fn = compile_expr(Func("C2F", (Col(None, "v"),)), rel, registry)
         assert fn((100.0,)) == 212.0
+
+    def test_scalar_udf_chain_is_one_kernel(self):
+        # three registered scalar UDFs nest into one generated function:
+        # the fusion the paper's tracing JIT performs on UDF chains
+        registry = builtin_registry()
+        registry.register_scalar("INC", lambda x: x + 1, 1)
+        registry.register_scalar("DBL", lambda x: x * 2, 1)
+        registry.register_scalar("DEC", lambda x: x - 3, 1)
+        rel = Relation(["w.v"], [])
+        chain = Func("DEC", (Func("DBL", (Func("INC", (Col("w", "v"),)),)),))
+        fn = compile_expr(chain, rel, registry)
+        assert "k0(k1(k2(row[0])))" in fn.source
+        for v in (5, -2.5, 0):
+            staged = v
+            for name in ("INC", "DBL", "DEC"):
+                staged = registry.scalar(name)(staged)
+            assert fn((v,)) == staged
 
     def test_unknown_function_raises(self):
         rel = Relation(["v"], [])
@@ -339,19 +355,6 @@ class TestT05ShapedPlan:
             metrics = node.metrics.query("q0")
             assert metrics.windows_pane_join == metrics.windows_processed > 0
             assert metrics.pane_pairs_built > 0
-
-
-class TestFusion:
-    def test_fuse_empty_identity(self):
-        assert fuse([])(42) == 42
-
-    def test_fuse_composition_order(self):
-        stages = [lambda x: x + 1, lambda x: x * 2, lambda x: x - 3]
-        assert fuse(stages)(5) == (5 + 1) * 2 - 3
-
-    def test_fuse_many_stages(self):
-        stages = [lambda x, i=i: x + i for i in range(10)]
-        assert fuse(stages)(0) == sum(range(10))
 
 
 class TestPlannerAndGateway:
