@@ -8,7 +8,7 @@ RUFF ?= ruff
 
 export PYTHONPATH := src
 
-.PHONY: test test-audit bench bench-smoke bench-adaptive coverage examples smoke lint lint-cq test-recovery obs-demo ledger ledger-compare profile ci
+.PHONY: test test-audit bench bench-collect bench-smoke bench-adaptive coverage examples smoke lint lint-cq test-recovery obs-demo ledger ledger-compare profile ci
 
 test:
 	$(PY) -m pytest -x -q
@@ -54,6 +54,12 @@ lint-cq:
 
 bench:
 	$(PY) -m pytest benchmarks/bench_*.py -q
+
+# Import and collect every bench file without running one (~1 s): the
+# bench files are outside the tier-1 suite, so a bench that still
+# imports a deleted name fails here rather than only on `make bench`.
+bench-collect:
+	$(PY) -m pytest benchmarks/bench_*.py --collect-only -q
 
 # The CI benchmark job: the sharded-engine, pane-join and adaptive
 # benches on tiny workloads, with machine-readable results for the
@@ -124,4 +130,4 @@ examples:
 		$(PY) $$script > /dev/null; \
 	done; echo "all examples OK"
 
-ci: lint lint-cq test test-audit smoke examples bench-smoke
+ci: lint lint-cq test test-audit smoke examples bench-collect bench-smoke

@@ -1,18 +1,14 @@
-"""Cross-stream correlation: the LSH UDF and the Pearson catalog task.
+"""Cross-stream correlation: the Pearson catalog task in STARQL.
 
-Shows both faces of the paper's correlation machinery:
-
-* the exact Pearson sequence UDF behind catalog task 5 (STARQL), and
-* the LSH sketch UDF used to *find* correlated sensor pairs among many
-  streams without the quadratic exact computation.
+Catalog task 5 pairs the sensors of two assemblies of one turbine and
+alerts when their windowed readings correlate above 0.9, through the
+engine's exact ``PEARSON`` sequence UDF.  The fleet generator injects a correlated pair; the task
+must alert on it.
 
 Run:  python examples/correlation_monitoring.py
 """
 
-import numpy as np
-
 from repro.siemens import FleetConfig, deploy, diagnostic_catalog, generate_fleet
-from repro.streams import LSHCorrelator, exact_pearson
 
 
 def starql_pearson_task() -> None:
@@ -38,36 +34,9 @@ def starql_pearson_task() -> None:
         for subject, _, _ in handle.alerts()
     }
     print(f"sensors alerted as correlated: {sorted(alerts)[:6]}")
-    print(f"injected correlated pair     : {pair}\n")
+    print(f"injected correlated pair     : {pair}")
     assert pair[0] in alerts or pair[1] in alerts
-
-
-def lsh_discovery() -> None:
-    print("== LSH discovery among 200 streams ==")
-    rng = np.random.default_rng(3)
-    length = 128
-    latent = rng.standard_normal(length)
-    vectors = {}
-    for k in range(200):
-        vectors[f"noise{k}"] = rng.standard_normal(length)
-    vectors["pair_a"] = latent + 0.1 * rng.standard_normal(length)
-    vectors["pair_b"] = latent + 0.1 * rng.standard_normal(length)
-
-    lsh = LSHCorrelator(length, num_bits=512, bands=64, seed=11)
-    signatures = [lsh.signature(k, v) for k, v in vectors.items()]
-    candidates = lsh.candidate_pairs(signatures)
-    total_pairs = len(vectors) * (len(vectors) - 1) // 2
-    print(f"candidate pairs examined: {len(candidates)} "
-          f"of {total_pairs} possible ({len(candidates)/total_pairs:.1%})")
-    found = lsh.find_correlated(signatures, threshold=0.8)
-    for a, b, estimate in found[:5]:
-        exact = exact_pearson(vectors[a], vectors[b])
-        print(f"  {a} ~ {b}: estimated {estimate:.3f}, exact {exact:.3f}")
-    names = {frozenset((a, b)) for a, b, _ in found}
-    assert frozenset(("pair_a", "pair_b")) in names
-    print("the injected pair is found while scanning a fraction of all pairs")
 
 
 if __name__ == "__main__":
     starql_pearson_task()
-    lsh_discovery()

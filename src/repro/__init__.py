@@ -10,7 +10,7 @@ Subpackages
 ``repro.relational`` relational schemas + SQLite-backed static storage
 ``repro.sql``        SQL(+) AST, printer, parser
 ``repro.mappings``   R2RML-style mappings + UCQ-to-SQL unfolding
-``repro.streams``    CQL windows, wCache, sequences, adaptive index, LSH
+``repro.streams``    stream sources, CQL windows and panes, wCache
 ``repro.exastream``  the distributed stream engine + cluster simulator
 ``repro.starql``     the STARQL language: parser, semantics, translator
 ``repro.bootox``     ontology & mapping bootstrapping

@@ -47,8 +47,6 @@ the last are also a ``ValueError``:
 * ``repro.starql.MacroError``, ``repro.starql.TranslationError``,
   ``repro.exastream.PlanningError`` — text that parses but cannot be
   expanded, translated or planned;
-* ``repro.streams.SequencingError`` — a window's state sequence
-  violates a declared integrity constraint;
 * ``repro.ontology.InconsistentOntologyError`` — the ABox violates a
   (derived) negative inclusion.
 

@@ -18,7 +18,6 @@ The gateway owns one :class:`SharedPipelineRegistry` and folds every
 from .runtime import (
     MQOBinding,
     MQOStats,
-    PaneSideEntry,
     SharedPipeline,
     SharedPipelineRegistry,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "MQOStats",
     "SharedPipeline",
     "SharedPipelineRegistry",
-    "PaneSideEntry",
     "PlanSignature",
     "SideSignature",
     "canonical_expr",

@@ -39,12 +39,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ...obs.registry import CounterField, MetricRegistry, bind_counters
-from ..operators import Relation, key_getter
+from ..operators import Relation, StaticTable
 from .signature import PlanSignature
 
 __all__ = [
     "MQOStats",
-    "PaneSideEntry",
     "SharedPipeline",
     "SharedPipelineRegistry",
     "MQOBinding",
@@ -55,55 +54,10 @@ __all__ = [
 _NAMESPACES = ("p", "e", "w")
 
 
-class PaneSideEntry:
-    """One stream side's pane prefix: the loaded, computed-column-extended
-    and filtered pane relation plus its lazily built join hash tables.
-
-    This is the per-(side signature, pane) unit of the symmetric-hash
-    pane join — and the unit the MQO registry shares across queries
-    joining the same stream pair.  Hash indexes are cached by *resolved
-    column positions*, which are alias-rename-invariant, so subscribers
-    reading the relation under their own aliases still share one index
-    per join-key layout.
-    """
-
-    __slots__ = ("relation", "count", "_indexes")
-
-    def __init__(self, relation: Relation) -> None:
-        self.relation = relation
-        self.count = len(relation.rows)
-        self._indexes: dict[tuple[int, ...], dict] = {}
-
-    def index_for(
-        self, key_columns, relation: Relation | None = None
-    ) -> dict:
-        """The pane's hash table on ``key_columns`` (built on first use).
-
-        ``relation`` resolves the (possibly subscriber-renamed) column
-        names; the table itself maps key-value tuples to the matching
-        rows in pane arrival order.
-        """
-        resolver = relation if relation is not None else self.relation
-        positions = tuple(resolver.index_of(c) for c in key_columns)
-        index = self._indexes.get(positions)
-        if index is None:
-            index = {}
-            row_key = key_getter(positions)
-            for row in self.relation.rows:
-                index.setdefault(row_key(row), []).append(row)
-            self._indexes[positions] = index
-        return index
-
-    def __getstate__(self) -> dict:
-        # Checkpoints drop the derived hash tables: they rebuild on
-        # first probe, and serializing them would multiply the pane's
-        # footprint for no fidelity gain.
-        return {"relation": self.relation, "count": self.count}
-
-    def __setstate__(self, state: dict) -> None:
-        self.relation = state["relation"]
-        self.count = state["count"]
-        self._indexes = {}
+#: one stream side's pane prefix (the loaded, computed-column-extended
+#: and filtered pane relation) and its join hash indexes; checkpoints
+#: pickled it under this name
+PaneSideEntry = StaticTable
 
 
 class MQOStats:
@@ -341,7 +295,8 @@ class MQOBinding:
     map on read; partial-payload maps are alias-free (group-key values to
     payload tuples) and interchange directly.  ``side_pipes`` (two-stream
     join plans) hold one pipeline per stream side for the shared
-    per-(side, pane) :class:`PaneSideEntry` prefixes.
+    per-(side, pane) pane prefixes (each a
+    :class:`~repro.exastream.operators.StaticTable`).
     """
 
     query: str
@@ -419,10 +374,10 @@ class MQOBinding:
 
     def side_entry(
         self, side: int, namespace: str, index: int
-    ) -> tuple[PaneSideEntry, Relation] | None:
+    ) -> tuple[StaticTable, Relation] | None:
         """A shared side-pane prefix, with its relation renamed into this
-        subscriber's alias (the entry's hash tables are shared as-is:
-        they cache by resolved column positions, not names)."""
+        subscriber's alias (the entry's hash indexes are shared as-is:
+        they are keyed by column positions, not names)."""
         if side >= len(self.side_pipes):
             return None
         cached = self.side_pipes[side][0].get(namespace, index)
@@ -430,7 +385,7 @@ class MQOBinding:
             self.stats.relation_misses += 1
             return None
         self.stats.relation_hits += 1
-        assert isinstance(cached, PaneSideEntry)
+        assert isinstance(cached, StaticTable)
         renamed = Relation(
             self._rename(cached.relation.columns, self._side_from_canon[side]),
             cached.relation.rows,
@@ -438,25 +393,21 @@ class MQOBinding:
         return cached, renamed
 
     def put_side_entry(
-        self, side: int, namespace: str, index: int, entry: PaneSideEntry
-    ) -> PaneSideEntry | None:
-        """Publish a side-pane prefix; returns the canonical entry when
-        published so the publisher adopts it too — one hash-table cache
-        per pane, shared by publisher and subscribers alike."""
+        self, side: int, namespace: str, index: int, entry: StaticTable
+    ) -> None:
+        """Publish a side-pane prefix under canonical column names; the
+        published view shares ``entry``'s index dict, so publisher and
+        subscribers build each key layout once per pane."""
         if side >= len(self.side_pipes):
-            return None
+            return
         pipe, side_map = self.side_pipes[side]
         if pipe.subscriber_count < 2:
             # nobody to share with (see ``put_relation``)
-            return None
-        canonical = PaneSideEntry(
-            Relation(
-                self._rename(entry.relation.columns, side_map),
-                entry.relation.rows,
-            )
+            return
+        pipe.put(
+            namespace, index,
+            entry.renamed(self._rename(entry.relation.columns, side_map)),
         )
-        pipe.put(namespace, index, canonical)
-        return canonical
 
     def advance_side(self, side: int, namespace: str, low: int) -> None:
         """This query no longer needs side entries below ``low``."""

@@ -487,35 +487,56 @@ def nested_loop_join(
 
 
 class StaticTable:
-    """A static relation materialised once, with lazy per-key hash indexes.
+    """A relation that is never mutated once built, with hash indexes
+    keyed by column positions and built on the first probe.
 
-    Used as the build side of stream-static joins: "combine streaming
-    attributes ... with metadata that remain invariant in time".  A
-    table is never mutated once built, so one materialisation serves
-    every query that reads it (see :meth:`view`).
+    The one index class of the engine.  It is the build side of
+    stream-static joins — "combine streaming attributes ... with
+    metadata that remain invariant in time" — and the per-(side, pane)
+    prefix of the symmetric-hash pane join, which the MQO registry
+    shares across queries joining the same stream pair.  An index maps
+    key-value tuples to the matching rows in row order; it is keyed by
+    resolved positions, which renaming does not change, so every view
+    of one table (:meth:`view`, :meth:`renamed`) reads and fills the
+    one index dict.  Checkpoints drop the indexes: they rebuild on the
+    first probe after a load.
     """
 
-    def __init__(self, relation: Relation) -> None:
+    __slots__ = ("relation", "_indexes")
+
+    def __init__(
+        self,
+        relation: Relation,
+        indexes: dict[tuple[int, ...], dict[tuple, list[tuple]]] | None = None,
+    ) -> None:
         self.relation = relation
-        self._indexes: dict[tuple[int, ...], dict[tuple, list[tuple]]] = {}
+        self._indexes = {} if indexes is None else indexes
+
+    @property
+    def count(self) -> int:
+        return len(self.relation.rows)
+
+    def renamed(self, columns: list[str]) -> StaticTable:
+        """The same rows and indexes under ``columns``."""
+        return StaticTable(Relation(columns, self.relation.rows), self._indexes)
 
     def view(self, alias: str) -> StaticTable:
         """This table under ``alias``-qualified column names.
 
-        A view, not a copy: the row list is the same object.  The hash
-        indexes are the view's own, built on its first probe, so what a
-        query's first window costs does not depend on which other
-        queries happened to probe the relation before it.
+        A view, not a copy: the row list and the index dict are the
+        table's own, so every binding of one static relation version
+        builds each key layout once.
         """
-        return StaticTable(
-            Relation(
-                [f"{alias}.{name}" for name in self.relation.columns],
-                self.relation.rows,
-            )
-        )
+        return self.renamed([f"{alias}.{name}" for name in self.relation.columns])
 
-    def index_for(self, key_columns: Sequence[str]) -> dict[tuple, list[tuple]]:
-        key = tuple(self.relation.index_of(c) for c in key_columns)
+    def index_for(
+        self, key_columns: Sequence[str], relation: Relation | None = None
+    ) -> dict[tuple, list[tuple]]:
+        """The hash index on ``key_columns``, resolved through
+        ``relation`` (a renamed copy of this table's relation) or this
+        table's own column names."""
+        resolver = self.relation if relation is None else relation
+        key = tuple(resolver.index_of(c) for c in key_columns)
         index = self._indexes.get(key)
         if index is None:
             index = {}
@@ -524,6 +545,15 @@ class StaticTable:
                 index.setdefault(row_key(row), []).append(row)
             self._indexes[key] = index
         return index
+
+    def __getstate__(self) -> dict:
+        return {"relation": self.relation}
+
+    def __setstate__(self, state: dict) -> None:
+        # also reads the older {"relation", "count"} and {"relation",
+        # "_indexes"} states
+        self.relation = state["relation"]
+        self._indexes = {}
 
     def join_probe(
         self,

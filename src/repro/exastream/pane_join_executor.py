@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any
 
-from .mqo.runtime import PaneSideEntry
-from .operators import JoinedRows, Relation, key_getter
+from .operators import JoinedRows, Relation, StaticTable, key_getter
 from .pane_executor import PartialContext, TierExecutor
 from .partial_agg import finalize_rows
 from .plan import WindowedStreamRef
@@ -39,7 +38,7 @@ class _SideState:
     entry (rows, counts, hash tables) plus the relation under this
     query's own aliases."""
 
-    entry: PaneSideEntry
+    entry: StaticTable
     relation: Relation
 
     @property
@@ -75,7 +74,7 @@ class _PaneJoinContext(PartialContext):
         for index, kind in enumerate(kinds):
             slot = scalar_slot if kind == "scalar" else ordered_slot
             slot[index] = len(slot)
-        empty = PaneSideEntry(Relation([], []))
+        empty = StaticTable(Relation([], []))
         return cls(
             **vars(base),
             kinds=kinds,
@@ -327,15 +326,9 @@ class PaneJoinExecutor(TierExecutor):
             relation.columns + [f"{ref.alias}.__pane_pos"],
             [row + (i,) for i, row in enumerate(relation.rows)],
         )
-        entry = PaneSideEntry(relation)
+        entry = StaticTable(relation)
         if mqo is not None:
-            # adopt the published canonical entry (when sharing is live)
-            # so publisher and subscribers use one hash-table cache;
-            # index_for resolves key columns through the local relation,
-            # and positions are rename-invariant
-            shared = mqo.put_side_entry(side, *mqo_key, entry)
-            if shared is not None:
-                entry = shared
+            mqo.put_side_entry(side, *mqo_key, entry)
         return _SideState(entry, relation)
 
     def _pair(

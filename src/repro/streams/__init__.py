@@ -1,8 +1,5 @@
-"""Stream substrate: CQL windows, wCache, sequencing, indexing, LSH."""
+"""Stream substrate: stream sources, CQL windows and panes, the wCache."""
 
-from .adaptive_index import AdaptiveIndexer, AdaptiveIndexStats, BatchIndex
-from .lsh import LSHCorrelator, StreamSignature, exact_pearson
-from .sequence import SequencingError, State, StateSequence, build_sequence
 from .stream import ListSource, Stream, StreamSchema, StreamSource, merge_sources
 from .wcache import SharedWindowReader, WindowCache, WindowCacheStats
 from .window import (
@@ -18,16 +15,6 @@ from .window import (
 )
 
 __all__ = [
-    "AdaptiveIndexer",
-    "AdaptiveIndexStats",
-    "BatchIndex",
-    "LSHCorrelator",
-    "StreamSignature",
-    "exact_pearson",
-    "SequencingError",
-    "State",
-    "StateSequence",
-    "build_sequence",
     "ListSource",
     "Stream",
     "StreamSchema",

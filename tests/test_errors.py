@@ -1,6 +1,6 @@
 """Malformed input text fails inside the ``repro.errors`` family.
 
-The nine input-text error classes are each a ``ReproError`` and keep
+The eight input-text error classes are each a ``ReproError`` and keep
 the builtin base existing ``except`` clauses guard.
 """
 
@@ -18,7 +18,6 @@ from repro.queries import BGPSyntaxError
 from repro.siemens import FleetConfig, deploy, generate_fleet
 from repro.sql import SQLSyntaxError
 from repro.starql import MacroError, STARQLSyntaxError, TranslationError
-from repro.streams import SequencingError
 
 VALUE_ERRORS = (
     SQLSyntaxError,
@@ -28,7 +27,6 @@ VALUE_ERRORS = (
     MacroError,
     TranslationError,
     PlanningError,
-    SequencingError,
 )
 
 

@@ -168,12 +168,30 @@ class TestContracts:
         assert Engine.__subclasses__() == [StreamEngine]
 
     def test_checkpointed_classes_keep_their_import_paths(self):
-        # old checkpoints pickled pane-join side states under engine.py
-        from repro.exastream import engine, pane_join_executor
-        from repro.exastream.mqo.runtime import PaneSideEntry
+        import pickle
 
+        from repro.exastream import engine, pane_join_executor
+        from repro.exastream.operators import Relation, StaticTable
+
+        # old checkpoints pickled pane-join side states under engine.py
         assert engine._SideState is pane_join_executor._SideState
-        assert PaneSideEntry.__module__ == "repro.exastream.mqo.runtime"
+        # ... and their side entries as mqo.runtime.PaneSideEntry, with
+        # a {"relation", "count"} state
+        relation = Relation(["s.k", "s.v"], [(1, "a"), (2, "b"), (1, "c")])
+        state = pickle.dumps({"relation": relation, "count": 3}, protocol=2)
+        old = (
+            pickle.PROTO + bytes([2])
+            + pickle.GLOBAL + b"repro.exastream.mqo.runtime\nPaneSideEntry\n"
+            + pickle.EMPTY_TUPLE + pickle.NEWOBJ
+            + state[2:-1] + pickle.BUILD + pickle.STOP
+        )
+        entry = pickle.loads(old)
+        assert type(entry) is StaticTable
+        assert entry.count == 3 and entry._indexes == {}
+        assert entry.relation.rows == relation.rows
+        assert entry.index_for(["s.k"]) == {
+            (1,): [(1, "a"), (1, "c")], (2,): [(2, "b")],
+        }
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
     def test_fork_runtimes_keep_their_refusals(self):

@@ -258,8 +258,7 @@ class TestLookups:
     def test_side_rings_written_before_lookups_are_rebuilt(self):
         """A checkpoint taken when statics were probed per pane pair
         holds side panes without their lookups' columns."""
-        from repro.exastream.mqo.runtime import PaneSideEntry
-        from repro.exastream.operators import Relation
+        from repro.exastream.operators import Relation, StaticTable
         from repro.exastream.pane_join_executor import _SideState
 
         sql = LOOKUP_JOIN_SQL.format(ra=40, sa=5, rb=40, sb=5)
@@ -282,7 +281,7 @@ class TestLookups:
                     [columns[i] for i in keep],
                     [tuple(r[i] for i in keep) for r in side.relation.rows],
                 )
-                ring[pane] = _SideState(PaneSideEntry(old), old)
+                ring[pane] = _SideState(StaticTable(old), old)
         fresh = GatewayServer(build_engine(streams=streams, mqo=False))
         recovered = fresh.register(sql, name="q")
         recovered.runtime.restore_state(state)

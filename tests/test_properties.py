@@ -1,5 +1,7 @@
 """Cross-module property-based tests on core invariants."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,8 +9,8 @@ from repro.mappings import Template
 from repro.queries import canonical_form, ConjunctiveQuery, PropertyAtom
 from repro.rdf import IRI, Variable
 from repro.sql import parse_sql, print_query
+from repro.exastream.operators import Relation, StaticTable
 from repro.streams import (
-    AdaptiveIndexer,
     WindowCache,
     WindowSpec,
     time_sliding_window,
@@ -79,28 +81,56 @@ class TestWindowProperties:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive indexer ≡ scan
+# StaticTable (the one hash index) ≡ scan
 # ---------------------------------------------------------------------------
+
+_WIDTH = 3
+_aliases = st.text(alphabet="abcxyz", min_size=1, max_size=3)
 
 
 class TestIndexerProperties:
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(
-            st.tuples(st.integers(0, 5), st.integers(0, 100)),
-            min_size=0,
+            st.tuples(*[st.one_of(st.none(), st.integers(0, 4))] * _WIDTH),
             max_size=60,
         ),
-        st.lists(st.integers(0, 5), min_size=1, max_size=20),
+        st.lists(
+            st.lists(st.integers(0, _WIDTH - 1), min_size=1, max_size=3),
+            min_size=1,
+            max_size=4,
+        ),
+        st.lists(_aliases, min_size=2, max_size=4),
     )
-    def test_probe_results_independent_of_indexing(self, rows, probes):
-        batch = [tuple(r) for r in rows]
-        indexed = AdaptiveIndexer(probe_threshold=1, min_batch_size=1)
-        scanning = AdaptiveIndexer(enabled=False)
-        for value in probes:
-            assert indexed.probe("b", batch, 0, value) == scanning.probe(
-                "b", batch, 0, value
-            )
+    def test_probe_results_independent_of_indexing(
+        self, rows, layouts, aliases
+    ):
+        table = StaticTable(
+            Relation([f"c{i}" for i in range(_WIDTH)], list(rows))
+        )
+        views = [(alias, table.view(alias)) for alias in aliases]
+        for n, layout in enumerate(layouts):
+            alias, view = views[n % len(views)]
+            index = view.index_for([f"{alias}.c{i}" for i in layout])
+            # every lookup equals a row-order scan, and nothing more
+            scanned: dict[tuple, list[tuple]] = {}
+            for row in rows:
+                scanned.setdefault(tuple(row[i] for i in layout), []).append(row)
+            assert index == scanned
+            # every view of the table probes the one index dict
+            for other_alias, other in views:
+                assert other.index_for(
+                    [f"{other_alias}.c{i}" for i in layout]
+                ) is index
+            assert table.index_for([f"c{i}" for i in layout]) is index
+            # a loaded copy holds no index and builds an equal one
+            loaded = pickle.loads(pickle.dumps(view))
+            assert loaded._indexes == {}
+            assert loaded.relation.rows == view.relation.rows
+            rebuilt = loaded.index_for([f"{alias}.c{i}" for i in layout])
+            assert rebuilt == index and rebuilt is not index
+        assert all(view._indexes is table._indexes for _, view in views)
+        assert set(table._indexes) == {tuple(layout) for layout in layouts}
 
 
 # ---------------------------------------------------------------------------

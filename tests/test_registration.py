@@ -107,10 +107,10 @@ def test_queries_and_shards_share_one_materialisation(shards, static_queries):
     assert all(t.relation.rows is tables[0].relation.rows for t in tables)
     drain(gateway)
     verify_gateway(gateway)
-    # rows are shared, hash indexes are each view's own: a query's
-    # first probe costs the same whoever probed the relation before it
-    assert len({id(t._indexes) for t in tables}) == len(tables)
-    assert all(len(t._indexes) == 1 for t in tables)
+    # rows and hash indexes are shared: every view reads and fills the
+    # table's one index dict, so the one key layout is built once
+    assert len({id(t._indexes) for t in tables}) == 1
+    assert list(tables[0]._indexes) == [(0,)]
     del static_queries[:]
     assert snapshot(a) == solo(JOIN_T, shards)
     assert snapshot(b) == solo(JOIN_U, shards)
@@ -132,6 +132,10 @@ def test_pushdown_filter_stays_private():
     assert private.relation.rows is not shared.relation.rows
     assert private._indexes is not shared._indexes
     drain(gateway)
+    # each probed its own rows: the filtered table's index is its own
+    narrow_index = private.index_for(["t.sid"])
+    assert narrow_index is not shared.index_for(["t.sid"])
+    assert sum(map(len, narrow_index.values())) == len(private.relation.rows)
     assert snapshot(plain) == solo(JOIN_T, 0)
     assert snapshot(narrow) == solo(filtered, 0)
 
@@ -217,6 +221,29 @@ def test_insert_invalidates_for_the_next_registration_only(static_queries):
     assert before == run(JOIN_T, [0, 1, 2])[0]  # untouched by the insert
     assert after == run(JOIN_U, [0, 1, 2, 3, 4, 5])[0]  # sees the new rows
     assert after != run(JOIN_U, [0, 1, 2])[0]
+
+
+def test_insert_gives_the_next_registration_a_new_index():
+    engine = build_engine(list(ROWS), attach_static=False)
+    db = sensors_db([0, 1, 2])
+    engine.attach_database("meta", db)
+    gateway = GatewayServer(engine)
+    first = gateway.register(JOIN_T, name="first")
+    gateway.step(2)
+    old = first.runtime.statics["t"]
+    old_index = old._indexes[(0,)]
+    db.insert("sensors", [(s, "temp") for s in (3, 4, 5)])
+    second = gateway.register(JOIN_U, name="second")
+    new = second.runtime.statics["u"]
+    assert new.relation.rows is not old.relation.rows
+    assert new._indexes is not old._indexes
+    drain(gateway)
+    # the live runtime kept its rows and its index; the new version
+    # built its own on its first probe
+    assert first.runtime.statics["t"] is old
+    assert old._indexes == {(0,): old_index}
+    assert sorted(old_index) == [(0,), (1,), (2,)]
+    assert sorted(new._indexes[(0,)]) == [(s,) for s in range(6)]
 
 
 def test_catalog_empty_after_recover_and_close(tmp_path):

@@ -83,14 +83,16 @@ class TestGenerator:
         assert any(r[3] == 1 for r in rows)  # failure flag raised
 
     def test_correlated_pair(self, small_fleet):
-        from repro.streams import exact_pearson
+        from repro.exastream import builtin_registry
 
         a, b = small_fleet.correlated[0]
         source = small_fleet.measurement_source([a, b], duration_seconds=30)
         series = {a: [], b: []}
         for _ts, sid, val, _ in source:
             series[sid].append(val)
-        assert exact_pearson(series[a], series[b]) > 0.95
+        pearson = builtin_registry().sequence("PEARSON")
+        pairs = list(zip(series[a], series[b]))
+        assert pearson(pairs, {"x": 0, "y": 1}) > 0.95
 
     def test_event_source(self, small_fleet):
         events = list(small_fleet.event_source(duration_seconds=60))

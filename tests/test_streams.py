@@ -1,22 +1,16 @@
-"""Tests for streams: windows, wCache, sequences, adaptive index, LSH."""
+"""Tests for streams: sources, windows, the wCache."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.relational import Column, SQLType
 from repro.streams import (
-    AdaptiveIndexer,
-    LSHCorrelator,
     ListSource,
-    SequencingError,
     SharedWindowReader,
     Stream,
     StreamSchema,
     WindowCache,
     WindowSpec,
-    build_sequence,
-    exact_pearson,
     merge_sources,
     time_sliding_window,
 )
@@ -195,154 +189,3 @@ class TestWindowCache:
         reader.window(3)
         reader.window(3)
         assert 0 < cache.stats.hit_rate < 1
-
-
-class TestSequencing:
-    def batch(self):
-        return WindowBatch(
-            0,
-            0.0,
-            3.0,
-            [(0.0, 1, 10.0), (1.0, 1, 11.0), (1.0, 2, 12.0), (3.0, 1, 13.0)],
-        )
-
-    def test_states_grouped_by_timestamp(self):
-        seq = build_sequence(self.batch(), 0)
-        assert len(seq) == 3
-        assert [s.timestamp for s in seq] == [0.0, 1.0, 3.0]
-        assert len(seq[1]) == 2
-
-    def test_indexes(self):
-        seq = build_sequence(self.batch(), 0)
-        assert list(seq.indexes()) == [0, 1, 2]
-
-    def test_functionality_ok(self):
-        seq = build_sequence(
-            self.batch(), 0, functional_key=lambda t: (t[0], t[1])
-        )
-        assert len(seq) == 3
-
-    def test_functionality_violation(self):
-        bad = WindowBatch(0, 0.0, 1.0, [(0.0, 1, 10.0), (0.0, 1, 99.0)])
-        with pytest.raises(SequencingError):
-            build_sequence(bad, 0, functional_key=lambda t: (t[0], t[1]))
-
-    def test_graph_materialisation(self):
-        from repro.rdf import IRI, term_from_python
-
-        def to_triples(t):
-            yield (IRI(f"urn:s{t[1]}"), IRI("urn:hasValue"), term_from_python(t[2]))
-
-        seq = build_sequence(self.batch(), 0, to_triples=to_triples)
-        assert seq[0].graph is not None and len(seq[0].graph) == 1
-        assert len(seq[1].graph) == 2
-
-
-class TestAdaptiveIndexer:
-    def batch(self, n=100):
-        return [(float(i), i % 10, float(i)) for i in range(n)]
-
-    def test_scan_until_threshold(self):
-        idx = AdaptiveIndexer(probe_threshold=3, min_batch_size=10)
-        rows = self.batch()
-        for _ in range(2):
-            idx.probe("b0", rows, 1, 3)
-        assert idx.stats.indexes_built == 0
-        idx.probe("b0", rows, 1, 3)
-        assert idx.stats.indexes_built == 1
-        result = idx.probe("b0", rows, 1, 3)
-        assert len(result) == 10
-        assert idx.stats.index_probes >= 2
-
-    def test_results_identical_with_and_without_index(self):
-        rows = self.batch()
-        indexed = AdaptiveIndexer(probe_threshold=1, min_batch_size=1)
-        plain = AdaptiveIndexer(enabled=False)
-        for value in range(10):
-            assert indexed.probe("b", rows, 1, value) == plain.probe(
-                "b", rows, 1, value
-            )
-
-    def test_small_batches_never_indexed(self):
-        idx = AdaptiveIndexer(probe_threshold=1, min_batch_size=1000)
-        rows = self.batch(50)
-        for _ in range(10):
-            idx.probe("b", rows, 1, 1)
-        assert idx.stats.indexes_built == 0
-
-    def test_disabled_never_indexes(self):
-        idx = AdaptiveIndexer(enabled=False)
-        rows = self.batch()
-        for _ in range(10):
-            idx.probe("b", rows, 1, 1)
-        assert idx.index_count == 0
-
-    def test_drop_batch(self):
-        idx = AdaptiveIndexer(probe_threshold=1, min_batch_size=1)
-        rows = self.batch()
-        idx.probe("b", rows, 1, 1)
-        assert idx.index_count == 1
-        idx.drop_batch("b")
-        assert idx.index_count == 0
-
-    def test_separate_columns_indexed_separately(self):
-        idx = AdaptiveIndexer(probe_threshold=1, min_batch_size=1)
-        rows = self.batch()
-        idx.probe("b", rows, 1, 1)
-        idx.probe("b", rows, 2, 5.0)
-        assert idx.index_count == 2
-
-
-class TestLSH:
-    def test_exact_pearson(self):
-        a = [1, 2, 3, 4]
-        assert exact_pearson(a, a) == pytest.approx(1.0)
-        assert exact_pearson(a, [4, 3, 2, 1]) == pytest.approx(-1.0)
-        assert exact_pearson(a, [0, 0, 0, 0]) == 0.0
-
-    def test_exact_pearson_length_mismatch(self):
-        with pytest.raises(ValueError):
-            exact_pearson([1, 2], [1, 2, 3])
-
-    def test_estimate_close_to_exact(self):
-        rng = np.random.default_rng(0)
-        n = 128
-        base = rng.standard_normal(n)
-        noisy = base + 0.3 * rng.standard_normal(n)
-        anti = -base + 0.3 * rng.standard_normal(n)
-        lsh = LSHCorrelator(n, num_bits=2048, bands=64, seed=1)
-        s_base = lsh.signature("base", base)
-        s_noisy = lsh.signature("noisy", noisy)
-        s_anti = lsh.signature("anti", anti)
-        assert lsh.estimate_correlation(s_base, s_noisy) == pytest.approx(
-            exact_pearson(base, noisy), abs=0.12
-        )
-        assert lsh.estimate_correlation(s_base, s_anti) < -0.7
-
-    def test_identical_signature_full_correlation(self):
-        lsh = LSHCorrelator(16, num_bits=64, bands=8)
-        s = lsh.signature("a", list(range(16)))
-        assert lsh.estimate_correlation(s, s) == pytest.approx(1.0)
-
-    def test_candidate_pairs_find_correlated(self):
-        rng = np.random.default_rng(2)
-        n = 64
-        base = rng.standard_normal(n)
-        vectors = {"a": base, "b": base + 0.05 * rng.standard_normal(n)}
-        for k in range(10):
-            vectors[f"noise{k}"] = rng.standard_normal(n)
-        lsh = LSHCorrelator(n, num_bits=256, bands=32, seed=3)
-        sigs = [lsh.signature(k, v) for k, v in vectors.items()]
-        found = lsh.find_correlated(sigs, threshold=0.8)
-        assert ("a", "b", pytest.approx(1.0, abs=0.2)) in [
-            (p[0], p[1], p[2]) for p in found
-        ] or any(p[:2] == ("a", "b") for p in found)
-
-    def test_bits_band_divisibility(self):
-        with pytest.raises(ValueError):
-            LSHCorrelator(8, num_bits=10, bands=3)
-
-    def test_vector_length_enforced(self):
-        lsh = LSHCorrelator(8)
-        with pytest.raises(ValueError):
-            lsh.signature("a", list(range(9)))
