@@ -8,6 +8,11 @@ Two measurements:
 * **calibrated simulator**: extend the sweep to 1,024 tasks on a 16-node
   deployment (the demo's setting), asserting per-window latency stays
   flat (real-time processing is preserved).
+
+A paper reproduction, not a gate: it regenerates a claim of the paper,
+is not part of the tier-1 suite, and CI only collects it (``make
+bench-collect``); the repo's benchmark is the ledger
+(``benchmarks/ledger/``, ``make ledger``).
 """
 
 import pytest

@@ -5,6 +5,11 @@ ontology if the ontology is OWL 2 QL."  We sweep class-hierarchy width
 and depth and check the rewriting time and output size grow
 polynomially (here: linearly in the number of subclasses for an atomic
 query), not exponentially.
+
+A paper reproduction, not a gate: it regenerates a claim of the paper,
+is not part of the tier-1 suite, and CI only collects it (``make
+bench-collect``); the repo's benchmark is the ledger
+(``benchmarks/ledger/``, ``make ledger``).
 """
 
 import time

@@ -4,6 +4,11 @@ Regenerates the paper's flagship example: parse the STARQL program,
 enrich + unfold it, run it over a measurement stream with an injected
 ramp, and verify the alert fires exactly on the ramping sensor.
 The benchmark times one full window-sweep of the compiled plan.
+
+A paper reproduction, not a gate: it regenerates a claim of the paper,
+is not part of the tier-1 suite, and CI only collects it (``make
+bench-collect``); the repo's benchmark is the ledger
+(``benchmarks/ledger/``, ``make ledger``).
 """
 
 from repro.exastream import QueryState

@@ -11,6 +11,11 @@ This bench measures, for the 20-task catalog:
   naive unfolding (no redundancy elimination, the fleet a human would
   have to hand-maintain) and the optimised one;
 * the text-size ratio between the STARQL program and its SQL fleet.
+
+A paper reproduction, not a gate: it regenerates a claim of the paper,
+is not part of the tier-1 suite, and CI only collects it (``make
+bench-collect``); the repo's benchmark is the ledger
+(``benchmarks/ledger/``, ``make ledger``).
 """
 
 

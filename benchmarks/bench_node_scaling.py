@@ -8,6 +8,11 @@ We calibrate the cluster simulator with the *measured* single-node
 engine throughput and sweep 1 -> 128 nodes.  Shape assertions: speedup
 near-linear over the first doublings, flattening toward 128 (the serial
 coordinator), and double-digit-millions tuples/sec at full scale.
+
+A paper reproduction, not a gate: it regenerates a claim of the paper,
+is not part of the tier-1 suite, and CI only collects it (``make
+bench-collect``); the repo's benchmark is the ledger
+(``benchmarks/ledger/``, ``make ledger``).
 """
 
 

@@ -4,6 +4,11 @@ The Scheduler "places stream and relational operators on worker nodes
 based on the node's load".  We place a skewed query population (mixed
 operator counts and window volumes) on 16 workers and measure the load
 balance, plus placement throughput.
+
+A paper reproduction, not a gate: it regenerates a claim of the paper,
+is not part of the tier-1 suite, and CI only collects it (``make
+bench-collect``); the repo's benchmark is the ledger
+(``benchmarks/ledger/``, ``make ledger``).
 """
 
 

@@ -7,6 +7,11 @@ exactly one UNION block to an atomic query's fleet).  Linearity is
 asserted on a deterministic operation count — candidate mapping blocks
 built — rather than wall clock, which is hopelessly noisy on shared CI
 boxes (the old timing assert failed from the seed onward).
+
+A paper reproduction, not a gate: it regenerates a claim of the paper,
+is not part of the tier-1 suite, and CI only collects it (``make
+bench-collect``); the repo's benchmark is the ledger
+(``benchmarks/ledger/``, ``make ledger``).
 """
 
 import pytest

@@ -5,6 +5,11 @@ on the time column ... [it] will then produce results to multiple
 queries accessing different streams."  Ablation: N queries reading the
 same windowed stream with a shared cache (one materialisation) vs
 private caches (N materialisations).
+
+A paper reproduction, not a gate: it regenerates a claim of the paper,
+is not part of the tier-1 suite, and CI only collects it (``make
+bench-collect``); the repo's benchmark is the ledger
+(``benchmarks/ledger/``, ``make ledger``).
 """
 
 

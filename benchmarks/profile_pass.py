@@ -3,16 +3,21 @@
     python benchmarks/profile_pass.py --workload siemens_catalog --seed 11
     make profile WORKLOAD=siemens_catalog SEED=11
 
-One discarded warm-up pass, then one pass under ``cProfile``: the top 25
-functions by cumulative and by self time, and a per-query table of
-``PlanRuntime.execute_window`` (calls, total, mean and worst window,
-share of the execute time).  The workload comes from the ledger
-(``ledger.workloads.make_workload``), so the pass is exactly what the
-benchmark times; nothing under ``benchmarks/ledger/`` is touched.
+One discarded warm-up pass; then one pass with ``perf_counter`` around
+the stream readers' entry points, printed as a per-reader table (stream
+and grid, pulses, tuples, and the seconds spent in the pulse cut with
+buffer eviction, in pane slicing and in batch assembly); then one pass
+under ``cProfile``: the top 25 functions by cumulative and by self time,
+and a per-query table of ``PlanRuntime.execute_window`` (calls, total,
+mean and worst window, share of the execute time).  The workload comes
+from the ledger (``ledger.workloads.make_workload``), so each pass is
+exactly what the benchmark times; nothing under ``benchmarks/ledger/``
+is touched.
 
 ``cProfile`` charges every Python call and no native work, which shifts
-proportions: use the tables to find candidates, then measure with the
-ledger (``make ledger``), profiling off.
+proportions (a per-tuple loop reads about 3x its real cost): use the
+tables to find candidates, then measure with the ledger (``make
+ledger``), profiling off.  The reader table is timed without it.
 """
 
 from __future__ import annotations
@@ -54,6 +59,96 @@ def per_query_table(windows: dict[str, list[float]]) -> str:
     return "\n".join(lines)
 
 
+class ReaderTimes:
+    """One reader's pulses, fresh tuples and seconds per entry point."""
+
+    def __init__(self, name: str, grid: str) -> None:
+        self.name, self.grid = name, grid
+        self.pulses = self.tuples = 0
+        self.cut = self.slicing = self.assembly = 0.0
+
+
+def reader_table(readers: list[ReaderTimes]) -> str:
+    """One row per reader, busiest first."""
+    lines = [
+        f"{'reader':<40}{'grid':>10}{'pulses':>8}{'tuples':>10}"
+        f"{'cut s':>8}{'slice s':>9}{'batch s':>9}"
+    ]
+    rows = sorted(readers, key=lambda r: -(r.cut + r.slicing + r.assembly))
+    for r in rows + [_total(readers)]:
+        lines.append(
+            f"{r.name[:39]:<40}{r.grid:>10}{r.pulses:>8}{r.tuples:>10}"
+            f"{r.cut:>8.3f}{r.slicing:>9.3f}{r.assembly:>9.3f}"
+        )
+    return "\n".join(lines)
+
+
+def _total(readers: list[ReaderTimes]) -> ReaderTimes:
+    total = ReaderTimes("all", "")
+    for r in readers:
+        total.pulses += r.pulses
+        total.tuples += r.tuples
+        total.cut += r.cut
+        total.slicing += r.slicing
+        total.assembly += r.assembly
+    return total
+
+
+def timed_readers(workload, tracer) -> list[ReaderTimes]:
+    """Run one pass with ``perf_counter`` around the reader's pulse cut
+    (``_next_pulse``), pane slicing (``_slice_pulse``) and batch
+    assembly (``_assemble``)."""
+    from repro.streams.wcache import SharedWindowReader
+
+    readers: dict[int, ReaderTimes] = {}
+    originals = {
+        name: getattr(SharedWindowReader, name)
+        for name in ("_next_pulse", "_slice_pulse", "_assemble")
+    }
+
+    def times_of(reader) -> ReaderTimes:
+        times = readers.get(id(reader))
+        if times is None:
+            spec = reader.spec
+            times = readers[id(reader)] = ReaderTimes(
+                reader.stream_name,
+                f"{spec.range_seconds:g}/{spec.slide_seconds:g}",
+            )
+        return times
+
+    def next_pulse(reader):
+        started = perf_counter()
+        pulse = originals["_next_pulse"](reader)
+        times = times_of(reader)
+        times.cut += perf_counter() - started
+        if pulse is not None:
+            times.pulses += 1
+            times.tuples += len(pulse.fresh)
+        return pulse
+
+    def slice_pulse(reader, pulse):
+        started = perf_counter()
+        originals["_slice_pulse"](reader, pulse)
+        times_of(reader).slicing += perf_counter() - started
+
+    def assemble(reader, pulse):
+        started = perf_counter()
+        batch = originals["_assemble"](reader, pulse)
+        times_of(reader).assembly += perf_counter() - started
+        return batch
+
+    SharedWindowReader._next_pulse = next_pulse
+    SharedWindowReader._slice_pulse = slice_pulse
+    SharedWindowReader._assemble = assemble
+    gc.collect()
+    try:
+        workload.run_pass(tracer)
+    finally:
+        for name, method in originals.items():
+            setattr(SharedWindowReader, name, method)
+    return list(readers.values())
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", default="siemens_catalog")
@@ -71,6 +166,7 @@ def main() -> int:
 
     workload = make_workload(args.workload, args.seed, SCALES[args.scale])
     workload.run_pass(NullTracer())  # warm-up, discarded
+    readers = timed_readers(workload, NullTracer())
 
     windows: dict[str, list[float]] = defaultdict(list)
     execute_window = PlanRuntime.execute_window
@@ -93,6 +189,9 @@ def main() -> int:
         PlanRuntime.execute_window = execute_window
 
     print(f"== {args.workload} seed {args.seed} scale {args.scale}: "
+          "stream readers (perf_counter pass, no profiler)")
+    print(reader_table(readers))
+    print(f"\n== {args.workload} seed {args.seed} scale {args.scale}: "
           f"{len(result.window_ms)} delivered windows, execute wall "
           f"{result.execute_wall_s:.2f} s (under cProfile)")
     for premise in result.premises:

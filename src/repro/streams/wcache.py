@@ -9,16 +9,25 @@ Concretely: many registered continuous queries read the *same* windowed
 stream.  Without the cache each query re-materialises every window; with
 it, the first reader pays the materialisation and later readers answer
 ``window_id = k`` lookups from the shared store.
+
+The reader works on arrays, not tuple by tuple: each pulse carries its
+fresh tuples' timestamps as one float64 array (see
+:func:`~repro.streams.window.time_window_pulses`), pane slicing assigns
+pane ids over that array with the same float expressions a per-tuple
+loop would evaluate, and panes are list slices of the arrivals.  Only
+tuples on a rounded grid boundary are placed one by one.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, deque
-from dataclasses import dataclass
-from itertools import islice
+from collections import OrderedDict
 from collections.abc import Callable, Iterator
+from dataclasses import dataclass
+from itertools import compress, islice
 from typing import Any
+
+import numpy as np
 
 from .window import (
     PanePlan,
@@ -30,9 +39,15 @@ from .window import (
     WindowSpec,
     pane_plan,
     time_window_pulses,
+    timestamps,
 )
 
 __all__ = ["WindowCacheStats", "WindowCache", "SharedWindowReader"]
+
+_NO_STAMPS = np.empty(0)
+_NO_PANES = np.empty(0, np.int64)
+#: pane ids from float quotients at or past this are not exact
+_EXACT_PANES = float(2**52)
 
 
 @dataclass
@@ -245,6 +260,7 @@ class SharedWindowReader:
         self._pane_valid_until = -1
         self._next_pane: int | None = None
         self._carry: list = []  # previous pulse's edge (next pane's head)
+        self._carry_stamps = _NO_STAMPS
         self._exhausted = False
         self._max_seen = -1
         self._last_pulse: WindowPulse | None = None
@@ -337,18 +353,15 @@ class SharedWindowReader:
         if not self._pane_demanded:
             self._next_pane = None
             self._carry = []
+            self._carry_stamps = _NO_STAMPS
 
     # -- pulse advancement --------------------------------------------------
 
     def _advance(self) -> WindowBatch | None:
         """Consume one pulse; returns the batch when assembly is on."""
-        try:
-            pulse = next(self._pulses)
-        except StopIteration:
-            self._exhausted = True
+        pulse = self._next_pulse()
+        if pulse is None:
             return None
-        self._last_pulse = pulse
-        self._max_seen = pulse.window_id
         if (
             self._pane_demanded
             and self._pane_plan is not None
@@ -356,19 +369,44 @@ class SharedWindowReader:
         ):
             self._slice_pulse(pulse)
         if self._batch_refs:
-            batch = pulse.materialise(self._time_index)
-            self._cache.put(self._stream_name, batch)
-            return batch
+            return self._assemble(pulse)
         return None
+
+    def _next_pulse(self) -> WindowPulse | None:
+        """The generator's next pulse (the cut and buffer eviction), or
+        ``None`` once the stream is exhausted."""
+        try:
+            pulse = next(self._pulses)
+        except StopIteration:
+            self._exhausted = True
+            return None
+        self._last_pulse = pulse
+        self._max_seen = pulse.window_id
+        return pulse
+
+    def _assemble(self, pulse: WindowPulse) -> WindowBatch:
+        """Materialise ``pulse``'s batch and cache it."""
+        batch = pulse.materialise()
+        self._cache.put(self._stream_name, batch)
+        return batch
 
     def _slice_pulse(self, pulse: WindowPulse) -> None:
         """Assign the pulse's fresh tuples to panes / edge / carry.
 
-        Each tuple is examined once across all pulses.  The pane path
-        requires arrival order to agree with pane order — any late or
-        pane-crossing out-of-order tuple that a future batch would still
-        contain breaks the invariant, and the reader falls back to
-        batches for good.
+        Each tuple is examined once across all pulses, as one element of
+        the pulse's float64 timestamp array: pane ids come from the
+        array arithmetic ``edge_pane - ceil((end - ts) / pane)``, and the
+        four grid-boundary tests run element-wise with the batch path's
+        own float expressions (numpy rounds every element exactly as the
+        Python expression would).  Only the tuples those tests flag go
+        one by one through :meth:`_corrected_pane`; panes are then list
+        slices of the arrivals.  The pane path requires arrival order to
+        agree with pane order — any late or pane-crossing out-of-order
+        tuple that a future batch would still contain breaks the
+        invariant, and the reader falls back to batches for good.  Every
+        break leaves the same state, so the tests need not run in
+        arrival order.  A non-finite timestamp breaks it too: batches
+        leave such a tuple out of every window, panes cannot place it.
         """
         plan = self._pane_plan
         begin, end = pulse.start, pulse.end
@@ -389,33 +427,28 @@ class SharedWindowReader:
             self._next_pane = (
                 edge_pane - npw if pulse.window_id == 0 else edge_pane
             )
-        built: dict[int, list] = {
-            j: [] for j in range(self._next_pane, edge_pane)
-        }
-        edge: list = []
-        carry: list = []
-        last_pane = self._next_pane
-        pane_width = plan.pane_seconds
-        time_index = self._time_index
-        ceil = math.ceil
-        arrivals = (self._carry + pulse.fresh) if self._carry else pulse.fresh
-        for item in arrivals:
-            ts = item[time_index]
-            if ts > end:
-                # Unreachable for the current pulse generator (a tuple
-                # past a window's end triggers that window's drain before
-                # it is appended, so fresh tuples never outrun their
-                # delivering pulse); guard conservatively anyway.
+        first = self._next_pane
+        if self._carry:
+            arrivals = self._carry + pulse.fresh
+            stamps = np.concatenate((self._carry_stamps, pulse.fresh_stamps))
+        else:
+            arrivals, stamps = pulse.fresh, pulse.fresh_stamps
+        if arrivals:
+            # ``ts == end`` — the window's edge, bitwise — gives
+            # ``end - ts == 0`` and so the edge pane: the edge is the
+            # pulse's newest position, and any later arrival for an
+            # older pane is disorder (checked below).
+            quotients = np.ceil((end - stamps) / plan.pane_seconds)
+            if not ((stamps <= end) & (quotients < _EXACT_PANES)).all():
+                # A NaN or infinite timestamp, one so far back that its
+                # pane id is not exact in float64, or a tuple past the
+                # window's end (unreachable for the current pulse
+                # generator: a tuple past a window's end triggers that
+                # window's drain before it is appended).  Batches test
+                # every window bound directly, so fall back to them.
                 self._pane_broken = True
                 return
-            if ts == end:  # the window's edge, bitwise
-                edge.append(item)
-                carry.append(item)  # also the head of the next pane
-                # the edge is the pulse's newest position: any later
-                # arrival for an older pane is disorder (checked below)
-                last_pane = edge_pane
-                continue
-            pane_id = edge_pane - ceil((end - ts) / pane_width)
+            panes = edge_pane - quotients.astype(np.int64)
             # Pane membership must agree with the batch path's
             # ``begin_w <= ts <= end_w`` tests — which use rounded float
             # grid arithmetic — for *every* window.  Both paths' window
@@ -426,43 +459,50 @@ class SharedWindowReader:
             # the division guess disagrees by an ulp — e.g. tuples on
             # rounded boundaries of a non-pane-aligned grid — re-derive
             # the pane from the batch expressions themselves instead of
-            # silently diverging.
-            first_w = -((-(pane_id + 1)) // nps)
-            last_w = (pane_id + npw) // nps
-            if (
-                ts > anchor + first_w * slide
-                or ts < anchor + (first_w - 1) * slide
-                or ts < (anchor + last_w * slide) - range_s
-                or ts >= (anchor + (last_w + 1) * slide) - range_s
-            ):
-                corrected = self._corrected_pane(ts, anchor)
-                if corrected is None:
+            # silently diverging.  The window numbers are below 2**53,
+            # so numpy's int64-times-float rounds as Python's does.
+            first_w = -((-(panes + 1)) // nps)
+            last_w = (panes + npw) // nps
+            flagged = (stamps != end) & (
+                (stamps > anchor + first_w * slide)
+                | (stamps < anchor + (first_w - 1) * slide)
+                | (stamps < (anchor + last_w * slide) - range_s)
+                | (stamps >= (anchor + (last_w + 1) * slide) - range_s)
+            )
+            for at in np.flatnonzero(flagged).tolist():
+                pane = self._corrected_pane(arrivals[at][self._time_index], anchor)
+                if pane is None:
                     self._pane_broken = True
                     return
-                pane_id = corrected
-            if pane_id < self._next_pane:
-                if ts >= begin and not warmup:
-                    # late data into an already-finalised pane: future
-                    # batches see it, finalised panes cannot
-                    self._pane_broken = True
-                    return
+                panes[at] = pane
+            kept = panes >= first
+            if not warmup and (stamps[~kept] >= begin).any():
+                # late data into an already-finalised pane: future
+                # batches see it, finalised panes cannot
+                self._pane_broken = True
+                return
+            if not kept.all():
                 # pre-window history (provably in no window), or tuples
                 # of panes that passed before slicing was demanded
-                continue
-            if pane_id < last_pane:
+                arrivals = list(compress(arrivals, kept.tolist()))
+                panes, stamps = panes[kept], stamps[kept]
+            if (panes[1:] < panes[:-1]).any():
                 # pane-crossing disorder: pane order != arrival order
                 self._pane_broken = True
                 return
-            last_pane = pane_id
-            built[pane_id].append(item)
-        for pane_id, contents in built.items():
+        else:
+            panes = _NO_PANES
+        cuts = panes.searchsorted(np.arange(first, edge_pane + 1)).tolist()
+        for pane_id, low, high in zip(range(first, edge_pane), cuts, cuts[1:]):
             self._cache.put_pane(
-                self._stream_name, PaneSlice(pane_id, contents)
+                self._stream_name, PaneSlice(pane_id, arrivals[low:high])
             )
+        edge = arrivals[cuts[-1]:]
         self._cache.put_pane(
             self._edge_name, PaneSlice(pulse.window_id, edge, end=end)
         )
-        self._carry = carry
+        self._carry = edge  # also the head of the next pane
+        self._carry_stamps = stamps[cuts[-1]:]
         self._next_pane = edge_pane
         self._pane_valid_until = pulse.window_id
 
@@ -528,9 +568,7 @@ class SharedWindowReader:
             ):
                 # Current pulse advanced by a pane consumer: the live
                 # buffer still covers it (pane fallback path).
-                batch = self._last_pulse.materialise(self._time_index)
-                self._cache.put(self._stream_name, batch)
-                return batch
+                return self._assemble(self._last_pulse)
             return self._assemble_from_panes(window_id)
         while self._max_seen < window_id:
             batch = self._advance()
@@ -544,9 +582,7 @@ class SharedWindowReader:
         ):
             # advanced without batch demand: serve this one window from
             # the live buffer (and cache it for lagging readers)
-            batch = self._last_pulse.materialise(self._time_index)
-            self._cache.put(self._stream_name, batch)
-            return batch
+            return self._assemble(self._last_pulse)
         return self._assemble_from_panes(window_id)
 
     def _assemble_from_panes(self, window_id: int) -> WindowBatch | None:
@@ -657,7 +693,7 @@ class SharedWindowReader:
                 "start": pulse.start,
                 "end": pulse.end,
                 "anchor": pulse.anchor,
-                "buffer": list(pulse.buffer),
+                "buffer": pulse.buffer,
                 "processed": pulse.processed,
                 "eos": pulse.eos,
             },
@@ -701,12 +737,12 @@ class SharedWindowReader:
             )
             # Re-materialised last pulse: window() can still serve the
             # checkpointed window from the (restored) live buffer.
-            reader._last_pulse = WindowPulse(
+            reader._last_pulse = WindowPulse.restored(
                 pulse_state["window_id"],
                 pulse_state["start"],
                 pulse_state["end"],
-                [],
-                deque(pulse_state["buffer"]),
+                pulse_state["buffer"],
+                time_index,
                 pulse_state["anchor"],
                 pulse_state["processed"],
                 pulse_state["eos"],
@@ -718,4 +754,5 @@ class SharedWindowReader:
         reader._pane_valid_until = state["pane_valid_until"]
         reader._next_pane = state["next_pane"]
         reader._carry = list(state["carry"])
+        reader._carry_stamps = timestamps(reader._carry, time_index)
         return reader
