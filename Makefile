@@ -130,4 +130,4 @@ examples:
 		$(PY) $$script > /dev/null; \
 	done; echo "all examples OK"
 
-ci: lint lint-cq test test-audit smoke examples bench-collect bench-smoke
+ci: lint lint-cq test test-audit test-recovery smoke examples bench-collect bench-smoke

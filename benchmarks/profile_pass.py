@@ -6,7 +6,12 @@
 One discarded warm-up pass; then one pass with ``perf_counter`` around
 the stream readers' entry points, printed as a per-reader table (stream
 and grid, pulses, tuples, and the seconds spent in the pulse cut with
-buffer eviction, in pane slicing and in batch assembly); then one pass
+buffer eviction, in pane slicing and in batch assembly); for
+``siemens_ops``, one pass with ``perf_counter`` around each checkpoint
+step, printed as the number of epochs, the seconds per pass in the
+snapshot walk, in pickling, in log appends (fsync included) and in the
+HEAD flip, and each epoch's bytes by part (reader positions, runtime
+rings, MQO entries, plans, sinks); then one pass
 under ``cProfile``: the top 25 functions by cumulative and by self time,
 and a per-query table of ``PlanRuntime.execute_window`` (calls, total,
 mean and worst window, share of the execute time).  The workload comes
@@ -149,6 +154,101 @@ def timed_readers(workload, tracer) -> list[ReaderTimes]:
     return list(readers.values())
 
 
+class CheckpointTimes:
+    """Seconds per checkpoint step over one pass, and each epoch's
+    pickled bytes by part."""
+
+    STEPS = ("snapshot walk", "pickling", "log appends (fsync incl.)", "HEAD flip")
+    PARTS = ("reader positions", "runtime rings", "MQO entries", "plans", "sinks")
+
+    def __init__(self) -> None:
+        self.epochs = 0
+        self.seconds = dict.fromkeys(self.STEPS, 0.0)
+        self.bytes = dict.fromkeys(self.PARTS, 0)
+
+    def count_parts(self, snap: dict) -> None:
+        import pickle
+
+        def size(value) -> int:
+            return len(pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
+
+        scopes = snap["scopes"].values()
+        self.epochs += 1
+        for part, value in (
+            ("reader positions", [r["readers"] for r in scopes]),
+            ("runtime rings", [r["runtimes"] for r in scopes]),
+            ("MQO entries", snap["mqo"]),
+            ("plans", [q["plan"] for q in snap["queries"]]),
+            ("sinks", [q["sink"] for q in snap["queries"]]),
+        ):
+            self.bytes[part] += size(value)
+
+    def table(self) -> str:
+        epochs = self.epochs or 1
+        lines = [f"{'step':<28}{'s per pass':>12}{'ms per epoch':>14}"]
+        for step, seconds in self.seconds.items():
+            lines.append(f"{step:<28}{seconds:>12.4f}{seconds / epochs * 1e3:>14.2f}")
+        total = sum(self.seconds.values())
+        lines.append(f"{'all':<28}{total:>12.4f}{total / epochs * 1e3:>14.2f}")
+        lines.append(f"\n{'part':<28}{'KB per epoch':>12}")
+        for part, count in self.bytes.items():
+            lines.append(f"{part:<28}{count / epochs / 1e3:>12.1f}")
+        lines.append(
+            f"{'all parts':<28}{sum(self.bytes.values()) / epochs / 1e3:>12.1f}"
+        )
+        return f"{self.epochs} epochs\n" + "\n".join(lines)
+
+
+def timed_checkpoints(workload, tracer) -> CheckpointTimes:
+    """Run one pass with ``perf_counter`` around each step of
+    ``CheckpointManager.checkpoint``: the snapshot walk
+    (``snapshot_gateway``), ``pickle.dumps``, ``CheckpointLog.append``
+    (its fsync included) and ``write_head``.  Part sizes are pickled
+    apart, outside the timed steps."""
+    import pickle
+    import types
+
+    from repro.exastream.durability import checkpoint
+    from repro.exastream.durability.log import CheckpointLog
+
+    times = CheckpointTimes()
+    seconds = times.seconds
+    originals = (
+        checkpoint.snapshot_gateway, checkpoint.pickle,
+        CheckpointLog.append, checkpoint.write_head,
+    )
+
+    def timed(step, fn):
+        def wrapper(*args, **kwargs):
+            started = perf_counter()
+            result = fn(*args, **kwargs)
+            seconds[step] += perf_counter() - started
+            return result
+        return wrapper
+
+    def snapshot_gateway(gateway):
+        snap = walk(gateway)
+        times.count_parts(snap)
+        return snap
+
+    walk = timed("snapshot walk", originals[0])
+    checkpoint.snapshot_gateway = snapshot_gateway
+    checkpoint.pickle = types.SimpleNamespace(
+        dumps=timed("pickling", pickle.dumps),
+        loads=pickle.loads,
+        HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL,
+    )
+    CheckpointLog.append = timed("log appends (fsync incl.)", originals[2])
+    checkpoint.write_head = timed("HEAD flip", originals[3])
+    gc.collect()
+    try:
+        workload.run_pass(tracer)
+    finally:
+        checkpoint.snapshot_gateway, checkpoint.pickle = originals[:2]
+        CheckpointLog.append, checkpoint.write_head = originals[2:]
+    return times
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", default="siemens_catalog")
@@ -167,6 +267,10 @@ def main() -> int:
     workload = make_workload(args.workload, args.seed, SCALES[args.scale])
     workload.run_pass(NullTracer())  # warm-up, discarded
     readers = timed_readers(workload, NullTracer())
+    checkpoints = (
+        timed_checkpoints(workload, NullTracer())
+        if args.workload == "siemens_ops" else None
+    )
 
     windows: dict[str, list[float]] = defaultdict(list)
     execute_window = PlanRuntime.execute_window
@@ -191,6 +295,10 @@ def main() -> int:
     print(f"== {args.workload} seed {args.seed} scale {args.scale}: "
           "stream readers (perf_counter pass, no profiler)")
     print(reader_table(readers))
+    if checkpoints is not None:
+        print(f"\n== {args.workload} seed {args.seed} scale {args.scale}: "
+              "checkpoints (perf_counter pass, no profiler)")
+        print(checkpoints.table())
     print(f"\n== {args.workload} seed {args.seed} scale {args.scale}: "
           f"{len(result.window_ms)} delivered windows, execute wall "
           f"{result.execute_wall_s:.2f} s (under cProfile)")

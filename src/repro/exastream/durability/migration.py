@@ -2,10 +2,11 @@
 
 :func:`migrate_query` moves one registered single-runtime query from a
 source gateway to a target gateway without recomputation: its runtime
-rings, reader positions, cache slices and sink contents are deep-copied
-through a pickle round-trip (the exact bytes a checkpoint would write),
-seeded on the target, and the source registration dropped only after
-the target registration succeeds.  The scheduler's
+rings, reader positions and sink contents are deep-copied through a
+pickle round-trip (the exact record a checkpoint would write), the
+target's readers re-read their sources from those positions, and the
+source registration is dropped only after the target registration
+succeeds.  The scheduler's
 :meth:`~repro.exastream.scheduler.Scheduler.rebalance` uses this as its
 crash-safe "move the hot query" mechanism, instead of recomputing the
 query from the stream head on the destination.
@@ -22,7 +23,6 @@ from .snapshot import (
     _query_record,
     _record_readers,
     _reinstate,
-    _scope_cache_names,
     _seed_scope,
 )
 
@@ -49,10 +49,11 @@ def migrate_query(source_gateway, name: str, target_gateway):
             f"target gateway already has a query named {name!r}"
         )
 
-    scope = {"readers": {}, "runtimes": {}, "cache": None}
-    _record_readers(scope, source_gateway.engine, runtime, registered.plan)
-    source_cache = source_gateway.engine.scope_cache(PLAIN_SCOPE)
-    scope["cache"] = source_cache.snapshot_entries(_scope_cache_names(scope))
+    scope = {"readers": {}, "runtimes": {}}
+    _record_readers(
+        scope, source_gateway.engine, runtime, registered.plan,
+        max(0, registered.next_window - 1),
+    )
     payload = pickle.loads(
         pickle.dumps(
             {

@@ -4,23 +4,31 @@ Checkpoints are organised per **scope** — one ``(layout n, key column,
 shard)`` triple — exactly the engine contract's scopes
 (:mod:`repro.exastream.contracts`): every leaf runtime names the scope
 it was bound in, and the engine hands out each scope's readers, cache
-and stream source.  Each scope record carries its resumed reader positions,
-wCache slices and per-query runtime rings; the gateway record carries
-the query catalog (plans, lifecycle, sinks) and the shared-pipeline
-(MQO) entries, whose scoped signature keys re-derive deterministically
-when the same plans re-register.
+and stream source.  Each scope record carries its readers' positions
+in their sources and per-query runtime rings; the gateway record
+carries the query catalog (plans, lifecycle, sinks) and the
+shared-pipeline (MQO) entries, whose scoped signature keys re-derive
+deterministically when the same plans re-register.
 
-Restore inverts the walk: seed resumed readers and cache entries first,
-re-register every plan in original order (``bind`` adopts the seeded
-readers instead of restarting the streams), then overlay runtime rings,
-sinks, lifecycle state and MQO entries, and finally audit that the
-re-derived demand refcounts match the checkpoint exactly.
+No record holds a stream tuple.  Sources rewind (the
+:class:`~repro.streams.StreamSource` contract), so a reader's record
+says where it is in its source and from which pulse on the windows its
+scope's queries can still read were built; recovery re-reads the source
+from there (upstream backup).
+
+Restore inverts the walk: resume readers first — each re-reads its
+source and rebuilds its live buffer and the cache entries from the
+scope's window floor on — re-register every plan in original order
+(``bind`` adopts the resumed readers instead of restarting the
+streams), then overlay runtime rings, sinks, lifecycle state and MQO
+entries, and finally audit that the re-derived demand refcounts match
+the checkpoint exactly.
 """
 
 from __future__ import annotations
 
 from ...errors import RecoveryError
-from ...streams import SharedWindowReader, pane_plan
+from ...streams import SharedWindowReader
 from ..contracts import PLAIN_SCOPE
 from ..sharded import ShardedPlanRuntime
 
@@ -31,15 +39,15 @@ __all__ = ["snapshot_gateway", "restore_gateway", "PLAIN_SCOPE"]
 
 
 def snapshot_gateway(gateway) -> dict:
-    """A picklable image of every query, reader, cache slice and shared
+    """A picklable image of every query, reader position and shared
     pipeline behind ``gateway``, keyed for per-scope log files.
 
-    Cache entries are part of the consistent cut — a follower query
-    behind its shared reader's frontier reads windows it has not
-    consumed yet from the cache — but only entries some live query can
-    still ask for are captured: window ids only move forward, so
-    everything below the scope's slowest query is pruned and the
-    checkpoint payload stays flat-sized over the run."""
+    A follower query behind its shared reader's frontier reads windows
+    it has not consumed yet from the cache, so each reader records the
+    positions to rebuild every entry some live query can still ask
+    for: window ids only move forward, so nothing below the scope's
+    slowest query is needed and the record stays flat-sized over the
+    run."""
     engine = gateway.engine
     scopes: dict[tuple, dict] = {}
 
@@ -53,22 +61,19 @@ def snapshot_gateway(gateway) -> dict:
             # the coordinator's own state; refuses fork-parallel shards
             entry["sharded"] = runtime.snapshot_state()
         for leaf in leaves:
-            record = scopes.setdefault(
-                leaf.scope, {"readers": {}, "runtimes": {}, "cache": None}
-            )
+            record = scopes.setdefault(leaf.scope, {"readers": {}, "runtimes": {}})
             record["runtimes"][name] = leaf.snapshot_state()
-            _record_readers(record, engine, leaf, q.plan)
         queries.append(entry)
 
-    for scope, record in scopes.items():
-        cache = engine.scope_cache(scope)
-        floor = _scope_window_floor(gateway, record)
-        batch_floors, pane_floors = _cache_floors(record, floor)
-        record["cache"] = cache.snapshot_entries(
-            _scope_cache_names(record),
-            batch_floors=batch_floors,
-            pane_floors=pane_floors,
-        )
+    floors = {
+        scope: _scope_window_floor(gateway, record)
+        for scope, record in scopes.items()
+    }
+    for q in gateway._queries.values():
+        for leaf in q.runtime.leaf_runtimes:
+            _record_readers(
+                scopes[leaf.scope], engine, leaf, q.plan, floors[leaf.scope]
+            )
 
     return {
         "queries": queries,
@@ -97,9 +102,9 @@ def _query_record(q) -> dict:
     }
 
 
-def _record_readers(record: dict, engine, leaf, plan) -> None:
+def _record_readers(record: dict, engine, leaf, plan, floor: int) -> None:
     """Capture each of ``plan``'s readers in ``leaf``'s scope (once per
-    key)."""
+    key), from window ``floor`` on."""
     n, _key_column, shard = leaf.scope
     for ref in plan.windows:
         key = engine.shared_reader_key(ref, plan)
@@ -123,7 +128,7 @@ def _record_readers(record: dict, engine, leaf, plan) -> None:
             "time_index": reader.time_index,
             "source": source,
             "start": start,
-            "state": reader.snapshot_state(),
+            "state": reader.snapshot_state(floor),
             "batch_refs": reader.batch_demand,
             "pane_refs": reader.pane_demand,
         }
@@ -139,39 +144,6 @@ def _scope_window_floor(gateway, record: dict) -> int:
         gateway._queries[name].next_window for name in record["runtimes"]
     ]
     return max(0, min(nexts, default=0) - 1)
-
-
-def _cache_floors(
-    record: dict, floor: int
-) -> tuple[dict[str, int], dict[str, int]]:
-    """Per-cache-name prune floors for one scope's snapshot.
-
-    Batches and edge slices are keyed by window id; pane slices by pane
-    id, translated through each reader's pane plan (``window_panes`` of
-    the floor window starts at ``floor * panes_per_slide -
-    panes_per_window``).  Readers without a pane decomposition get no
-    pane floor."""
-    batch_floors: dict[str, int] = {}
-    pane_floors: dict[str, int] = {}
-    for reader_record in record["readers"].values():
-        name = reader_record["cache_name"]
-        edge = f"{name}@edge"
-        batch_floors[name] = batch_floors[edge] = floor
-        pane_floors[edge] = floor  # edge slices are keyed by window id
-        plan = pane_plan(reader_record["spec"])
-        if plan is not None:
-            pane_floors[name] = (
-                floor * plan.panes_per_slide - plan.panes_per_window
-            )
-    return batch_floors, pane_floors
-
-
-def _scope_cache_names(record: dict) -> set[str]:
-    names: set[str] = set()
-    for reader_record in record["readers"].values():
-        cache_name = reader_record["cache_name"]
-        names |= {cache_name, f"{cache_name}@edge"}
-    return names
 
 
 def _source_factory(engine, descriptor: tuple):
@@ -198,9 +170,10 @@ def _source_factory(engine, descriptor: tuple):
 
 
 def _seed_scope(engine, scope: tuple, record: dict) -> None:
-    """Put a scope record's resumed readers and cache slices in place
-    before registration: ``bind`` adopts a seeded reader instead of
-    restarting its stream."""
+    """Put a scope record's resumed readers in place before
+    registration: ``bind`` adopts a seeded reader instead of restarting
+    its stream.  A record written before positions also carries cache
+    slices, seeded as they are."""
     target = engine.catalog[scope]
     cache = engine.scope_cache(scope)
     for key, reader_record in record["readers"].items():
@@ -274,7 +247,8 @@ def restore_gateway(engine, gateway_state, scope_records, scheduler=None):
 
     gateway = GatewayServer(engine, scheduler=scheduler)
 
-    # 1. Seed resumed readers and cache slices before any registration.
+    # 1. Resume every reader (re-reading its source) before any
+    # registration.
     for scope, record in scope_records.items():
         if scope[0] > engine.default_shards:
             raise RecoveryError(

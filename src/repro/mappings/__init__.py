@@ -24,6 +24,7 @@ from .unfolding import (
     UnfoldedDisjunct,
     Unfolder,
     UnfoldingResult,
+    fleet_union,
 )
 
 __all__ = [
@@ -47,4 +48,5 @@ __all__ = [
     "UnfoldedDisjunct",
     "Unfolder",
     "UnfoldingResult",
+    "fleet_union",
 ]

@@ -38,6 +38,7 @@ from ..sql import (
     Query,
     SelectItem,
     SelectQuery,
+    Star,
     SubSelect,
     TableExpr,
     UnionQuery,
@@ -61,6 +62,7 @@ __all__ = [
     "LiteralConstructor",
     "ConstantConstructor",
     "TermConstructor",
+    "fleet_union",
 ]
 
 
@@ -153,9 +155,7 @@ class UnfoldingResult:
         """The fleet as one UNION ALL query (None when nothing matched)."""
         if not self.disjuncts:
             return None
-        if len(self.disjuncts) == 1:
-            return self.disjuncts[0].select
-        return UnionQuery(tuple(d.select for d in self.disjuncts))
+        return fleet_union([d.select for d in self.disjuncts])
 
     @property
     def fleet_size(self) -> int:
@@ -166,6 +166,36 @@ class UnfoldingResult:
         """The printed SQL(+) text of the whole fleet."""
         query = self.query
         return "" if query is None else print_query(query)
+
+
+#: SQLite refuses a compound SELECT of more blocks than this
+#: (``SQLITE_MAX_COMPOUND_SELECT``)
+MAX_COMPOUND_SELECT = 500
+
+
+def fleet_union(selects: Sequence[SelectQuery], all: bool = True) -> Query:
+    """One query over a fleet of SELECT blocks: the block itself, their
+    UNION, or — past :data:`MAX_COMPOUND_SELECT` blocks, which a large
+    rewriting reaches — a UNION of ``SELECT *`` over nested UNIONs of at
+    most that many blocks each, which SQLite accepts and which has the
+    same rows."""
+    if len(selects) == 1:
+        return selects[0]
+    if len(selects) <= MAX_COMPOUND_SELECT:
+        return UnionQuery(tuple(selects), all=all)
+    return fleet_union(
+        [
+            SelectQuery(
+                (SelectItem(Star()),),
+                (SubSelect(
+                    fleet_union(selects[at:at + MAX_COMPOUND_SELECT], all),
+                    f"fleet{at // MAX_COMPOUND_SELECT}",
+                ),),
+            )
+            for at in range(0, len(selects), MAX_COMPOUND_SELECT)
+        ],
+        all,
+    )
 
 
 # --------------------------------------------------------------------------

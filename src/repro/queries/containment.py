@@ -5,11 +5,15 @@ contained in another, the contained one is redundant and its unfolded SQL
 would only add work for the stream engine.  Containment of CQs is
 NP-complete in general but our rewritten queries are small (a handful of
 atoms), so the backtracking homomorphism search below is fast in practice.
+A rewriting can still have thousands of disjuncts, and minimisation
+compares them pairwise: :func:`minimize_ucq` rules most pairs out with
+set tests before any search.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import product
 
 from ..rdf import Term, Variable
 from .cq import Atom, ConjunctiveQuery, UnionOfConjunctiveQueries, canonical_form
@@ -127,21 +131,107 @@ def minimize_ucq(
         seen.values(), key=lambda q: (len(q.atoms), len(q.filters))
     )
 
-    kept: list[ConjunctiveQuery] = []
+    if len(queries) < 2:
+        return UnionOfConjunctiveQueries(tuple(queries))
+    kept = _Disjuncts()
     for query in queries:
-        if any(is_contained_in(query, other) for other in kept):
-            continue  # an already-kept disjunct covers it
-        kept.append(query)
+        if not kept.covers(query):
+            kept.add(query)
     # A kept query may still be covered by a *later*, larger one
     # (strict containment in the other direction); prune those.
-    final: list[ConjunctiveQuery] = []
-    for i, query in enumerate(kept):
-        covered = any(
-            j != i and is_contained_in(query, other)
-            for j, other in enumerate(kept)
-        )
-        if not covered:
-            final.append(query)
+    final = [
+        query for i, query in enumerate(kept.queries)
+        if not kept.covers(query, skip=i)
+    ]
     if not final:  # pragma: no cover - total mutual containment
-        final = [kept[0]]
+        final = [kept.queries[0]]
     return UnionOfConjunctiveQueries(tuple(final))
+
+
+class _Disjuncts:
+    """Disjuncts grouped by head and indexed by what a homomorphism from
+    them must fix.
+
+    ``query ⊆ other`` needs a homomorphism from ``other`` into
+    ``query``, and it maps ``other``'s head onto ``query``'s position by
+    position.  So an atom of ``other`` over head variables and
+    constants alone has one possible image, which must be an atom of
+    ``query``, and every other predicate of ``other`` must occur in
+    ``query`` too.  Such atoms are stored with each head variable
+    replaced by its first head position; for a ``query``, the atoms
+    those forms can map onto are pulled back once per head group, and
+    only disjuncts whose forms are all among them are searched.  These
+    set tests rule out most pairs of a large rewriting before any
+    search.
+    """
+
+    def __init__(self) -> None:
+        self.queries: list[ConjunctiveQuery] = []
+        self._predicates: list[frozenset] = []
+        #: head -> positional forms of the atoms it fixes -> positions
+        self._groups: dict[tuple, dict[frozenset, list[int]]] = {}
+
+    def add(self, query: ConjunctiveQuery) -> None:
+        head = query.answer_variables
+        first: dict[Term, int] = {}
+        for position, term in enumerate(head):
+            if isinstance(term, Variable):
+                first.setdefault(term, position)
+        forms = frozenset(
+            (atom.predicate, tuple(first.get(arg, arg) for arg in atom.args))
+            for atom in query.atoms
+            if all(arg in first or not isinstance(arg, Variable) for arg in atom.args)
+        )
+        self._groups.setdefault(head, {}).setdefault(forms, []).append(
+            len(self.queries)
+        )
+        self.queries.append(query)
+        self._predicates.append(_predicates(query))
+
+    def covers(self, query: ConjunctiveQuery, skip: int = -1) -> bool:
+        """Whether a disjunct (other than position ``skip``) contains
+        ``query``."""
+        predicates = _predicates(query)
+        for head, by_forms in self._groups.items():
+            images = _pull_back(head, query)
+            if images is None:
+                continue
+            for forms, positions in by_forms.items():
+                if forms <= images and any(
+                    position != skip
+                    and self._predicates[position] <= predicates
+                    and is_contained_in(query, self.queries[position])
+                    for position in positions
+                ):
+                    return True
+        return False
+
+
+def _pull_back(head: tuple, query: ConjunctiveQuery) -> set | None:
+    """The positional atom forms (see :class:`_Disjuncts`) of a
+    disjunct with ``head`` that map onto atoms of ``query``, or
+    ``None`` when no homomorphism maps ``head`` onto ``query``'s."""
+    if len(head) != len(query.answer_variables):
+        return None
+    image: dict[Term, Term] = {}
+    for term, target in zip(head, query.answer_variables):
+        if not isinstance(term, Variable):
+            if term != target:
+                return None
+        elif image.setdefault(term, target) != target:
+            return None
+    sources: dict[Term, list] = defaultdict(list)
+    for term, target in image.items():
+        sources[target].append(head.index(term))
+    forms = set()
+    for atom in query.atoms:
+        choices = [
+            sources.get(arg, []) + ([] if isinstance(arg, Variable) else [arg])
+            for arg in atom.args
+        ]
+        forms.update((atom.predicate, args) for args in product(*choices))
+    return forms
+
+
+def _predicates(query: ConjunctiveQuery) -> frozenset:
+    return frozenset((atom.predicate.value, len(atom.args)) for atom in query.atoms)

@@ -50,6 +50,7 @@ from ..mappings import (
     TemplateSpec,
     Unfolder,
     UnfoldingResult,
+    fleet_union,
 )
 from ..mappings.saturation import existential_subontology, saturate_mappings
 from ..ontology import Ontology
@@ -68,7 +69,6 @@ from ..sql import (
     SubSelect,
     TableFunction,
     UnaryOp,
-    UnionQuery,
     print_query,
 )
 from .ast import (
@@ -251,11 +251,7 @@ class STARQLTranslator:
         # duplicate binding rows, or COUNT-style aggregates would inflate.
         statics = [
             SubSelect(
-                unfolding.disjuncts[0].select
-                if len(unfolding.disjuncts) == 1
-                else UnionQuery(
-                    tuple(d.select for d in unfolding.disjuncts), all=False
-                ),
+                fleet_union([d.select for d in unfolding.disjuncts], all=False),
                 "st" if len(pieces) == 1 else f"st{index}",
             )
             for index, unfolding in enumerate(unfoldings, 1)

@@ -61,7 +61,12 @@ class Stream:
 
 
 class StreamSource:
-    """A replayable producer of timestamp-ordered tuples for one stream."""
+    """A replayable producer of timestamp-ordered tuples for one stream.
+
+    Sources rewind: every pass yields the same items in the same order.
+    Checkpoints rely on it — a reader's record holds only item offsets
+    into its source, and recovery re-reads the source from them.
+    """
 
     def __init__(
         self,

@@ -16,15 +16,21 @@ fresh tuples' timestamps as one float64 array (see
 pane ids over that array with the same float expressions a per-tuple
 loop would evaluate, and panes are list slices of the arrivals.  Only
 tuples on a rounded grid boundary are placed one by one.
+
+A reader checkpoints positions, not tuples: per pulse it keeps where
+its window buffer starts and ends in the source and what it did at
+that pulse, so a resumed reader re-reads the (rewindable) source and
+re-runs the pulses that built what lagging queries can still read.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import OrderedDict
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import compress
 from typing import Any
 
 import numpy as np
@@ -48,6 +54,10 @@ _NO_STAMPS = np.empty(0)
 _NO_PANES = np.empty(0, np.int64)
 #: pane ids from float quotients at or past this are not exact
 _EXACT_PANES = float(2**52)
+#: what a reader did at a pulse (its position ring's flags): sliced its
+#: panes, restarted the slicer before slicing, assembled its batch,
+#: broke the pane path while slicing
+_SLICED, _RESTART, _ASSEMBLED, _BROKE = 1, 2, 4, 8
 
 
 @dataclass
@@ -155,51 +165,15 @@ class WindowCache:
     def __contains__(self, key: tuple[str, int]) -> bool:
         return key in self._store
 
-    # -- checkpoint support -------------------------------------------------
-
-    def snapshot_entries(
-        self,
-        names: set[str],
-        *,
-        batch_floors: dict[str, int] | None = None,
-        pane_floors: dict[str, int] | None = None,
-    ) -> dict[str, list]:
-        """Cached batches and pane slices under the given stream/edge
-        names, in LRU order (oldest first) — the durability layer's view
-        of one reader scope's cache footprint.
-
-        The floor mappings prune entries below a per-name id (window id
-        for ``batch_floors``, pane id for ``pane_floors``): once every
-        query sharing a reader has moved past a window, its entries can
-        never be asked for again, so checkpoints stay flat-sized over
-        the run instead of growing with the cache."""
-        batch_floors = batch_floors or {}
-        pane_floors = pane_floors or {}
-
-        def keep(key: tuple[str, int], floors: dict[str, int]) -> bool:
-            if key[0] not in names:
-                return False
-            floor = floors.get(key[0])
-            # Pane ids may be negative (pre-anchor partial windows), so
-            # an absent floor means "keep everything", not ">= 0".
-            return floor is None or key[1] >= floor
-
-        return {
-            "batches": [
-                (key, batch)
-                for key, batch in self._store.items()
-                if keep(key, batch_floors)
-            ],
-            "panes": [
-                (key, pane)
-                for key, pane in self._panes.items()
-                if keep(key, pane_floors)
-            ],
-        }
+    @property
+    def capacity(self) -> int:
+        """How many window batches the store keeps."""
+        return self._capacity
 
     def restore_entries(self, entries: dict[str, list]) -> None:
-        """Re-insert checkpointed entries through the normal put paths
-        (capacity limits and eviction apply as usual)."""
+        """Re-insert the batches and pane slices a checkpoint written
+        before positions carried, through the normal put paths (capacity
+        limits and eviction apply as usual)."""
         for (name, _), batch in entries["batches"]:
             self.put(name, batch)
         for (name, _), pane in entries["panes"]:
@@ -264,6 +238,14 @@ class SharedWindowReader:
         self._exhausted = False
         self._max_seen = -1
         self._last_pulse: WindowPulse | None = None
+        #: where a replay can restart: one (buffer offset, processed,
+        #: what-this-pulse-did flags) triple per pulse from pulse
+        #: ``_ring_base`` on; pulse -1 stands for the source's start.
+        #: It spans every window the batch store could still hold, plus
+        #: the pulses that sliced those windows' panes.
+        self._ring = array("q", (0, 0, 0))
+        self._ring_base = -1
+        self._ring_limit = 3 * (cache.capacity + self._lead() + 2)
         #: batch-demand *reference count*: while positive, every pulse
         #: assembles and caches its O(range) window batch.  Batch-driven
         #: consumers take a reference at bind and release it when they
@@ -351,9 +333,12 @@ class SharedWindowReader:
         if self._pane_refs > 0:
             self._pane_refs -= 1
         if not self._pane_demanded:
-            self._next_pane = None
-            self._carry = []
-            self._carry_stamps = _NO_STAMPS
+            self._reset_slicer()
+
+    def _reset_slicer(self) -> None:
+        self._next_pane = None
+        self._carry = []
+        self._carry_stamps = _NO_STAMPS
 
     # -- pulse advancement --------------------------------------------------
 
@@ -382,10 +367,18 @@ class SharedWindowReader:
             return None
         self._last_pulse = pulse
         self._max_seen = pulse.window_id
+        ring = self._ring
+        ring.extend((pulse.offset, pulse.processed, 0))
+        if len(ring) > 2 * self._ring_limit:
+            cut = len(ring) - self._ring_limit
+            del ring[:cut]
+            self._ring_base += cut // 3
         return pulse
 
     def _assemble(self, pulse: WindowPulse) -> WindowBatch:
-        """Materialise ``pulse``'s batch and cache it."""
+        """Materialise ``pulse`` (always the newest pulse)'s batch and
+        cache it."""
+        self._ring[-1] |= _ASSEMBLED
         batch = pulse.materialise()
         self._cache.put(self._stream_name, batch)
         return batch
@@ -408,6 +401,7 @@ class SharedWindowReader:
         arrival order.  A non-finite timestamp breaks it too: batches
         leave such a tuple out of every window, panes cannot place it.
         """
+        self._ring[-1] |= _SLICED if self._next_pane is not None else _SLICED | _RESTART
         plan = self._pane_plan
         begin, end = pulse.start, pulse.end
         anchor = pulse.anchor
@@ -446,7 +440,7 @@ class SharedWindowReader:
                 # generator: a tuple past a window's end triggers that
                 # window's drain before it is appended).  Batches test
                 # every window bound directly, so fall back to them.
-                self._pane_broken = True
+                self._break_panes()
                 return
             panes = edge_pane - quotients.astype(np.int64)
             # Pane membership must agree with the batch path's
@@ -472,14 +466,14 @@ class SharedWindowReader:
             for at in np.flatnonzero(flagged).tolist():
                 pane = self._corrected_pane(arrivals[at][self._time_index], anchor)
                 if pane is None:
-                    self._pane_broken = True
+                    self._break_panes()
                     return
                 panes[at] = pane
             kept = panes >= first
             if not warmup and (stamps[~kept] >= begin).any():
                 # late data into an already-finalised pane: future
                 # batches see it, finalised panes cannot
-                self._pane_broken = True
+                self._break_panes()
                 return
             if not kept.all():
                 # pre-window history (provably in no window), or tuples
@@ -488,7 +482,7 @@ class SharedWindowReader:
                 panes, stamps = panes[kept], stamps[kept]
             if (panes[1:] < panes[:-1]).any():
                 # pane-crossing disorder: pane order != arrival order
-                self._pane_broken = True
+                self._break_panes()
                 return
         else:
             panes = _NO_PANES
@@ -505,6 +499,15 @@ class SharedWindowReader:
         self._carry_stamps = stamps[cuts[-1]:]
         self._next_pane = edge_pane
         self._pane_valid_until = pulse.window_id
+
+    def _break_panes(self) -> None:
+        """Fall back to batches for good.  A break puts no slice, and
+        the carry is dead from here on; the ring remembers the pulse, as
+        a replay that restarts the slicer there cannot re-derive it."""
+        self._pane_broken = True
+        self._carry = []
+        self._carry_stamps = _NO_STAMPS
+        self._ring[-1] |= _BROKE
 
     def _corrected_pane(self, ts: float, anchor: float) -> int | None:
         """Exact pane for a timestamp whose division guess disagreed with
@@ -659,25 +662,34 @@ class SharedWindowReader:
 
     # -- checkpoint / resume ------------------------------------------------
 
-    @property
-    def cache_names(self) -> set[str]:
-        """The cache key names this reader populates (stream + edge)."""
-        return {self._stream_name, self._edge_name}
+    def _lead(self) -> int:
+        """Pulses before window ``w``'s own whose slicing put panes
+        ``w`` reads (``ceil(panes_per_window / panes_per_slide)``)."""
+        plan = self._pane_plan
+        return 0 if plan is None else -(-plan.panes_per_window // plan.panes_per_slide)
 
-    def snapshot_state(self) -> dict[str, Any] | None:
+    def snapshot_state(self, floor: int = 0) -> dict[str, Any] | None:
         """Picklable mid-stream position, or ``None`` if the reader has
         never advanced (a freshly constructed reader reproduces it).
 
-        Captured at a quiescent point — the pulse generator suspended at
-        its last yield — so the recorded ``processed`` count plus the
-        live buffer fully determine every pulse still to come (see
-        :class:`~repro.streams.window.PulseResume`).  Demand refcounts
-        are *not* part of the state: they are re-derived when runtimes
-        rebind after recovery (and audited against the checkpoint).
+        The state holds source positions and the slicer's small state,
+        no tuple.  ``offset`` and ``processed`` are the last pulse's
+        source item offsets: its buffer is the rows among items
+        ``[offset, processed)``.  To rebuild what a query at window
+        ``floor`` or later can still read from the cache — batches,
+        edge slices and the panes of those windows — the state also
+        names the pulse to replay from (``replay_from``), the positions
+        after the pulse before it (``resume``) and, per replayed pulse,
+        what this reader did at it (``flags``: sliced it, restarted the
+        slicer first, assembled its batch).  Demand refcounts are *not*
+        part of the state: they are re-derived when runtimes rebind
+        after recovery (and audited against the checkpoint).
         """
         pulse = self._last_pulse
         if pulse is None and not self._exhausted:
             return None
+        after = min(max(floor - 1 - self._lead(), self._ring_base), self._max_seen)
+        ring = self._ring[3 * (after - self._ring_base):]
         return {
             "exhausted": self._exhausted,
             "max_seen": self._max_seen,
@@ -685,18 +697,12 @@ class SharedWindowReader:
             "pane_latched": self._pane_latched,
             "pane_valid_until": self._pane_valid_until,
             "next_pane": self._next_pane,
-            "carry": list(self._carry),
-            "pulse": None
-            if pulse is None
-            else {
-                "window_id": pulse.window_id,
-                "start": pulse.start,
-                "end": pulse.end,
-                "anchor": pulse.anchor,
-                "buffer": pulse.buffer,
-                "processed": pulse.processed,
-                "eos": pulse.eos,
-            },
+            "anchor": None if pulse is None else pulse.anchor,
+            "offset": ring[-3],
+            "processed": ring[-2],
+            "replay_from": after + 1,
+            "resume": (ring[0], ring[1]),
+            "flags": bytes(ring[5::3].tolist()),
         }
 
     @classmethod
@@ -712,47 +718,85 @@ class SharedWindowReader:
     ) -> SharedWindowReader:
         """Rebuild a reader mid-stream from :meth:`snapshot_state`.
 
-        ``tuples`` must replay the *same* source from the beginning; the
-        resume path skips the checkpointed ``processed`` prefix and the
-        restarted pulse generator yields exactly the pulses the original
-        had not produced yet.
+        ``tuples`` must replay the *same* source from the beginning
+        (sources rewind: see :class:`~repro.streams.StreamSource`).  The
+        reader re-reads the source from the checkpointed positions and
+        re-runs the pulses from ``replay_from`` on as the checkpointed
+        reader ran them, which rebuilds its live buffer, its slicer and
+        every cache entry those pulses put; the restarted pulse
+        generator then yields exactly the pulses the original had not
+        produced yet.  A state written before positions (it carries its
+        pulse buffer) resumes from that buffer instead.
         """
         reader = cls(stream_name, iter(()), spec, time_index, cache, start)
-        pulse_state = state["pulse"]
-        if pulse_state is not None:
-            source = tuples() if callable(tuples) else tuples
-            resume_point = PulseResume(
-                anchor=pulse_state["anchor"],
-                next_window=pulse_state["window_id"] + 1,
-                buffer=pulse_state["buffer"],
-                processed=pulse_state["processed"],
-                eos=pulse_state["eos"],
-            )
+        source = tuples() if callable(tuples) else tuples
+        reader._pane_latched = state["pane_latched"]
+        if "pulse" in state:
+            reader._resume_buffer(source, state)
+        elif state["anchor"] is not None:
+            offset, processed = state["resume"]
+            after = state["replay_from"] - 1
             reader._pulses = time_window_pulses(
-                islice(iter(source), pulse_state["processed"], None),
-                spec,
-                time_index,
-                start,
-                resume=resume_point,
+                source, spec, time_index, start,
+                resume=PulseResume(state["anchor"], after + 1, offset, processed),
             )
-            # Re-materialised last pulse: window() can still serve the
-            # checkpointed window from the (restored) live buffer.
-            reader._last_pulse = WindowPulse.restored(
-                pulse_state["window_id"],
-                pulse_state["start"],
-                pulse_state["end"],
-                pulse_state["buffer"],
-                time_index,
-                pulse_state["anchor"],
-                pulse_state["processed"],
-                pulse_state["eos"],
-            )
+            reader._ring = array("q", (offset, processed, 0))
+            reader._ring_base = after
+            reader._replay(state["flags"])
         reader._exhausted = state["exhausted"]
         reader._max_seen = state["max_seen"]
         reader._pane_broken = state["pane_broken"]
-        reader._pane_latched = state["pane_latched"]
         reader._pane_valid_until = state["pane_valid_until"]
+        if state["next_pane"] is None:
+            reader._reset_slicer()  # released after its last pulse
         reader._next_pane = state["next_pane"]
-        reader._carry = list(state["carry"])
-        reader._carry_stamps = timestamps(reader._carry, time_index)
         return reader
+
+    def _replay(self, flags: bytes) -> None:
+        """Re-run one pulse per entry of ``flags`` as the checkpointed
+        reader ran it.  The first replayed pulse restarts the slicer:
+        its older-pane tuples went into panes before the replay, and
+        the edge it slices carries into the next pane."""
+        for at, flag in enumerate(flags):
+            pulse = self._next_pulse()
+            if pulse is None:
+                return
+            if flag & _BROKE:
+                self._break_panes()
+            elif flag & _SLICED and not self._pane_broken:
+                if at == 0 or flag & _RESTART:
+                    self._reset_slicer()
+                self._slice_pulse(pulse)
+            if flag & _ASSEMBLED:
+                self._assemble(pulse)
+
+    def _resume_buffer(self, source: Iterator, state: dict[str, Any]) -> None:
+        """Resume from a state that carries its last pulse's buffer and
+        the slicer's carry (written before checkpoints held positions)."""
+        pulse_state = state["pulse"]
+        self._carry = list(state["carry"])
+        self._carry_stamps = timestamps(self._carry, self._time_index)
+        if pulse_state is None:
+            return
+        self._pulses = time_window_pulses(
+            source, self._spec, self._time_index,
+            resume=PulseResume(
+                pulse_state["anchor"], pulse_state["window_id"] + 1,
+                processed=pulse_state["processed"], eos=pulse_state["eos"],
+                buffer=pulse_state["buffer"],
+            ),
+        )
+        # window() can still serve the checkpointed window from the
+        # restored live buffer
+        pulse = self._last_pulse = WindowPulse.restored(
+            pulse_state["window_id"],
+            pulse_state["start"],
+            pulse_state["end"],
+            pulse_state["buffer"],
+            self._time_index,
+            pulse_state["anchor"],
+            pulse_state["processed"],
+            pulse_state["eos"],
+        )
+        self._ring = array("q", (pulse.offset, pulse.processed, 0))
+        self._ring_base = pulse.window_id

@@ -18,6 +18,7 @@ rounds each float64 element as Python rounds a float.
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -131,6 +132,9 @@ class WindowPulse:
     #: pulse came from the end-of-stream drain: nothing follows it, and
     #: a resume from it must not re-run that drain
     eos: bool = False
+    #: source item offset of the buffer's first row: the buffer is the
+    #: rows (heartbeats are not rows) among items ``[offset, processed)``
+    offset: int = 0
 
     @classmethod
     def restored(
@@ -144,12 +148,13 @@ class WindowPulse:
         processed: int,
         eos: bool,
     ) -> WindowPulse:
-        """A checkpointed pulse rebuilt from its buffer rows (no fresh
-        tuples: they were delivered before the checkpoint)."""
+        """A pulse rebuilt from a checkpoint that carried its buffer rows
+        (no fresh tuples: they were delivered before the checkpoint)."""
         rows = list(buffer)
         return cls(
             window_id, start, end, [], _NO_STAMPS, rows, 0,
             timestamps(rows, time_index), anchor, processed, eos,
+            processed - len(rows),
         )
 
     @property
@@ -173,20 +178,26 @@ class WindowPulse:
 class PulseResume:
     """Where to pick a pulse generator back up after a checkpoint.
 
-    Captured from the last pulse a consumer saw: the grid ``anchor``,
-    the ``next_window`` to emit, the live ``buffer`` contents, and how
-    many source items were fully ``processed`` (the caller skips that
-    many before handing the source back in).  ``eos`` marks a resume
-    from the end-of-stream drain pulse — the resumed generator yields
-    nothing, matching an uninterrupted run that was already past its
-    final drain.
+    Captured from a pulse a consumer saw: the grid ``anchor``, the
+    ``next_window`` to emit, and two source item offsets — the buffer's
+    first row (``offset``) and how many items were fully ``processed``.
+    The window buffer is the rows among items ``[offset, processed)``,
+    so the generator re-reads them from the replayable source.  ``eos``
+    marks a resume from the end-of-stream drain pulse — the resumed
+    generator yields nothing, matching an uninterrupted run that was
+    already past its final drain.
+
+    ``buffer`` is only set for a checkpoint written before positions,
+    which carried the buffer rows themselves: they are taken as the
+    items just before ``processed``, and ``offset`` is ignored.
     """
 
-    anchor: float
+    anchor: float | None
     next_window: int
-    buffer: tuple[tuple[Any, ...], ...] | list[tuple[Any, ...]]
+    offset: int = 0
     processed: int = 0
     eos: bool = False
+    buffer: Sequence[tuple[Any, ...]] | None = None
 
 
 #: Source items the pulse generator pulls per chunk: their timestamps
@@ -220,14 +231,25 @@ class _Buffer:
     arrival order.  Storage grows by copying what is still live or
     undelivered into new arrays, never in place, which keeps every
     yielded pulse's views intact.
+
+    The buffer also knows where its head is in the source: ``dropped``
+    rows left storage at regrowth, so the head is row ``dropped + head``
+    of the rows read since item ``origin``, and ``beats`` holds the row
+    count before each heartbeat read since then (heartbeats are items,
+    not rows).  A heartbeat the head has passed folds into ``origin``.
     """
 
-    __slots__ = ("rows", "stamps", "peaks", "head", "fresh")
+    __slots__ = ("rows", "stamps", "peaks", "head", "fresh", "dropped", "origin", "beats")
 
-    def __init__(self, rows: list[tuple[Any, ...]], stamps: np.ndarray) -> None:
+    def __init__(
+        self, rows: list[tuple[Any, ...]], stamps: np.ndarray, origin: int = 0,
+        beats: Iterable[int] = (),
+    ) -> None:
         self.rows: list[tuple[Any, ...]] = []
         self.stamps = self.peaks = _NO_STAMPS
-        self.head = self.fresh = 0
+        self.head = self.fresh = self.dropped = 0
+        self.origin = origin
+        self.beats = deque(beats)
         self.extend(rows, stamps)
         self.fresh = len(self.rows)  # a restored buffer was delivered
 
@@ -247,6 +269,7 @@ class _Buffer:
             self.stamps, self.peaks = stamps_now, peaks_now
             self.head -= keep
             self.fresh -= keep
+            self.dropped += keep
             tail = kept
         self.rows.extend(rows)
         self.stamps[tail:tail + count] = stamps
@@ -260,6 +283,10 @@ class _Buffer:
         head, tail = self.head, len(self.rows)
         self.head = head + int(self.peaks[head:tail].searchsorted(begin))
 
+    def beat(self) -> None:
+        """Note a heartbeat read after every row so far."""
+        self.beats.append(self.dropped + len(self.rows))
+
     def pulse(
         self, window_id: int, begin: float, end: float, anchor: float,
         processed: int, eos: bool,
@@ -267,10 +294,14 @@ class _Buffer:
         """The pulse delivering every row not delivered yet."""
         head, fresh, tail = self.head, self.fresh, len(self.rows)
         self.fresh = tail
+        row, beats = self.dropped + head, self.beats
+        while beats and beats[0] <= row:
+            beats.popleft()
+            self.origin += 1
         return WindowPulse(
             window_id, begin, end, self.rows[fresh:tail],
             self.stamps[fresh:tail], self.rows, head,
-            self.stamps[head:tail], anchor, processed, eos,
+            self.stamps[head:tail], anchor, processed, eos, self.origin + row,
         )
 
 
@@ -303,21 +334,35 @@ def time_window_pulses(
     handled on its own.
 
     ``resume`` restarts the generator mid-stream from checkpointed
-    state: the caller skips ``resume.processed`` source items and the
-    generator continues as if it had consumed them itself.  A pulse's
-    triggering item is never counted as processed, so re-reading it
-    re-yields exactly the pulses the pre-checkpoint run had not yet
-    delivered — byte-identical to an uninterrupted run.  Reading ahead
-    of ``processed`` is safe for the same reason: sources replay.
+    positions over the same source, replayed from its first item: the
+    generator re-reads the buffer's items ``[resume.offset,
+    resume.processed)`` and continues as if it had consumed everything
+    before them itself.  A pulse's triggering item is never counted as
+    processed, so re-reading it re-yields exactly the pulses the
+    pre-checkpoint run had not yet delivered — byte-identical to an
+    uninterrupted run.  Reading ahead of ``processed`` is safe for the
+    same reason: sources replay.
     """
     if resume is not None and resume.eos:
         return
     slide, range_s = spec.slide_seconds, spec.range_seconds
-    if resume is not None:
-        rows = list(resume.buffer)
-        buffer = _Buffer(rows, timestamps(rows, time_index))
-    else:
+    source = iter(tuples)
+    if resume is None:
         buffer = _Buffer([], _NO_STAMPS)
+    elif resume.buffer is not None:
+        rows = list(resume.buffer)
+        source = islice(source, resume.processed, None)
+        buffer = _Buffer(
+            rows, timestamps(rows, time_index), resume.processed - len(rows)
+        )
+    else:
+        rows, beats = [], []
+        for item in islice(source, resume.offset, resume.processed):
+            if isinstance(item, Heartbeat):
+                beats.append(len(rows))
+            else:
+                rows.append(item)
+        buffer = _Buffer(rows, timestamps(rows, time_index), resume.offset, beats)
     anchor: float | None = resume.anchor if resume is not None else start
     next_window = resume.next_window if resume is not None else 0
     processed = resume.processed if resume is not None else 0
@@ -373,9 +418,9 @@ def time_window_pulses(
             anchor = ts
         if ts > anchor + next_window * slide:
             yield from drain_until(_previous_pulse(anchor, spec, ts))
+        buffer.beat()
         processed += 1
 
-    source = iter(tuples)
     if resume is not None:
         # The first item is the one whose arrival drained the
         # checkpointed pulse: finish that drain to the same watermark.
@@ -431,7 +476,10 @@ def time_sliding_window(
 
 
 def _previous_pulse(anchor: float, spec: WindowSpec, timestamp: float) -> float:
-    """The latest pulse time strictly before ``timestamp``."""
+    """The latest pulse time strictly before ``timestamp``; ``-inf`` for
+    a NaN or ``-inf`` timestamp, which is past no pulse instant."""
+    if not timestamp > -math.inf:
+        return -math.inf
     k = math.ceil((timestamp - anchor) / spec.slide_seconds) - 1
     return anchor + k * spec.slide_seconds
 

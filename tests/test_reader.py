@@ -14,6 +14,7 @@ pulse.
 from __future__ import annotations
 
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reader_oracle import OracleReader, time_window_pulses as oracle_pulses
+from repro.exastream.sharding import partitioned_tuples
 from repro.streams import (
     Heartbeat,
     SharedWindowReader,
@@ -309,7 +311,67 @@ class TestResume:
         reader.demand_panes()
         for _ in range(4):
             reader._advance()
-        assert reader.snapshot_state() == OLD_FORMAT_STATE
+        assert reader.snapshot_state() == POSITION_FORMAT_STATE
+        # a follower at window 3 reads panes from 1 on: sliced at pulse
+        # 2, after pulse 0 (buffer: item 0; 1 item processed)
+        assert reader.snapshot_state(3) == {
+            **POSITION_FORMAT_STATE,
+            "replay_from": 1,
+            "resume": (0, 1),
+            "flags": b"\x01\x01\x01",
+        }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        streams(), st.sampled_from([1, 3, 4096]), st.integers(0, 3),
+        st.booleans(), st.booleans(),
+    )
+    def test_positions_rebuild_what_the_floor_reads(
+        self, stream, chunk, lag, batches, partitioned
+    ):
+        """At every pulse, a reader resumed from a positions-only state —
+        with a follower ``lag`` windows behind — has the uninterrupted
+        reader's state and every cache entry at or above the floor:
+        batches (with batch demand, as a recompute-only reader), edge
+        slices and the panes of the floor window on.  ``partitioned``
+        reads one shard's slice of a two-shard layout as the engine
+        lays it out: round robin, a trailing heartbeat at the stream's
+        last timestamp, the grid anchored by the stream's first."""
+        items, spec, anchor, schedule = stream
+        if partitioned:
+            rows = [item for item in items if not isinstance(item, Heartbeat)]
+            if rows and anchor is None:
+                anchor = rows[0][0]
+            final = rows[-1][0] if rows else None
+            items = list(partitioned_tuples(rows, 1, 2, None, final)())
+        with mock.patch.object(window_module, "CHUNK", chunk):
+            reader = SharedWindowReader(
+                "S", iter(items), spec, 0, WindowCache(), start=anchor
+            )
+            if batches:
+                reader.demand_batches()
+            index = 0
+            while not reader._exhausted:
+                action = schedule.get(index)
+                if action == "demand":
+                    reader.demand_panes()
+                elif action == "release":
+                    reader.release_panes()
+                reader._advance()
+                index += 1
+                floor = max(0, reader._max_seen - lag)
+                state = pickle.loads(pickle.dumps(reader.snapshot_state(floor)))
+                assert all(
+                    isinstance(value, (bool, int, float, bytes, type(None)))
+                    for key, value in state.items() if key != "resume"
+                )
+                assert all(isinstance(value, int) for value in state["resume"])
+                resumed = SharedWindowReader.resume(
+                    "S", lambda: iter(items), spec, 0, WindowCache(), state,
+                    start=anchor,
+                )
+                assert _reader_state(resumed) == _reader_state(reader)
+                assert _entries(resumed, floor) == _entries(reader, floor)
 
     def test_old_checkpoint_resumes(self):
         """A reader state written before the reader was chunked (the
@@ -339,6 +401,53 @@ class TestResume:
                 break
             got.append((resumed._last_pulse.window_id, cache.puts[seen:]))
         assert got == expected[4:]
+
+
+#: ``snapshot_state()`` of a 1.0/0.5 reader over ``(0.25 * k, k)``
+#: after four pulses: its last buffer is items ``[2, 7)``, and a
+#: replay from the stream's start re-runs four pulses that sliced panes
+#: (the first restarting the slicer).
+POSITION_FORMAT_STATE = {
+    "exhausted": False,
+    "max_seen": 3,
+    "pane_broken": False,
+    "pane_latched": False,
+    "pane_valid_until": 3,
+    "next_pane": 3,
+    "anchor": 0.0,
+    "offset": 2,
+    "processed": 7,
+    "replay_from": 0,
+    "resume": (0, 0),
+    "flags": b"\x03\x01\x01\x01",
+}
+
+
+def _reader_state(reader):
+    pulse = reader._last_pulse
+    return (
+        reader._exhausted, reader._max_seen, reader._pane_broken,
+        reader._pane_valid_until, reader._next_pane, reader._carry,
+        None if pulse is None else (_pulse_record(pulse), pulse.offset),
+    )
+
+
+def _entries(reader, floor):
+    """The reader's cache entries a query at window ``floor`` or later
+    can read: batches and edge slices from ``floor``, panes from the
+    floor window's first."""
+    plan = reader.pane_plan
+    pane_floor = (
+        floor * plan.panes_per_slide - plan.panes_per_window
+        if plan is not None else floor
+    )
+    cache = reader._cache
+    return (
+        {key: (b.start, b.end, b.tuples) for key, b in cache._store.items()
+         if key[1] >= floor},
+        {key: (p.tuples, p.end) for key, p in cache._panes.items()
+         if key[1] >= (floor if key[0].endswith("@edge") else pane_floor)},
+    )
 
 
 #: ``snapshot_state()`` of a 1.0/0.5 reader over ``(0.25 * k, k)``

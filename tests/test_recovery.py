@@ -10,7 +10,9 @@ live-migration/rebalance handoff ride the same oracle.
 """
 
 import json
+import pickle
 import random
+from unittest import mock
 
 import pytest
 
@@ -35,6 +37,7 @@ from repro.exastream.durability import (
     recover,
     tear_file,
 )
+from repro.exastream.durability import migration as migration_module
 from repro.exastream.durability.checkpoint import GATEWAY_LOG
 from repro.exastream.durability.log import KIND_GATEWAY
 
@@ -48,6 +51,42 @@ SQLS = [
     "SELECT w.sid AS s, SUM(w.val) AS a FROM timeSlidingWindow(S, 80, 5) AS w,"
     " sensors AS t WHERE w.sid = t.sid AND t.kind = 'temp' GROUP BY w.sid",
 ]
+
+
+def _tuples(value, seen=None):
+    """Every tuple reachable from an unpickled record."""
+    seen = set() if seen is None else seen
+    if id(value) in seen or isinstance(value, (str, bytes, int, float)):
+        return
+    seen.add(id(value))
+    if isinstance(value, tuple):
+        yield value
+    if isinstance(value, dict):
+        children = [*value.keys(), *value.values()]
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        children = value
+    else:
+        children = [
+            getattr(value, name)
+            for name in (
+                *getattr(value, "__dict__", ()),
+                *getattr(type(value), "__slots__", ()),
+            )
+            if hasattr(value, name)
+        ]
+    for child in children:
+        yield from _tuples(child, seen)
+
+
+def _stream_tuples_in(record, rows) -> list:
+    found = []
+    for item in _tuples(record):
+        try:
+            if item in rows:
+                found.append(item)
+        except TypeError:  # an unhashable tuple is no stream row
+            pass
+    return found
 
 
 def _oracle(sqls, shards=1, engine_kwargs=None):
@@ -233,6 +272,36 @@ class TestSiemensRecovery:
             while gateway.step():
                 pass
             assert [snapshot(gateway.query(n)) for n in names] == base
+
+
+class TestPositionRecords:
+    """Checkpoints record where readers are in their sources, not what
+    the sources hold."""
+
+    def test_catalog_epoch_holds_no_stream_tuple(self, tmp_path):
+        from repro.siemens import diagnostic_catalog
+        from repro.siemens.deployment import deploy
+
+        deployment = deploy(shards=2)
+        session = deployment.session(sink_capacity=None)
+        for task in diagnostic_catalog():
+            session.submit(task.starql, name=task.name)
+        manager = CheckpointManager(deployment.gateway, tmp_path, interval=100)
+        for _ in range(40):
+            deployment.gateway.step()
+        manager.checkpoint()
+        engine = deployment.engine
+        rows = {row for name in engine.stream_names for row in engine.stream(name)}
+        records = {
+            path.name: pickle.loads(payload)
+            for path in sorted(tmp_path.glob("*.log"))
+            for _epoch, _kind, payload in CheckpointLog(path).scan()[0]
+        }
+        sharded = [name for name in records if name.startswith("engine-2-")]
+        assert len(sharded) >= 2 and GATEWAY_LOG in records
+        assert all(records[name]["readers"] for name in sharded)
+        for record in records.values():
+            assert _stream_tuples_in(record, rows) == []
 
 
 class TestGracefulDegradation:
@@ -467,6 +536,36 @@ class TestMigration:
             pass
         assert snapshot(handle) == base
         verify_gateway(target)
+
+    def test_migrated_follower_rebuilds_what_it_reads(self):
+        """A query behind its shared reader's frontier migrates with the
+        positions to rebuild the windows it still reads: it delivers an
+        unmigrated run's windows, and the payload holds no stream tuple."""
+        base = _oracle([self.SQL], 1, {"rows": ROWS})[0]
+        source = GatewayServer(build_engine(rows=ROWS))
+        source.register(self.SQL, name="lead")
+        follower = source.register(self.SQL, name="q0")
+        for _ in range(3):
+            source.step()
+        follower.pause()
+        for _ in range(4):
+            source.step()
+        target = GatewayServer(build_engine(rows=ROWS))
+        payloads = []
+        dumps = pickle.dumps
+
+        def recording(value, protocol=None):
+            payloads.append(dumps(value, protocol))
+            return payloads[-1]
+
+        with mock.patch.object(migration_module.pickle, "dumps", recording):
+            handle = migrate_query(source, "q0", target)
+        handle.resume()
+        while target.step():
+            pass
+        assert snapshot(handle) == base
+        assert len(payloads) == 1
+        assert _stream_tuples_in(pickle.loads(payloads[0]), set(ROWS)) == []
 
     def test_migrate_refuses_clashes_and_sharded(self):
         source = GatewayServer(build_engine(rows=ROWS))

@@ -1,9 +1,10 @@
 """Tests for T-mappings (mapping saturation) and the residual ontology."""
 
 import hashlib
+import random
 import sqlite3
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.mappings import (
     ColumnSpec,
@@ -330,6 +331,17 @@ def natural_join(pieces):
     return joined
 
 
+def _ontology(*axioms):
+    onto = Ontology()
+    for axiom in axioms:
+        onto.add(axiom)
+    return onto
+
+
+_A, _B = (AtomicClass(NS[name]) for name in SMALL_CLASSES)
+_P, _Q = (Role(NS[name]) for name in SMALL_ROLES)
+
+
 class TestWhereDecomposition:
     """``decompose_where``: per-subject pieces whose certain answers,
     naturally joined, are the whole pattern's."""
@@ -350,6 +362,32 @@ class TestWhereDecomposition:
                 max_size=5),
         st.sets(st.tuples(st.sampled_from(SMALL_ROLES), st.integers(0, 2),
                           st.integers(0, 2)), max_size=6),
+    )
+    # Whole patterns whose rewritings unfold to more SELECT blocks than
+    # one SQLite compound SELECT takes (600 and 768): before the fleet
+    # nested its UNIONs, the whole pattern's SQL raised "too many terms
+    # in compound SELECT".  The second rewriting's 4 112 disjuncts also
+    # took PerfectRef's minimisation several seconds when it compared
+    # every pair of disjuncts.
+    @example(
+        _ontology(
+            SubClassOf(_B, _A), SubClassOf(Existential(_P.inverted()), _B),
+            SubClassOf(Existential(_P), Existential(_Q.inverted())),
+            SubPropertyOf(_Q, _Q), SubPropertyOf(_Q.inverted(), _P.inverted()),
+            SubPropertyOf(_Q.inverted(), _Q.inverted()),
+        ),
+        random.Random(88), set(), set(),
+    )
+    @example(
+        _ontology(
+            SubClassOf(_A, _A), SubClassOf(Existential(_Q), _B),
+            SubClassOf(_B, Existential(_Q, _A)),
+            SubClassOf(_A, Existential(_P, _B)),
+            SubPropertyOf(_P, _Q.inverted()), SubPropertyOf(_Q, _P),
+        ),
+        random.Random(11),
+        {("A", 0), ("A", 1), ("A", 2), ("B", 0), ("B", 1)},
+        {("p", 1, 1), ("q", 2, 2)},
     )
     def test_pieces_join_to_the_whole_pattern(self, onto, rng, members, edges):
         from cqgen import random_where_pattern
