@@ -8,10 +8,10 @@ the stream readers' entry points, printed as a per-reader table (stream
 and grid, pulses, tuples, and the seconds spent in the pulse cut with
 buffer eviction, in pane slicing and in batch assembly); for
 ``siemens_ops``, one pass with ``perf_counter`` around each checkpoint
-step, printed as the number of epochs, the seconds per pass in the
-snapshot walk, in pickling, in log appends (fsync included) and in the
-HEAD flip, and each epoch's bytes by part (reader positions, runtime
-rings, MQO entries, plans, sinks); then one pass
+step, printed as the number of epochs and of plan frames written, the
+seconds per pass in the snapshot walk, in pickling and in the log
+append (its fsync included), and each epoch's bytes by part (reader
+positions, runtime rings, MQO entries, plan frames, sinks); then one pass
 under ``cProfile``: the top 25 functions by cumulative and by self time,
 and a per-query table of ``PlanRuntime.execute_window`` (calls, total,
 mean and worst window, share of the execute time).  The workload comes
@@ -155,14 +155,14 @@ def timed_readers(workload, tracer) -> list[ReaderTimes]:
 
 
 class CheckpointTimes:
-    """Seconds per checkpoint step over one pass, and each epoch's
-    pickled bytes by part."""
+    """Seconds per checkpoint step over one pass, the plan frames
+    written, and each epoch's pickled bytes by part."""
 
-    STEPS = ("snapshot walk", "pickling", "log appends (fsync incl.)", "HEAD flip")
-    PARTS = ("reader positions", "runtime rings", "MQO entries", "plans", "sinks")
+    STEPS = ("snapshot walk", "pickling", "append (fsync incl.)")
+    PARTS = ("reader positions", "runtime rings", "MQO entries", "plan frames", "sinks")
 
     def __init__(self) -> None:
-        self.epochs = 0
+        self.epochs = self.plan_frames = self.appends = 0
         self.seconds = dict.fromkeys(self.STEPS, 0.0)
         self.bytes = dict.fromkeys(self.PARTS, 0)
 
@@ -178,7 +178,6 @@ class CheckpointTimes:
             ("reader positions", [r["readers"] for r in scopes]),
             ("runtime rings", [r["runtimes"] for r in scopes]),
             ("MQO entries", snap["mqo"]),
-            ("plans", [q["plan"] for q in snap["queries"]]),
             ("sinks", [q["sink"] for q in snap["queries"]]),
         ):
             self.bytes[part] += size(value)
@@ -190,6 +189,8 @@ class CheckpointTimes:
             lines.append(f"{step:<28}{seconds:>12.4f}{seconds / epochs * 1e3:>14.2f}")
         total = sum(self.seconds.values())
         lines.append(f"{'all':<28}{total:>12.4f}{total / epochs * 1e3:>14.2f}")
+        lines.append(f"{'appends':<28}{self.appends:>12}")
+        lines.append(f"{'plan frames written':<28}{self.plan_frames:>12}")
         lines.append(f"\n{'part':<28}{'KB per epoch':>12}")
         for part, count in self.bytes.items():
             lines.append(f"{part:<28}{count / epochs / 1e3:>12.1f}")
@@ -202,20 +203,21 @@ class CheckpointTimes:
 def timed_checkpoints(workload, tracer) -> CheckpointTimes:
     """Run one pass with ``perf_counter`` around each step of
     ``CheckpointManager.checkpoint``: the snapshot walk
-    (``snapshot_gateway``), ``pickle.dumps``, ``CheckpointLog.append``
-    (its fsync included) and ``write_head``.  Part sizes are pickled
-    apart, outside the timed steps."""
+    (``snapshot_gateway``, less the plan pickling it calls),
+    ``pickle.dumps`` and ``CheckpointLog.write`` (its fsync included).
+    Plan frames are counted and sized as they are framed; the other
+    part sizes are pickled apart, outside the timed steps."""
     import pickle
     import types
 
     from repro.exastream.durability import checkpoint
-    from repro.exastream.durability.log import CheckpointLog
+    from repro.exastream.durability.log import KIND_PLAN, CheckpointLog
 
     times = CheckpointTimes()
     seconds = times.seconds
     originals = (
         checkpoint.snapshot_gateway, checkpoint.pickle,
-        CheckpointLog.append, checkpoint.write_head,
+        CheckpointLog.write, checkpoint.frame,
     )
 
     def timed(step, fn):
@@ -226,26 +228,40 @@ def timed_checkpoints(workload, tracer) -> CheckpointTimes:
             return result
         return wrapper
 
-    def snapshot_gateway(gateway):
-        snap = walk(gateway)
+    def snapshot_gateway(gateway, plan_at):
+        pickling = seconds["pickling"]
+        snap = walk(gateway, plan_at)
+        # the walk pickles new plans through plan_at: book that apart
+        seconds["snapshot walk"] -= seconds["pickling"] - pickling
         times.count_parts(snap)
         return snap
 
+    def frame(kind, epoch, payload):
+        if kind == KIND_PLAN:
+            times.plan_frames += 1
+            times.bytes["plan frames"] += len(payload)
+        return originals[3](kind, epoch, payload)
+
+    def write(log, data, at=None):
+        times.appends += 1
+        return timed_write(log, data, at)
+
     walk = timed("snapshot walk", originals[0])
+    timed_write = timed("append (fsync incl.)", originals[2])
     checkpoint.snapshot_gateway = snapshot_gateway
     checkpoint.pickle = types.SimpleNamespace(
         dumps=timed("pickling", pickle.dumps),
         loads=pickle.loads,
         HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL,
     )
-    CheckpointLog.append = timed("log appends (fsync incl.)", originals[2])
-    checkpoint.write_head = timed("HEAD flip", originals[3])
+    CheckpointLog.write = write
+    checkpoint.frame = frame
     gc.collect()
     try:
         workload.run_pass(tracer)
     finally:
         checkpoint.snapshot_gateway, checkpoint.pickle = originals[:2]
-        CheckpointLog.append, checkpoint.write_head = originals[2:]
+        CheckpointLog.write, checkpoint.frame = originals[2:]
     return times
 
 
@@ -259,12 +275,18 @@ def main() -> int:
     # the ledger's own path set-up: this checkout's src/, and
     # benchmarks/ as the home of the ``ledger`` package
     sys.path[:0] = [str(ROOT / "src"), str(HERE)]
+    from ledger.oracle import load_golden
     from ledger.spec import SCALES
     from ledger.trace import NullTracer
     from ledger.workloads import make_workload
     from repro.exastream.engine import PlanRuntime
 
-    workload = make_workload(args.workload, args.seed, SCALES[args.scale])
+    sizes = SCALES[args.scale]
+    workload = make_workload(args.workload, args.seed, sizes)
+    # as the ledger does: siemens_ops stops its server (the "crash")
+    # after this share of the oracle's windows, then recovers
+    oracle = load_golden(args.workload, args.seed, sizes.inputs())
+    workload.expected_windows = (oracle or workload.reference()).windows
     workload.run_pass(NullTracer())  # warm-up, discarded
     readers = timed_readers(workload, NullTracer())
     checkpoints = (

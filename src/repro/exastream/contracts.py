@@ -35,6 +35,7 @@ engine nor the gateway keeps a second record of what a query holds.
 
 from __future__ import annotations
 
+import math
 import weakref
 from abc import ABC, abstractmethod
 from collections import Counter, defaultdict
@@ -449,7 +450,11 @@ class Engine(ABC):
         if cached is None:
             data = list(iter(source))
             time_index = source.stream.schema.time_index
-            first = data[0][time_index] if data else None
+            # the grid's anchor: the first timestamp that can anchor it
+            first = next(
+                (row[time_index] for row in data if math.isfinite(row[time_index])),
+                None,
+            )
             last = data[-1][time_index] if data else None
             cached = self._materialized[stream] = (data, first, last)
         data, first_ts, last_ts = cached

@@ -3,7 +3,7 @@
 The durability layer makes a gateway deployment restartable: a
 :class:`CheckpointManager` snapshots every query's runtime rings,
 shared reader positions, wCache slices, MQO pipeline entries and
-lifecycle state into per-(layout, shard) append-only logs at a
+lifecycle state into one append-only log, one frame per epoch, at a
 configurable pulse interval, and :func:`recover` rebuilds an equivalent
 gateway from the newest intact epoch — the continued run's output is
 byte-identical to an uninterrupted one.  :func:`migrate_query` reuses

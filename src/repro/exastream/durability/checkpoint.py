@@ -1,37 +1,42 @@
-"""Checkpoint coordination: pulse-driven snapshots, HEAD, recovery.
+"""Checkpoint coordination: one frame per epoch in one append-only log.
 
-One checkpoint **epoch** is a consistent cut of the whole deployment:
-a gateway catalog record (queries, sinks, MQO pipelines, the list of
-scope files) in ``gateway.log`` plus one engine-state record per
-(layout, shard) scope in its own ``engine-*.log``.  Scope records are
-appended before the catalog record and the ``HEAD`` pointer flips last
-(atomic tempfile + rename), so a crash anywhere mid-checkpoint can only
-lose the in-flight epoch — recovery falls back to the newest epoch that
-is intact across *every* file it references.
+One checkpoint **epoch** is a consistent cut of the whole deployment,
+written as one frame in ``gateway.log``: the gateway catalog (queries,
+sinks, MQO pipelines) and every (layout, shard) scope's record (reader
+positions, runtime rings), pickled once.  A query's plan does not
+change after registration, so it is pickled once per registration into
+a plan frame, written ahead of the first epoch frame that names it, and
+every epoch refers to it by byte offset.  An epoch's frames go to disk
+in one write and one fsync (group commit, DeWitt et al., SIGMOD 1984):
+an epoch is durable exactly when its frame is intact, so there is no
+pointer file to flip and a crash anywhere mid-checkpoint can only lose
+the in-flight epoch.
+
+Recovery walks the frame headers from the front, seeking over the
+payloads, truncates a torn tail, and checksums only the candidates:
+the newest epoch frame first, with the plan frames it names, falling
+back to older epochs while one fails.  A directory written when each
+scope had its own ``engine-*.log`` (catalogs that list
+``scope_files``) still recovers, read-only.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import logging
-import os
 import pickle
-import re
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
 from ..metrics import Stopwatch
-from .log import KIND_GATEWAY, KIND_SCOPE, CheckpointLog
+from .log import KIND_GATEWAY, KIND_PLAN, KIND_SCOPE, CheckpointLog, frame
 from .snapshot import restore_gateway, snapshot_gateway
 
-__all__ = ["CheckpointManager", "recover", "GATEWAY_LOG", "HEAD_NAME"]
+__all__ = ["CheckpointManager", "recover", "GATEWAY_LOG"]
 
 logger = logging.getLogger(__name__)
 
 GATEWAY_LOG = "gateway.log"
-HEAD_NAME = "HEAD"
 
 
 @contextmanager
@@ -54,46 +59,17 @@ def _gc_paused():
             gc.enable()
 
 
-def scope_filename(scope: tuple) -> str:
-    n, key_column, shard = scope
-    safe = re.sub(r"[^A-Za-z0-9_.-]", "_", str(key_column))
-    return f"engine-{n}-{safe}-{shard}.log"
-
-
-def read_head(directory: Path) -> dict | None:
-    """The HEAD pointer, or ``None`` when absent or unreadable.
-
-    HEAD is advisory (it names the epoch the last checkpoint believed
-    durable); recovery re-validates against the logs either way, so a
-    missing or corrupt HEAD degrades to a scan, never to an error.
-    """
-    try:
-        head = json.loads((directory / HEAD_NAME).read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(head, dict) or "epoch" not in head:
-        return None
-    return head
-
-
-def write_head(directory: Path, head: dict, *, fsync: bool = True) -> None:
-    """Atomic HEAD update: tempfile in the same directory, fsync, then
-    ``os.replace`` — readers see the old pointer or the new one, never
-    a torn JSON."""
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".head-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(head, fh)
-            fh.flush()
-            if fsync:
-                os.fsync(fh.fileno())
-        os.replace(tmp, directory / HEAD_NAME)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+def _open_log(directory: Path, **options) -> tuple[CheckpointLog, list, int]:
+    """The directory's log, its frame headers and its end, a torn tail
+    cut off."""
+    log = CheckpointLog(directory / GATEWAY_LOG, **options)
+    frames, end, error = log.frames()
+    if error is not None:
+        logger.warning(
+            "%s: %s; truncating to the last intact record", log.path, error
+        )
+        log.truncate(end)
+    return log, frames, end
 
 
 class CheckpointManager:
@@ -102,7 +78,7 @@ class CheckpointManager:
     Attaches itself as ``gateway.checkpointer``; the gateway calls
     :meth:`on_pulse` after every delivered window and every
     ``interval``-th pulse writes a full epoch.  ``max_retries`` /
-    ``base_delay`` configure the logs' transient-IO retry policy and are
+    ``base_delay`` configure the log's transient-IO retry policy and are
     validated eagerly; ``faults`` threads a
     :class:`~repro.exastream.durability.FaultInjector` through both the
     pulse hook and every log write.
@@ -128,22 +104,22 @@ class CheckpointManager:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.interval = interval
-        self.fsync = fsync
         self.faults = faults
-        self._log_options = dict(
+        # The log ctor validates the retry knobs (ValueError on a bad
+        # max_retries/base_delay) before anything attaches.
+        self.log, frames, self._end = _open_log(
+            self.directory,
             max_retries=max_retries,
             base_delay=base_delay,
             max_delay=max_delay,
             fsync=fsync,
+            faults=faults,
         )
-        self._logs: dict[str, CheckpointLog] = {}
-        # Validates the retry knobs at construction time (the log ctor
-        # raises ValueError on bad max_retries/base_delay).
-        self._log(GATEWAY_LOG)
-        head = read_head(self.directory)
-        # Continue the existing epoch sequence: a post-recovery manager
-        # must append strictly newer epochs, never reuse one.
-        self.epoch = int(head["epoch"]) if head is not None else 0
+        # Continue the epoch sequence past the newest frame: a
+        # post-recovery manager must append strictly newer epochs.
+        self.epoch = max((f.epoch for f in frames), default=0)
+        # query name -> (its plan, the offset of that plan's frame)
+        self._plans: dict[str, tuple[object, int]] = {}
         self.pulses = 0
         # Flush-time series live in the gateway's registry; the span
         # opened per flush nests under the pulse span (when tracing).
@@ -153,17 +129,6 @@ class CheckpointManager:
             if self._obs is not None and self._obs.enabled else None
         )
         gateway.checkpointer = self
-
-    def _log(self, filename: str) -> CheckpointLog:
-        log = self._logs.get(filename)
-        if log is None:
-            log = CheckpointLog(
-                self.directory / filename,
-                faults=self.faults,
-                **self._log_options,
-            )
-            self._logs[filename] = log
-        return log
 
     # -- gateway hook --------------------------------------------------------
 
@@ -176,13 +141,8 @@ class CheckpointManager:
             self.checkpoint()
 
     def checkpoint(self) -> int:
-        """Write one epoch across every log, then flip HEAD.
-
-        HEAD carries the byte offset of every record it names, so
-        recovery can seek straight to the newest epoch and only scan
-        the log tail written after it, instead of re-reading the whole
-        append-only history.
-        """
+        """Write one epoch: its frame, after the frames of plans
+        registered since the last epoch, in one write and one fsync."""
         obs = self._obs
         watch = Stopwatch() if self._h_flush is not None else None
         if obs is not None and obs.tracer.enabled:
@@ -197,37 +157,35 @@ class CheckpointManager:
         return epoch
 
     def _checkpoint(self) -> int:
-        snap = snapshot_gateway(self.gateway)
         epoch = self.epoch + 1
-        files = []
-        scope_files = []
-        offsets = {}
-        for scope, record in snap["scopes"].items():
-            filename = scope_filename(scope)
-            offsets[filename] = self._log(filename).append(
-                KIND_SCOPE,
-                epoch,
-                pickle.dumps(record, pickle.HIGHEST_PROTOCOL),
-            )
-            files.append(filename)
-            scope_files.append([filename, list(scope)])
-        catalog = {
-            "queries": snap["queries"],
-            "mqo": snap["mqo"],
-            "scope_files": scope_files,
-        }
-        offsets[GATEWAY_LOG] = self._log(GATEWAY_LOG).append(
-            KIND_GATEWAY, epoch, pickle.dumps(catalog, pickle.HIGHEST_PROTOCOL)
+        frames: list[bytes] = []
+        plans: dict[str, tuple[object, int]] = {}
+        at = self._end
+
+        def plan_at(q) -> int:
+            nonlocal at
+            known = self._plans.get(q.name)
+            if known is None or known[0] is not q.plan:
+                frames.append(
+                    frame(
+                        KIND_PLAN,
+                        epoch,
+                        pickle.dumps(q.plan, pickle.HIGHEST_PROTOCOL),
+                    )
+                )
+                known = (q.plan, at)
+                at += len(frames[-1])
+            plans[q.name] = known
+            return known[1]
+
+        snap = snapshot_gateway(self.gateway, plan_at)
+        frames.append(
+            frame(KIND_GATEWAY, epoch, pickle.dumps(snap, pickle.HIGHEST_PROTOCOL))
         )
-        write_head(
-            self.directory,
-            {
-                "epoch": epoch,
-                "files": [GATEWAY_LOG, *files],
-                "offsets": offsets,
-            },
-            fsync=self.fsync,
-        )
+        data = b"".join(frames)
+        self.log.write(data, self._end)
+        self._end += len(data)
+        self._plans = plans
         self.epoch = epoch
         return epoch
 
@@ -251,173 +209,87 @@ class CheckpointManager:
                 f"negative checkpoint counters (pulses={self.pulses}, "
                 f"epoch={self.epoch})"
             )
-        head = read_head(self.directory)
-        if head is not None and int(head["epoch"]) > self.epoch:
+        newest = max((f.epoch for f in self.log.frames()[0]), default=0)
+        if newest > self.epoch:
             violations.append(
-                f"HEAD epoch {head['epoch']} is ahead of the manager's "
+                f"the log holds epoch {newest}, ahead of the manager's "
                 f"epoch {self.epoch}"
             )
         return violations
 
 
 def recover(directory, engine, scheduler=None, *, max_retries: int = 3, base_delay: float = 0.002):
-    """Rebuild a gateway from the newest fully intact checkpoint epoch.
+    """Rebuild a gateway from the newest intact checkpoint epoch.
 
     ``engine`` must be freshly constructed with the same streams and
     static databases registered — sources live outside the checkpoint,
     which records only positions into them.  Returns ``None`` when no
     usable checkpoint exists (callers fall back to replaying from
-    scratch).  Torn or corrupt log tails are detected by checksum,
-    logged and truncated; recovery then proceeds from the newest epoch
-    still intact across the gateway log and every scope log its catalog
-    references.
-
-    When HEAD carries record offsets (every epoch since they were
-    introduced), recovery seeks straight to HEAD's records and scans
-    only the tail written after them — O(epochs-since-HEAD), not
-    O(whole log) — still preferring any newer epoch that completed its
-    records but crashed before the HEAD flip.  Any defect on that path
-    (stale HEAD, bogus offset, torn record) degrades to the full scan.
+    scratch).  A torn log tail is logged and truncated; recovery then
+    reads the newest epoch frame whose checksum, and whose plan frames'
+    checksums, hold — older frames are never checksummed.
     """
     with _gc_paused():
         return _recover(
-            directory, engine, scheduler, max_retries, base_delay
+            Path(directory),
+            engine,
+            scheduler,
+            dict(max_retries=max_retries, base_delay=base_delay),
         )
 
 
-def _recover(directory, engine, scheduler, max_retries, base_delay):
-    directory = Path(directory)
-    options = dict(max_retries=max_retries, base_delay=base_delay)
-    head = read_head(directory)
-    if head is not None and isinstance(head.get("offsets"), dict):
-        recovered = _recover_from_head(
-            directory, engine, head, scheduler, options
-        )
-        if recovered is not None:
-            return recovered
-    gateway_log = CheckpointLog(directory / GATEWAY_LOG, **options)
-    records, valid_end, error = gateway_log.scan()
-    if error is not None:
-        logger.warning(
-            "%s: %s; truncating to the last intact record",
-            directory / GATEWAY_LOG,
-            error,
-        )
-        gateway_log.truncate(valid_end)
-    catalogs = {
-        epoch: payload
-        for epoch, kind, payload in records
-        if kind == KIND_GATEWAY
-    }
-    scope_cache: dict[str, dict[int, bytes]] = {}
+def _recover(directory: Path, engine, scheduler, options):
+    log, frames, _end = _open_log(directory, **options)
+    by_offset = {found.offset: found for found in frames}
+    legacy: dict[str, dict[int, bytes]] = {}
+    for found in reversed(frames):
+        if found.kind != KIND_GATEWAY:
+            continue
+        payload = log.read(found)
+        catalog = None if payload is None else pickle.loads(payload)
+        if catalog is None:
+            scopes = None
+        elif "scope_files" in catalog:
+            scopes = _legacy_scopes(directory, catalog, found.epoch, legacy, options)
+        else:
+            scopes = catalog["scopes"] if _load_plans(log, by_offset, catalog) else None
+        if scopes is None:
+            logger.warning(
+                "checkpoint epoch %d is incomplete or corrupt; falling "
+                "back to an older epoch",
+                found.epoch,
+            )
+            continue
+        return restore_gateway(engine, catalog, scopes, scheduler=scheduler)
+    return None
 
-    def scope_payloads(filename: str) -> dict[int, bytes]:
-        cached = scope_cache.get(filename)
-        if cached is None:
-            log = CheckpointLog(directory / filename, **options)
-            recs, end, err = log.scan()
-            if err is not None:
-                logger.warning(
-                    "%s: %s; truncating to the last intact record",
-                    directory / filename,
-                    err,
-                )
-                log.truncate(end)
-            cached = {
-                epoch: payload
-                for epoch, kind, payload in recs
+
+def _load_plans(log, by_offset, catalog) -> bool:
+    """Put the plan each catalog entry names by frame offset in its
+    place; ``False`` when a plan frame is missing or corrupt."""
+    for entry in catalog["queries"]:
+        found = by_offset.get(entry["plan"])
+        body = None if found is None or found.kind != KIND_PLAN else log.read(found)
+        if body is None:
+            return False
+        entry["plan"] = pickle.loads(body)
+    return True
+
+
+def _legacy_scopes(directory, catalog, epoch, cache, options):
+    """The scope records of an epoch written with one log per scope, or
+    ``None`` when one lacks its record (read-only: nothing truncated)."""
+    scopes = {}
+    for filename, scope in catalog["scope_files"]:
+        if filename not in cache:
+            records = CheckpointLog(directory / filename, **options).scan()[0]
+            cache[filename] = {
+                rec_epoch: body
+                for rec_epoch, kind, body in records
                 if kind == KIND_SCOPE
             }
-            scope_cache[filename] = cached
-        return cached
-
-    for epoch in sorted(catalogs, reverse=True):
-        catalog = pickle.loads(catalogs[epoch])
-        scopes = {}
-        intact = True
-        for filename, scope in catalog["scope_files"]:
-            payload = scope_payloads(filename).get(epoch)
-            if payload is None:
-                logger.warning(
-                    "checkpoint epoch %d is incomplete (%s lacks its "
-                    "record); falling back to an older epoch",
-                    epoch,
-                    filename,
-                )
-                intact = False
-                break
-            scopes[tuple(scope)] = pickle.loads(payload)
-        if not intact:
-            continue
-        gateway_state = {"queries": catalog["queries"], "mqo": catalog["mqo"]}
-        return restore_gateway(engine, gateway_state, scopes, scheduler=scheduler)
-    return None
-
-
-def _recover_from_head(directory, engine, head, scheduler, options):
-    """Offset-guided recovery: seek to HEAD's records, scan only tails.
-
-    Returns the restored gateway, or ``None`` whenever anything about
-    HEAD's claims fails to validate — the caller then runs the full
-    front-to-back scan, so this path can only make recovery faster,
-    never change which epochs are reachable.
-    """
-    try:
-        offsets = {name: int(at) for name, at in head["offsets"].items()}
-    except (TypeError, ValueError):
-        return None
-    if GATEWAY_LOG not in offsets:
-        return None
-    tails: dict[str, list[tuple[int, int, bytes]]] = {}
-    for filename, start in offsets.items():
-        log = CheckpointLog(directory / filename, **options)
-        # Validate the frame HEAD points at before trusting the offset
-        # as a scan position: a bogus offset must not trigger a
-        # mid-record "truncate" that would chop intact history.
-        if log.read_at(start) is None:
+        payload = cache[filename].get(epoch)
+        if payload is None:
             return None
-        records, valid_end, error = log.scan(start=start)
-        if error is not None:
-            logger.warning(
-                "%s: %s; truncating to the last intact record",
-                directory / filename,
-                error,
-            )
-            log.truncate(valid_end)
-        tails[filename] = records
-    catalogs = {
-        epoch: payload
-        for epoch, kind, payload in tails[GATEWAY_LOG]
-        if kind == KIND_GATEWAY and epoch >= int(head["epoch"])
-    }
-    for epoch in sorted(catalogs, reverse=True):
-        catalog = pickle.loads(catalogs[epoch])
-        scopes = {}
-        intact = True
-        for filename, scope in catalog["scope_files"]:
-            records = tails.get(filename)
-            if records is None:
-                # The epoch references a scope log HEAD knows nothing
-                # about; only the full scan can judge it.
-                return None
-            payload = next(
-                (
-                    body
-                    for rec_epoch, kind, body in records
-                    if kind == KIND_SCOPE and rec_epoch == epoch
-                ),
-                None,
-            )
-            if payload is None:
-                intact = False
-                break
-            scopes[tuple(scope)] = pickle.loads(payload)
-        if intact:
-            gateway_state = {
-                "queries": catalog["queries"],
-                "mqo": catalog["mqo"],
-            }
-            return restore_gateway(
-                engine, gateway_state, scopes, scheduler=scheduler
-            )
-    return None
+        scopes[tuple(scope)] = pickle.loads(payload)
+    return scopes

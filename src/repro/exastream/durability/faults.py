@@ -33,8 +33,8 @@ class FaultInjector:
     * ``transient_io_errors=K`` — the next K low-level log writes raise
       ``OSError`` once each; the log's capped exponential backoff
       retries through them (or surfaces the error once retries run out).
-    * ``tear_write=(W, offset)`` — the Wth log append stops after
-      ``offset`` bytes of the record and raises :class:`SimulatedCrash`:
+    * ``tear_write=(W, offset)`` — the Wth log write stops after
+      ``offset`` bytes of its frames and raises :class:`SimulatedCrash`:
       a torn write whose tail fails its checksum on recovery.
     """
 
@@ -73,10 +73,10 @@ class FaultInjector:
             raise OSError("injected transient IO failure")
 
     def tear_offset(self) -> int | None:
-        """Byte offset to tear the current append at, or ``None``.
+        """Byte offset to tear the current write at, or ``None``.
 
-        Counts appends across every log sharing this injector, so the
-        schedule picks one specific record in the whole checkpoint.
+        Counts writes across every log sharing this injector, so the
+        schedule picks one specific write in the whole checkpoint.
         """
         self.writes += 1
         if self.tear_write is not None and self.writes == self.tear_write[0]:

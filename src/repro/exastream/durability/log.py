@@ -1,12 +1,14 @@
 """Append-only checkpoint log: framed, checksummed, torn-tail tolerant.
 
-Each record is a fixed header — magic, format version, record kind,
+Each frame is a fixed header — magic, format version, record kind,
 epoch, payload length, CRC32 of the payload — followed by the pickled
-payload.  Appends go through a capped-exponential-backoff retry wrapper
-for transient IO errors; reads parse front-to-back and stop at the
-first frame that fails validation, so a torn tail (partial header,
-short payload, checksum mismatch) costs exactly the records after the
-last intact one and never an older epoch.
+payload.  Writes go through a capped-exponential-backoff retry wrapper
+for transient IO errors.  :meth:`CheckpointLog.frames` walks the
+headers front-to-back, seeking over payloads, and stops at the first
+header that fails validation or a payload cut short, so a torn tail
+(partial header, short payload, garbage) costs exactly the frames after
+the last intact one and never an older epoch; a payload's checksum is
+checked when it is read.
 """
 
 from __future__ import annotations
@@ -17,33 +19,57 @@ import struct
 import time
 import zlib
 from pathlib import Path
+from typing import NamedTuple
 
 from ...errors import CheckpointCorrupt
 from .faults import FaultInjector, SimulatedCrash
 
 __all__ = [
     "CheckpointLog",
+    "Frame",
+    "frame",
     "MAGIC",
     "VERSION",
     "KIND_GATEWAY",
     "KIND_SCOPE",
+    "KIND_PLAN",
 ]
 
 logger = logging.getLogger(__name__)
 
 MAGIC = b"RCKP"
 VERSION = 1
-#: record kinds: the gateway catalog (queries, MQO pipelines, scope
-#: file list) vs one (layout, shard) scope's engine state
+#: record kinds: one checkpoint epoch (the gateway catalog with every
+#: scope's record), one (layout, shard) scope's engine state (only in
+#: logs written before epochs were single frames), one query's plan
 KIND_GATEWAY = 1
 KIND_SCOPE = 2
+KIND_PLAN = 3
 
 #: frame header: magic, version, kind, epoch, payload length, CRC32
 _HEADER = struct.Struct(">4sHHQQI")
 
 
+class Frame(NamedTuple):
+    """One frame's header, as :meth:`CheckpointLog.frames` found it."""
+
+    offset: int
+    kind: int
+    epoch: int
+    length: int
+    crc: int
+
+
+def frame(kind: int, epoch: int, payload: bytes) -> bytes:
+    """``payload`` framed: header, then the payload."""
+    return (
+        _HEADER.pack(MAGIC, VERSION, kind, epoch, len(payload), zlib.crc32(payload))
+        + payload
+    )
+
+
 class CheckpointLog:
-    """One append-only record log with retried, checksummed writes.
+    """One append-only frame log with retried, checksummed writes.
 
     ``max_retries`` and ``base_delay`` bound the transient-IO retry
     policy (attempt ``k`` sleeps ``min(base_delay * 2**k, max_delay)``);
@@ -106,42 +132,42 @@ class CheckpointLog:
                     time.sleep(delay)
                 attempt += 1
 
-    def append(self, kind: int, epoch: int, payload: bytes) -> int:
-        """Frame and append one record (flushed, optionally fsynced).
-
-        Returns the byte offset the record starts at, so checkpoint
-        coordination can publish it in ``HEAD`` and recovery can seek
-        straight to the newest epoch instead of scanning the whole log.
-        """
-        record = (
-            _HEADER.pack(
-                MAGIC, VERSION, kind, epoch, len(payload), zlib.crc32(payload)
-            )
-            + payload
-        )
+    def write(self, data: bytes, at: int | None = None) -> int:
+        """Write ``data`` (whole frames) at byte offset ``at`` — by
+        default the end of the file — in one write, optionally
+        fsynced.  Returns the offset written at.  A retry after a failed
+        write rewrites the same bytes at the same offset, so a partial
+        write never leaves garbage between frames."""
         tear = None if self.faults is None else self.faults.tear_offset()
-        if tear is not None:
-            # Injected torn write: persist a prefix of the record, then
-            # die — recovery must detect and truncate it.
-            with open(self.path, "ab") as fh:
-                fh.write(record[:tear])
-                fh.flush()
-                os.fsync(fh.fileno())
-            raise SimulatedCrash(
-                f"injected torn write at +{tear}B in {self.path.name}"
-            )
+        start = at
 
         def write() -> int:
-            with open(self.path, "ab") as fh:
-                fh.seek(0, os.SEEK_END)
-                start = fh.tell()
-                fh.write(record)
-                fh.flush()
-                if self.fsync:
-                    os.fsync(fh.fileno())
-                return start
+            nonlocal start
+            fd = os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o644)
+            try:
+                if start is None:
+                    start = os.lseek(fd, 0, os.SEEK_END)
+                # An injected torn write persists a prefix, then dies:
+                # recovery must detect and truncate it.
+                view, position = memoryview(data)[:tear], start
+                while view:
+                    written = os.pwrite(fd, view, position)
+                    view, position = view[written:], position + written
+                if self.fsync or tear is not None:
+                    os.fsync(fd)
+            finally:
+                os.close(fd)
+            if tear is not None:
+                raise SimulatedCrash(
+                    f"injected torn write at +{tear}B in {self.path.name}"
+                )
+            return start
 
-        return self._with_retry("append", write)
+        return self._with_retry("write", write)
+
+    def append(self, kind: int, epoch: int, payload: bytes) -> int:
+        """Frame and append one record; returns the offset it starts at."""
+        return self.write(frame(kind, epoch, payload))
 
     def truncate(self, offset: int) -> None:
         """Drop the invalid tail (degradation after a torn write)."""
@@ -154,83 +180,78 @@ class CheckpointLog:
 
     # -- read path -----------------------------------------------------------
 
-    def read_at(self, offset: int) -> tuple[int, int, bytes] | None:
-        """Parse the single frame starting at ``offset``.
+    def frames(self) -> tuple[list[Frame], int, str | None]:
+        """Walk the frame headers front-to-back, seeking over payloads.
 
-        Returns ``(epoch, kind, payload)`` when the frame is fully
-        intact (magic, version, length and checksum all validate) and
-        ``None`` otherwise — callers treat ``None`` as "fall back to a
-        full scan", never as an error.
+        Returns ``(frames, valid_end, error)``: the headers that
+        validated (magic, version, a payload that fits in the file),
+        the byte offset just past the last of them, and ``None`` or a
+        reason string describing the invalid tail.  Checksums are not
+        checked here; :meth:`read` checks one frame's.
         """
         try:
-            with open(self.path, "rb") as fh:
+            fh = open(self.path, "rb")
+        except FileNotFoundError:
+            return [], 0, None
+        found: list[Frame] = []
+        offset = 0
+        error: str | None = None
+        with fh:
+            size = os.fstat(fh.fileno()).st_size
+            while offset < size:
                 fh.seek(offset)
                 header = fh.read(_HEADER.size)
                 if len(header) < _HEADER.size:
-                    return None
-                magic, version, kind, epoch, length, crc = _HEADER.unpack(
-                    header
-                )
-                if magic != MAGIC or version != VERSION:
-                    return None
-                payload = fh.read(length)
+                    error = f"truncated header at offset {offset}"
+                    break
+                magic, version, kind, epoch, length, crc = _HEADER.unpack(header)
+                if magic != MAGIC:
+                    error = f"bad magic at offset {offset}"
+                    break
+                if version != VERSION:
+                    error = f"unsupported format version {version} at offset {offset}"
+                    break
+                end = offset + _HEADER.size + length
+                if end > size:
+                    error = f"truncated payload at offset {offset}"
+                    break
+                found.append(Frame(offset, kind, epoch, length, crc))
+                offset = end
+        return found, offset, error
+
+    def read(self, found: Frame) -> bytes | None:
+        """``found``'s payload, or ``None`` when its checksum fails."""
+        try:
+            with open(self.path, "rb") as fh:
+                fh.seek(found.offset + _HEADER.size)
+                payload = fh.read(found.length)
         except OSError:
             return None
-        if len(payload) < length or zlib.crc32(payload) != crc:
+        if len(payload) < found.length or zlib.crc32(payload) != found.crc:
             return None
-        return epoch, kind, payload
+        return payload
 
     def scan(
-        self, strict: bool = False, start: int = 0
+        self, strict: bool = False
     ) -> tuple[list[tuple[int, int, bytes]], int, str | None]:
-        """Parse every intact record front-to-back.
+        """Every intact record front-to-back, checksums included.
 
         Returns ``(records, valid_end, error)``: the ``(epoch, kind,
         payload)`` triples that validated, the byte offset just past the
         last intact record, and ``None`` or a reason string describing
         the invalid tail.  ``strict=True`` raises
         :class:`~repro.errors.CheckpointCorrupt` instead of tolerating
-        the tail.  ``start`` begins the scan at a known frame boundary
-        (e.g. an offset published in ``HEAD``) instead of byte 0; all
-        returned offsets stay absolute.
+        the tail.
         """
-        try:
-            with open(self.path, "rb") as fh:
-                if start:
-                    fh.seek(start)
-                data = fh.read()
-        except FileNotFoundError:
-            return [], start, None
+        found, valid_end, error = self.frames()
         records: list[tuple[int, int, bytes]] = []
-        offset = 0
-        size = len(data)
-        error: str | None = None
-        while offset < size:
-            if offset + _HEADER.size > size:
-                error = f"truncated header at offset {start + offset}"
+        for item in found:
+            payload = self.read(item)
+            if payload is None:
+                error = f"checksum mismatch at offset {item.offset}"
+                valid_end = item.offset
                 break
-            magic, version, kind, epoch, length, crc = _HEADER.unpack_from(
-                data, offset
-            )
-            if magic != MAGIC:
-                error = f"bad magic at offset {start + offset}"
-                break
-            if version != VERSION:
-                error = (
-                    f"unsupported format version {version} at offset "
-                    f"{start + offset}"
-                )
-                break
-            body = offset + _HEADER.size
-            if body + length > size:
-                error = f"truncated payload at offset {start + offset}"
-                break
-            payload = data[body : body + length]
-            if zlib.crc32(payload) != crc:
-                error = f"checksum mismatch at offset {start + offset}"
-                break
-            records.append((epoch, kind, payload))
-            offset = body + length
+            records.append((item.epoch, item.kind, payload))
         if error is not None and strict:
             raise CheckpointCorrupt(f"{self.path}: {error}")
-        return records, start + offset, error
+        return records, valid_end, error

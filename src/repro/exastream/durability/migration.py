@@ -57,7 +57,7 @@ def migrate_query(source_gateway, name: str, target_gateway):
     payload = pickle.loads(
         pickle.dumps(
             {
-                **_query_record(registered),
+                **_query_record(registered, registered.plan),
                 "shards": 1,  # the PLAIN_SCOPE layout, on either engine shape
                 "runtime": runtime.snapshot_state(),
                 "scope": scope,

@@ -5,8 +5,8 @@ shard)`` triple — exactly the engine contract's scopes
 (:mod:`repro.exastream.contracts`): every leaf runtime names the scope
 it was bound in, and the engine hands out each scope's readers, cache
 and stream source.  Each scope record carries its readers' positions
-in their sources and per-query runtime rings; the gateway record
-carries the query catalog (plans, lifecycle, sinks) and the
+in their sources and per-query runtime rings; the catalog beside them
+carries the queries (plans, lifecycle, sinks) and the
 shared-pipeline (MQO) entries, whose scoped signature keys re-derive
 deterministically when the same plans re-register.
 
@@ -38,9 +38,13 @@ __all__ = ["snapshot_gateway", "restore_gateway", "PLAIN_SCOPE"]
 # -- snapshot ----------------------------------------------------------------
 
 
-def snapshot_gateway(gateway) -> dict:
+def snapshot_gateway(gateway, plan_at=None) -> dict:
     """A picklable image of every query, reader position and shared
-    pipeline behind ``gateway``, keyed for per-scope log files.
+    pipeline behind ``gateway``, with one record per scope.
+
+    ``plan_at(q)``, when given, stands in for query ``q``'s plan in its
+    catalog entry: a checkpoint writes each plan once, in its own frame,
+    and the entry names that frame's byte offset.
 
     A follower query behind its shared reader's frontier reads windows
     it has not consumed yet from the cache, so each reader records the
@@ -54,7 +58,7 @@ def snapshot_gateway(gateway) -> dict:
     queries = []
     for name, q in gateway._queries.items():
         runtime = q.runtime
-        entry = _query_record(q)
+        entry = _query_record(q, q.plan if plan_at is None else plan_at(q))
         leaves = runtime.leaf_runtimes
         entry["shards"] = len(leaves)
         if isinstance(runtime, ShardedPlanRuntime):
@@ -84,11 +88,11 @@ def snapshot_gateway(gateway) -> dict:
     }
 
 
-def _query_record(q) -> dict:
+def _query_record(q, plan) -> dict:
     """One registered query's catalog entry: plan, lifecycle and sink."""
     return {
         "name": q.name,
-        "plan": q.plan,
+        "plan": plan,
         "state": q.state.value,
         "next_window": q.next_window,
         "window_limit": q.window_limit,

@@ -131,14 +131,20 @@ def _monotonic_having(tuples: list[tuple], columns: dict[str, int]) -> bool:
 
 
 def _pearson(tuples: list[tuple], columns: dict[str, int]) -> float:
-    """Exact Pearson correlation between columns ``x`` and ``y``."""
-    x = np.array([t[columns["x"]] for t in tuples], dtype=float)
-    y = np.array([t[columns["y"]] for t in tuples], dtype=float)
-    if len(x) < 2:
+    """Exact Pearson correlation between columns ``x`` and ``y``.
+
+    ``np.add.reduce(x) / n`` is what ``x.mean()`` computes and
+    ``np.sqrt(x.dot(x))`` what ``np.linalg.norm(x)`` computes for a 1-D
+    float array, bit for bit, without their dispatch."""
+    x_i, y_i = columns["x"], columns["y"]
+    x = np.array([t[x_i] for t in tuples], dtype=float)
+    y = np.array([t[y_i] for t in tuples], dtype=float)
+    n = len(x)
+    if n < 2:
         return 0.0
-    x = x - x.mean()
-    y = y - y.mean()
-    denominator = float(np.linalg.norm(x) * np.linalg.norm(y))
+    x = x - np.add.reduce(x) / n
+    y = y - np.add.reduce(y) / n
+    denominator = float(np.sqrt(x.dot(x)) * np.sqrt(y.dot(y)))
     if denominator == 0.0:
         return 0.0
     return float(np.dot(x, y) / denominator)
@@ -147,15 +153,16 @@ def _pearson(tuples: list[tuple], columns: dict[str, int]) -> float:
 def _avg_slope(tuples: list[tuple], columns: dict[str, int]) -> float:
     """Least-squares slope of ``val`` over ``ts`` — trend detection."""
     ts_i, val_i = columns["ts"], columns["val"]
-    if len(tuples) < 2:
+    n = len(tuples)
+    if n < 2:
         return 0.0
     t = np.array([x[ts_i] for x in tuples], dtype=float)
     v = np.array([x[val_i] for x in tuples], dtype=float)
-    t = t - t.mean()
+    t = t - np.add.reduce(t) / n
     denominator = float(np.dot(t, t))
     if denominator == 0.0:
         return 0.0
-    return float(np.dot(t, v - v.mean()) / denominator)
+    return float(np.dot(t, v - np.add.reduce(v) / n) / denominator)
 
 
 def _range_spread(tuples: list[tuple], columns: dict[str, int]) -> float:

@@ -328,10 +328,11 @@ def time_window_pulses(
     pulse's fresh tuples are the buffer rows not yet delivered.
     Timestamps are real numbers that float64 holds exactly (floats, and
     ints up to 2**53), so every comparison is the one a per-item loop
-    over the Python values would make; a NaN timestamp closes no window
-    and is in no batch.  A chunk holding heartbeats (the timestamp
-    extraction fails on them) splits at each one, and each heartbeat is
-    handled on its own.
+    over the Python values would make.  A non-finite timestamp (NaN,
+    ``-inf``, ``+inf``) never anchors or advances the grid and is in no
+    batch.  A chunk holding heartbeats (the timestamp extraction fails
+    on them) splits at each one, and each heartbeat is handled on its
+    own.
 
     ``resume`` restarts the generator mid-stream from checkpointed
     positions over the same source, replayed from its first item: the
@@ -385,11 +386,16 @@ def time_window_pulses(
     def run(rows: list[tuple[Any, ...]], stamps: np.ndarray) -> Iterator[WindowPulse]:
         """Pulses of a heartbeat-free run of tuples."""
         nonlocal anchor
+        finite = np.isfinite(stamps)
         if anchor is None:
-            anchor = rows[0][time_index]
+            first = int(finite.argmax())
+            if not finite[first]:
+                take(rows, stamps)
+                return
+            anchor = rows[first][time_index]
         count = len(rows)
-        # a NaN timestamp is past no pulse instant
-        ordered = np.where(stamps != stamps, -np.inf, stamps)
+        # a non-finite timestamp is past no pulse instant
+        ordered = np.where(finite, stamps, -np.inf)
         # peaks[i - base]: the running maximum of ordered[base:i + 1]
         base, peaks = 0, np.maximum.accumulate(ordered)
         taken = search = 0
@@ -414,9 +420,9 @@ def time_window_pulses(
 
     def beat(ts: float) -> Iterator[WindowPulse]:
         nonlocal anchor, processed
-        if anchor is None:
+        if anchor is None and math.isfinite(ts):
             anchor = ts
-        if ts > anchor + next_window * slide:
+        if anchor is not None and ts > anchor + next_window * slide:
             yield from drain_until(_previous_pulse(anchor, spec, ts))
         buffer.beat()
         processed += 1
@@ -477,8 +483,8 @@ def time_sliding_window(
 
 def _previous_pulse(anchor: float, spec: WindowSpec, timestamp: float) -> float:
     """The latest pulse time strictly before ``timestamp``; ``-inf`` for
-    a NaN or ``-inf`` timestamp, which is past no pulse instant."""
-    if not timestamp > -math.inf:
+    a non-finite timestamp, which is past no pulse instant."""
+    if not math.isfinite(timestamp):
         return -math.inf
     k = math.ceil((timestamp - anchor) / spec.slide_seconds) - 1
     return anchor + k * spec.slide_seconds

@@ -510,6 +510,58 @@ class TestChunkedGenerator:
         ]
         assert ours == theirs
 
+    @pytest.mark.parametrize("start", [None, -0.5])
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+    @pytest.mark.parametrize("chunk", [1, 3, 4096])
+    @pytest.mark.parametrize(
+        "places",
+        [(0,), (0, 1), (3,), (8,), (0, 5, 8)],
+        ids=["first", "first-two", "middle", "last", "first-middle-last"],
+    )
+    def test_non_finite_timestamps_never_move_the_grid(
+        self, places, chunk, bad, start
+    ):
+        """A non-finite tuple — first, anywhere, last; with and without
+        ``start`` — neither anchors nor advances the grid and is in no
+        window: the batches are those of the stream without it."""
+        finite = [(0.25 + 0.7 * k, k) for k in range(8)]
+        items = list(finite)
+        for at in places:
+            items.insert(at, (bad, 100 + at))
+        items.insert(4, Heartbeat(bad))
+        spec = WindowSpec(2.0, 0.5)
+        with mock.patch.object(window_module, "CHUNK", chunk):
+            ours = [
+                (b.window_id, b.start, b.end, b.tuples)
+                for b in time_sliding_window(iter(items), spec, 0, start)
+            ]
+        theirs = [
+            (b.window_id, b.start, b.end, b.tuples)
+            for b in time_sliding_window(iter(finite), spec, 0, start)
+        ]
+        assert len(theirs) > 5 and ours == theirs
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_a_shard_anchors_at_the_first_finite_timestamp(self, bad):
+        from cqgen import build_engine
+
+        rows = [(bad, 1, 0.0), (3.0, 1, 1.0), (4.0, 2, 2.0)]
+        engine = build_engine(rows=rows, shards=2)
+        _factory, anchor = engine.reader_source("S", (2, "sid", 0), 1)
+        assert anchor == 3.0
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+    def test_only_non_finite_timestamps_yield_no_window(self, bad):
+        items = [(bad, 0), Heartbeat(bad), (bad, 1)]
+        assert list(time_sliding_window(iter(items), WindowSpec(2.0, 1.0), 0)) == []
+
+    def test_nan_first_tuple_anchors_at_the_next(self):
+        rows = [(math.nan, 0), (0.0, 1)]
+        batches = list(time_sliding_window(rows, WindowSpec(2, 1), 0))
+        assert [(b.window_id, b.start, b.end, b.tuples) for b in batches] == [
+            (0, -2.0, 0.0, [(0.0, 1)])
+        ]
+
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     @pytest.mark.parametrize("chunk", [1, 3, 4096])
     def test_non_finite_timestamps_break_the_pane_path(self, bad, chunk):

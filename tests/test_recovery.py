@@ -9,9 +9,13 @@ Degradation paths (torn tails, missing checkpoints, IO errors) and the
 live-migration/rebalance handoff ride the same oracle.
 """
 
+import io
 import json
+import os
 import pickle
 import random
+import re
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -27,7 +31,7 @@ from cqgen import (
 )
 from repro.analysis import verify_gateway
 from repro.errors import CheckpointCorrupt, RecoveryError
-from repro.exastream import GatewayServer, Scheduler
+from repro.exastream import ContinuousPlan, GatewayServer, Scheduler
 from repro.exastream.durability import (
     CheckpointLog,
     CheckpointManager,
@@ -35,11 +39,12 @@ from repro.exastream.durability import (
     SimulatedCrash,
     migrate_query,
     recover,
+    snapshot_gateway,
     tear_file,
 )
 from repro.exastream.durability import migration as migration_module
 from repro.exastream.durability.checkpoint import GATEWAY_LOG
-from repro.exastream.durability.log import KIND_GATEWAY
+from repro.exastream.durability.log import KIND_GATEWAY, KIND_PLAN, KIND_SCOPE, frame
 
 ROWS = measurement_rows(n_seconds=80)
 
@@ -292,15 +297,19 @@ class TestPositionRecords:
         manager.checkpoint()
         engine = deployment.engine
         rows = {row for name in engine.stream_names for row in engine.stream(name)}
-        records = {
-            path.name: pickle.loads(payload)
-            for path in sorted(tmp_path.glob("*.log"))
-            for _epoch, _kind, payload in CheckpointLog(path).scan()[0]
-        }
-        sharded = [name for name in records if name.startswith("engine-2-")]
-        assert len(sharded) >= 2 and GATEWAY_LOG in records
-        assert all(records[name]["readers"] for name in sharded)
-        for record in records.values():
+        assert [path.name for path in tmp_path.iterdir()] == [GATEWAY_LOG]
+        records = [
+            (kind, pickle.loads(payload))
+            for _epoch, kind, payload in CheckpointLog(tmp_path / GATEWAY_LOG).scan()[0]
+        ]
+        kinds = [kind for kind, _ in records]
+        assert kinds[:20] == [KIND_PLAN] * 20
+        assert kinds[20:] == [KIND_GATEWAY] * manager.epoch
+        scopes = records[-1][1]["scopes"]
+        sharded = [scope for scope in scopes if scope[0] == 2]
+        assert len(sharded) >= 2
+        assert all(scopes[scope]["readers"] for scope in sharded)
+        for _kind, record in records:
             assert _stream_tuples_in(record, rows) == []
 
 
@@ -376,62 +385,253 @@ class TestGracefulDegradation:
         assert not recovered and got == base
 
 
-class TestHeadFastPath:
-    """HEAD's record offsets accelerate recovery but never gate it."""
+LATE_SQL = "SELECT MAX(w.val) AS m FROM timeSlidingWindow(S, 20, 5) AS w"
 
-    def test_recovers_epoch_newer_than_stale_head(self, tmp_path):
-        # A crash between the catalog append and the HEAD flip leaves a
-        # fully intact epoch HEAD does not know about; the tail scan
-        # past HEAD's offsets must still prefer it.
-        engine_kwargs = {"rows": ROWS}
-        base = _oracle(SQLS, 1, engine_kwargs)
-        gateway = GatewayServer(build_engine(**engine_kwargs))
-        for i, sql in enumerate(SQLS):
-            gateway.register(sql, name=f"q{i}")
-        manager = CheckpointManager(gateway, tmp_path, interval=10_000)
-        for _ in range(5):
-            gateway.step()
-        manager.checkpoint()
-        stale_head = (tmp_path / "HEAD").read_bytes()
-        for _ in range(3):
-            gateway.step()
-        manager.checkpoint()
-        later = gateway.query("q0").next_window
-        (tmp_path / "HEAD").write_bytes(stale_head)
 
-        recovered = recover(tmp_path, build_engine(**engine_kwargs))
-        assert recovered is not None
-        assert recovered.query("q0").next_window == later
+class _Cuts(CheckpointManager):
+    """A checkpoint manager that books each epoch's cut: every
+    registered query's next window."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.cuts = {}
+
+    def checkpoint(self):
+        epoch = super().checkpoint()
+        self.cuts[epoch] = _next_windows(self.gateway)
+        return epoch
+
+
+def _next_windows(gateway) -> dict:
+    return {name: q.next_window for name, q in gateway._queries.items()}
+
+
+def _late_run(directory, faults=None, on_late=None):
+    """``SQLS`` from the start and ``LATE_SQL`` (as ``late``) from the
+    7th step, checkpointed every 2nd pulse until the end or a simulated
+    crash.  ``on_late(late)`` runs right after the late registration.
+    Returns ``(manager, snapshots by name or None, crashed)``."""
+    gateway = GatewayServer(build_engine(rows=ROWS))
+    for i, sql in enumerate(SQLS):
+        gateway.register(sql, name=f"q{i}")
+    manager = _Cuts(gateway, directory, interval=2, faults=faults)
+    steps = 0
+    try:
+        while True:
+            if steps == 6:
+                late = gateway.register(LATE_SQL, name="late")
+                if on_late is not None:
+                    on_late(late)
+            if not gateway.step():
+                break
+            steps += 1
+    except SimulatedCrash:
+        return manager, None, True
+    return manager, {n: snapshot(q) for n, q in gateway._queries.items()}, False
+
+
+def _recover_cut(directory, cut, base):
+    """Recover ``directory``, check it resumes at ``cut``, run it to the
+    end and check every recovered query against ``base``."""
+    recovered = recover(directory, build_engine(rows=ROWS))
+    assert recovered is not None
+    assert _next_windows(recovered) == cut
+    while recovered.step():
+        pass
+    for name in cut:
+        assert snapshot(recovered.query(name)) == base[name]
+    return recovered
+
+
+class TestOneLog:
+    """An epoch is one frame in one log, written in one write; a crash
+    anywhere in it recovers the newest complete epoch."""
+
+    @pytest.fixture
+    def base(self, tmp_path):
+        manager, out, crashed = _late_run(tmp_path / "base")
+        assert not crashed and "late" in manager.cuts[manager.epoch]
+        return out
+
+    def test_torn_epoch_frame(self, tmp_path, base):
+        manager, out, _ = _late_run(tmp_path / "run")
+        assert out == base
+        path = tmp_path / "run" / GATEWAY_LOG
+        newest = CheckpointLog(path).frames()[0][-1]
+        assert (newest.kind, newest.epoch) == (KIND_GATEWAY, manager.epoch)
+        tear_file(path, newest.offset + 40)
+        _recover_cut(tmp_path / "run", manager.cuts[manager.epoch - 1], base)
+        assert path.stat().st_size == newest.offset
+
+    def test_torn_plan_frame(self, tmp_path, base):
+        faults = FaultInjector()
+
+        def tear_next_write(_late):
+            faults.tear_write = (faults.writes + 1, 40)
+
+        manager, _, crashed = _late_run(tmp_path, faults, tear_next_write)
+        assert crashed and "late" not in manager.cuts[manager.epoch]
+        _recover_cut(tmp_path, manager.cuts[manager.epoch], base)
+        kinds = [f.kind for f in CheckpointLog(tmp_path / GATEWAY_LOG).frames()[0]]
+        assert kinds[-1] == KIND_GATEWAY
+
+    def test_crash_between_plan_frame_and_epoch_frame(self, tmp_path, base):
+        faults = FaultInjector()
+
+        def tear_after_the_plan(late):
+            plan_frame = frame(
+                KIND_PLAN, 0, pickle.dumps(late.plan, pickle.HIGHEST_PROTOCOL)
+            )
+            faults.tear_write = (faults.writes + 1, len(plan_frame))
+
+        manager, _, crashed = _late_run(tmp_path, faults, tear_after_the_plan)
+        assert crashed
+        path = tmp_path / GATEWAY_LOG
+        orphan = CheckpointLog(path).frames()[0][-1]
+        assert (orphan.kind, orphan.epoch) == (KIND_PLAN, manager.epoch + 1)
+        recovered = recover(tmp_path, build_engine(rows=ROWS))
+        assert _next_windows(recovered) == manager.cuts[manager.epoch]
+        # the orphan plan frame stays; numbering continues past it, and
+        # a later epoch written after it recovers
+        resumed = _Cuts(recovered, tmp_path, interval=2)
+        assert resumed.epoch == manager.epoch + 1
         while recovered.step():
             pass
-        got = [snapshot(recovered.query(f"q{i}")) for i in range(len(SQLS))]
-        assert got == base
+        for name, q in recovered._queries.items():
+            assert snapshot(q) == base[name]
+        assert resumed.epoch > manager.epoch + 1
+        again = recover(tmp_path, build_engine(rows=ROWS))
+        assert _next_windows(again) == resumed.cuts[resumed.epoch]
 
-    def test_bogus_head_offsets_fall_back_to_full_scan(self, tmp_path):
-        engine_kwargs = {"rows": ROWS}
-        base = _oracle(SQLS, 1, engine_kwargs)
-        out, crashed = run_checkpointed(
-            SQLS, tmp_path, interval=2, engine_kwargs=engine_kwargs
-        )
-        assert not crashed and out == base
-        head_path = tmp_path / "HEAD"
-        head = json.loads(head_path.read_text())
-        # Mid-record and past-EOF offsets both fail frame validation;
-        # neither may truncate intact history or break recovery.
-        head["offsets"] = {
-            name: (3 if i % 2 else 10**9)
-            for i, name in enumerate(head["offsets"])
-        }
-        sizes = {
-            name: (tmp_path / name).stat().st_size for name in head["files"]
-        }
-        head_path.write_text(json.dumps(head))
-        got, recovered = recover_and_finish(
-            SQLS, tmp_path, engine_kwargs=engine_kwargs
-        )
-        assert recovered and got == base
-        for name, size in sizes.items():
-            assert (tmp_path / name).stat().st_size == size
+    def test_trailing_garbage_tail(self, tmp_path, base):
+        manager, _, _ = _late_run(tmp_path)
+        path = tmp_path / GATEWAY_LOG
+        size = path.stat().st_size
+        with open(path, "ab") as fh:
+            fh.write(b"RCKP" + bytes(range(40)))
+        _recover_cut(tmp_path, manager.cuts[manager.epoch], base)
+        assert path.stat().st_size == size
+
+    def test_parent_layout_still_recovers(self, tmp_path):
+        """A directory in the layout with one log per scope — scope
+        records in ``engine-*.log``, catalogs listing ``scope_files`` in
+        ``gateway.log``, a ``HEAD`` — recovers its newest epoch intact
+        across every file, and new epochs append to its log."""
+        base = _oracle(SQLS, 2, {"rows": ROWS})
+        gateway = GatewayServer(build_engine(rows=ROWS, shards=2))
+        for i, sql in enumerate(SQLS):
+            gateway.register(sql, name=f"q{i}", shards=2)
+
+        def parent_epoch(epoch, scopes_written):
+            snap = snapshot_gateway(gateway)
+            scope_files = []
+            for scope, record in list(snap["scopes"].items()):
+                n, key, shard = scope
+                name = re.sub(r"[^A-Za-z0-9_.-]", "_", str(key))
+                filename = f"engine-{n}-{name}-{shard}.log"
+                if len(scope_files) < scopes_written:
+                    CheckpointLog(tmp_path / filename).append(
+                        KIND_SCOPE, epoch, pickle.dumps(record)
+                    )
+                scope_files.append([filename, list(scope)])
+            catalog = {
+                "queries": snap["queries"],
+                "mqo": snap["mqo"],
+                "scope_files": scope_files,
+            }
+            CheckpointLog(tmp_path / GATEWAY_LOG).append(
+                KIND_GATEWAY, epoch, pickle.dumps(catalog)
+            )
+            (tmp_path / "HEAD").write_text(json.dumps({"epoch": epoch}))
+            return len(scope_files)
+
+        for _ in range(5):
+            gateway.step()
+        assert parent_epoch(1, scopes_written=99) >= 2
+        cut = _next_windows(gateway)
+        for _ in range(3):
+            gateway.step()
+        # a crash after the first scope record of epoch 2, before the rest
+        parent_epoch(2, scopes_written=1)
+
+        recovered = recover(tmp_path, build_engine(rows=ROWS, shards=2))
+        assert recovered is not None and _next_windows(recovered) == cut
+        resumed = CheckpointManager(recovered, tmp_path, interval=10_000)
+        assert resumed.epoch == 2
+        for _ in range(4):
+            recovered.step()
+        assert resumed.checkpoint() == 3
+        cut = _next_windows(recovered)
+        while recovered.step():
+            pass
+        assert [snapshot(recovered.query(f"q{i}")) for i in range(3)] == base
+        again = recover(tmp_path, build_engine(rows=ROWS, shards=2))
+        assert _next_windows(again) == cut
+
+
+class TestOneWritePerEpoch:
+    def test_one_fsync_per_epoch_and_one_pickle_per_plan(
+        self, tmp_path, monkeypatch
+    ):
+        """N epochs over a fixed query set: N fsyncs, each plan pickled
+        once, no plan inside an epoch frame; a manager built after
+        recovery continues the epoch numbers."""
+        gateway = GatewayServer(build_engine(rows=ROWS))
+        queries = [
+            gateway.register(sql, name=f"q{i}") for i, sql in enumerate(SQLS)
+        ]
+        fsyncs = []
+        pickled = Counter()
+        fsync, dumps = os.fsync, pickle.dumps
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            return fsync(fd)
+
+        def counting_dumps(value, *args, **kwargs):
+            if isinstance(value, ContinuousPlan):
+                pickled[id(value)] += 1
+            return dumps(value, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        monkeypatch.setattr(pickle, "dumps", counting_dumps)
+        manager = CheckpointManager(gateway, tmp_path, interval=3)
+        for _ in range(12):
+            gateway.step()
+        assert manager.epoch >= 4
+        assert len(fsyncs) == manager.epoch
+        assert pickled == {id(q.plan): 1 for q in queries}
+
+        log = CheckpointLog(tmp_path / GATEWAY_LOG)
+        frames = log.frames()[0]
+        classes = set()
+
+        class Classes(pickle.Unpickler):
+            def find_class(self, module, name):
+                classes.add(name)
+                return super().find_class(module, name)
+
+        for found in frames:
+            if found.kind == KIND_GATEWAY:
+                Classes(io.BytesIO(log.read(found))).load()
+        assert "ContinuousPlan" not in classes
+
+        last = manager.epoch
+        manager.close()
+        recovered = recover(tmp_path, build_engine(rows=ROWS))
+        fsyncs.clear()
+        pickled.clear()
+        resumed = CheckpointManager(recovered, tmp_path, interval=3)
+        assert resumed.epoch == last
+        for _ in range(6):
+            recovered.step()
+        assert resumed.epoch > last
+        assert len(fsyncs) == resumed.epoch - last
+        assert pickled == {id(q.plan): 1 for q in recovered._queries.values()}
+        epochs = [
+            f.epoch for f in log.frames()[0] if f.kind == KIND_GATEWAY
+        ]
+        assert epochs == list(range(1, resumed.epoch + 1))
 
 
 class TestTransientIO:
@@ -494,7 +694,7 @@ class TestCheckpointAudit:
             gateway.step()
         verify_gateway(gateway)  # live checkpointer: no violations
         assert manager.audit_violations() == []
-        # A HEAD from the future is a bookkeeping violation.
+        # A log epoch from the future is a bookkeeping violation.
         manager.epoch -= 1
         assert manager.audit_violations()
 
